@@ -57,10 +57,13 @@ fn job_spec(session: usize, j: usize, base_seed: u64, tenants: usize, n: usize) 
         3 => DistSpec::Zeta(2.5),
         _ => DistSpec::Balanced(7),
     };
-    let backend = match j % 3 {
+    // Indexed by `session + j`, not `j` alone, so the two-job smoke slates
+    // still reach every backend, including the daemon's default `auto`.
+    let backend = match (session + j) % 4 {
         0 => BackendSpec::Seq,
         1 => BackendSpec::Batched(32),
-        _ => BackendSpec::Coalesced(4),
+        2 => BackendSpec::Coalesced(4),
+        _ => BackendSpec::Auto,
     };
     JobSpec {
         id: format!("s{session:03}-j{j:03}"),

@@ -1,7 +1,7 @@
 //! The four class-size distribution families studied in the paper.
 
 use crate::poisson::{poisson_pmf, sample_poisson};
-use crate::zeta::{riemann_zeta, sample_zeta, zeta_pmf};
+use crate::zeta::{riemann_zeta_memo, sample_zeta, zeta_pmf};
 use ecs_rng::EcsRng;
 
 /// A distribution over equivalence classes, indexed by non-negative integers.
@@ -223,12 +223,14 @@ pub struct ZetaClasses {
 }
 
 impl ZetaClasses {
-    /// Creates a zeta distribution with exponent `s > 1`.
+    /// Creates a zeta distribution with exponent `s > 1`. The normalizing
+    /// constant `ζ(s)` is memoised per process, so repeated `s` values
+    /// skip its 20 000-term sum.
     pub fn new(s: f64) -> Self {
         assert!(s > 1.0, "zeta parameter must exceed 1, got {s}");
         Self {
             s,
-            zeta_s: riemann_zeta(s),
+            zeta_s: riemann_zeta_memo(s),
         }
     }
 
@@ -260,7 +262,7 @@ impl ClassDistribution for ZetaClasses {
         // The mean of the 1-based Zipf variate is ζ(s−1)/ζ(s) for s > 2; our
         // classes are 0-based, hence the −1. For s ≤ 2 the mean diverges.
         if self.s > 2.0 {
-            Some(riemann_zeta(self.s - 1.0) / self.zeta_s - 1.0)
+            Some(riemann_zeta_memo(self.s - 1.0) / self.zeta_s - 1.0)
         } else {
             None
         }
@@ -457,6 +459,29 @@ mod tests {
         assert!(ZetaClasses::new(2.5).mean().is_some());
         assert!(ZetaClasses::new(2.0).mean().is_none());
         assert!(ZetaClasses::new(1.5).mean().is_none());
+    }
+
+    #[test]
+    fn memoized_zeta_is_bit_identical_to_direct_evaluation() {
+        use crate::zeta::riemann_zeta;
+        for &s in &[1.1, 1.5, 2.0, 2.5, 3.0, 4.0] {
+            // Twice: the first build fills the memo, the second reads it.
+            for _ in 0..2 {
+                let d = ZetaClasses::new(s);
+                let zeta_s = riemann_zeta(s);
+                assert_eq!(d.zeta_s().to_bits(), zeta_s.to_bits(), "s={s}: zeta_s");
+                for i in [0, 1, 7, 1000] {
+                    let direct = ((i + 1) as f64).powf(-s) / zeta_s;
+                    assert_eq!(d.pmf(i).to_bits(), direct.to_bits(), "s={s}: pmf({i})");
+                }
+                let direct_mean = (s > 2.0).then(|| riemann_zeta(s - 1.0) / zeta_s - 1.0);
+                assert_eq!(
+                    d.mean().map(f64::to_bits),
+                    direct_mean.map(f64::to_bits),
+                    "s={s}: mean"
+                );
+            }
+        }
     }
 
     #[test]

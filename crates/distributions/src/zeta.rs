@@ -1,6 +1,9 @@
 //! The Riemann zeta function and the zeta (Zipf) class distribution's numeric
 //! underpinnings.
 
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock, PoisonError};
+
 /// Evaluates the Riemann zeta function `ζ(s)` for real `s > 1`.
 ///
 /// Uses direct summation of the first `M` terms plus an Euler–Maclaurin tail
@@ -28,6 +31,36 @@ pub fn riemann_zeta(s: f64) -> f64 {
     sum += 0.5 * mf.powf(-s);
     sum += s * mf.powf(-s - 1.0) / 12.0;
     sum
+}
+
+/// Distinct `s` values [`riemann_zeta_memo`] keeps. Served jobs choose `s`,
+/// so the memo must not grow with whatever clients send.
+const ZETA_MEMO_CAPACITY: usize = 1024;
+
+/// `ζ(s)` by `s.to_bits()`, filled by [`riemann_zeta_memo`].
+static ZETA_MEMO: OnceLock<Mutex<HashMap<u64, f64>>> = OnceLock::new();
+
+/// [`riemann_zeta`], evaluated once per distinct `s` per process for the
+/// first [`ZETA_MEMO_CAPACITY`] values of `s`, and on every call after that.
+///
+/// Every served zeta job builds a fresh [`crate::ZetaClasses`], and the
+/// 20 000-term sum would otherwise dominate building a small instance. The
+/// memo returns exactly the value `riemann_zeta(s)` returns. The sum runs
+/// outside the lock, so jobs with other `s` values never wait for it; two
+/// first callers racing on one `s` may both compute the same value.
+pub(crate) fn riemann_zeta_memo(s: f64) -> f64 {
+    let memo = ZETA_MEMO.get_or_init(|| Mutex::new(HashMap::new()));
+    // Every update is a single insert, so a poisoned map is still valid.
+    let lock = || memo.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&value) = lock().get(&s.to_bits()) {
+        return value;
+    }
+    let value = riemann_zeta(s);
+    let mut memo = lock();
+    if memo.len() < ZETA_MEMO_CAPACITY {
+        memo.insert(s.to_bits(), value);
+    }
+    value
 }
 
 /// The normalized probability of rank `i` (0-based) under the zeta
@@ -79,6 +112,21 @@ mod tests {
         assert!((riemann_zeta(1.5) - 2.612375348685488).abs() < 1e-7);
         // ζ(1.1) is large but finite; reference ≈ 10.5844484649508.
         assert!((riemann_zeta(1.1) - 10.5844484649508).abs() < 1e-5);
+    }
+
+    #[test]
+    fn the_memo_stays_exact_and_bounded_past_its_capacity() {
+        for i in 0..ZETA_MEMO_CAPACITY + 8 {
+            let s = 7.0 + i as f64 / 64.0;
+            assert_eq!(riemann_zeta_memo(s).to_bits(), riemann_zeta(s).to_bits());
+        }
+        let held = ZETA_MEMO
+            .get()
+            .expect("the memo was filled")
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len();
+        assert!(held <= ZETA_MEMO_CAPACITY, "the memo holds {held} values");
     }
 
     #[test]

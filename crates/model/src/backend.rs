@@ -331,8 +331,13 @@ impl ExecutionBackend {
 /// The machine's available parallelism, clamped to at least one — the target
 /// that degenerate zero worker-count knobs (`--threads 0`, `--jobs 0`,
 /// `ECS_THREADS=0`) are corrected to.
+///
+/// The value is read once per process and cached: the standard library
+/// re-reads cgroup files on every call, and `auto` asks on every round.
 pub fn available_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    *AVAILABLE
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 /// Process-wide pool cache, one pool per distinct thread count. Sessions are
@@ -543,5 +548,21 @@ mod tests {
             ExecutionBackend::threaded(4)
         );
         assert!(available_parallelism() >= 1);
+    }
+
+    #[test]
+    fn available_parallelism_is_one_value_per_process() {
+        let first = available_parallelism();
+        assert_eq!(available_parallelism(), first, "repeated calls agree");
+        let from_threads: Vec<usize> = (0..4)
+            .map(|_| std::thread::spawn(available_parallelism))
+            .map(|handle| handle.join().expect("the reader thread does not panic"))
+            .collect();
+        assert_eq!(from_threads, vec![first; 4], "every thread sees the cache");
+        assert_eq!(
+            first,
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            "the cache holds what the standard library reports"
+        );
     }
 }

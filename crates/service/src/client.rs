@@ -1,6 +1,6 @@
 //! A blocking protocol client for tests, the load generator, and scripts.
 
-use crate::protocol::{split_seq, JobSpec, Request, Response};
+use crate::protocol::{split_seq, write_line, JobSpec, Request, Response};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
@@ -40,17 +40,18 @@ impl Client {
         }
     }
 
-    /// Connects to a TCP daemon.
+    /// Connects to a TCP daemon, with `TCP_NODELAY` set so each request
+    /// line leaves at once.
     pub fn connect(addr: &str) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Self::new(reader, stream))
     }
 
     /// Sends one request line.
     pub fn send(&mut self, request: &Request) -> std::io::Result<()> {
-        writeln!(self.writer, "{}", request.render())?;
-        self.writer.flush()
+        write_line(&mut self.writer, request.render())
     }
 
     /// Submits a job.

@@ -11,7 +11,7 @@
 //! submit id=j0 tenant=a weight=2 dist=uniform:6 n=80 seed=7 algo=er-merge backend=seq
 //! cancel id=j0
 //! ack seq=5
-//! resume token=sess-00000001 last_seq=5
+//! resume token=sess-6f1c0e9a3b5d47e2a8c4f01d9e7b2c35 last_seq=5
 //! status
 //! drain
 //! shutdown
@@ -39,6 +39,7 @@ use ecs_model::{
 };
 use ecs_rng::{SeedableEcsRng, Xoshiro256StarStar};
 use std::fmt;
+use std::io::{self, Write};
 use std::time::Duration;
 
 /// The hidden-partition family a job's instance is drawn from.
@@ -775,6 +776,16 @@ pub fn split_seq(line: &str) -> (Option<u64>, &str) {
         }
     }
     (None, line)
+}
+
+/// Sends one protocol line: the payload and its `\n` in a single
+/// `write_all`, then a flush. Writing them separately hands TCP two
+/// segments, and Nagle's algorithm holds the second until the peer's delayed
+/// ACK, about 40 ms per line.
+pub(crate) fn write_line<W: Write + ?Sized>(writer: &mut W, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
 }
 
 /// Evaluates one job exactly as a serial reference loop would.

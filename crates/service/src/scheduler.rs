@@ -35,6 +35,7 @@ use ecs_model::{
     CalibrationLog, CancellationToken, RoundSizeHistogram, ThroughputPool, TuningDecision,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
@@ -161,13 +162,17 @@ impl SessionHandle {
 
     /// A resumable (`hello`) session: its outbox retains every delivered
     /// line until acked and stamps each with a `seq=` prefix, so a later
-    /// `resume` can replay exactly the unacked suffix. The token is a pure
-    /// function of the session id, so resumable runs stay deterministic.
-    pub(crate) fn resumable(id: u64) -> Self {
+    /// `resume` can replay exactly the unacked suffix. The token is
+    /// `sess-` and 128 bits from `/dev/urandom` in hex: whoever holds it can
+    /// take the session over, so it must not be guessable. Fails only when
+    /// the random source cannot be read.
+    pub(crate) fn resumable(id: u64) -> std::io::Result<Self> {
+        let mut bits = [0u8; 16];
+        std::fs::File::open("/dev/urandom")?.read_exact(&mut bits)?;
         let mut handle = Self::new(id);
-        handle.token = Some(format!("sess-{id:08x}"));
+        handle.token = Some(format!("sess-{:032x}", u128::from_be_bytes(bits)));
         handle.outbox.enable_retention();
-        handle
+        Ok(handle)
     }
 
     /// The stable resume token, when this session was bound via `hello`.
@@ -1147,15 +1152,33 @@ mod tests {
     }
 
     #[test]
-    fn resumable_sessions_mint_a_deterministic_token() {
+    fn resumable_sessions_mint_unguessable_unique_tokens() {
         let plain = SessionHandle::new(7);
         assert_eq!(plain.token(), None);
-        let resumable = SessionHandle::resumable(7);
-        assert_eq!(
-            resumable.token(),
-            Some("sess-00000007"),
-            "the token is a pure function of the session id"
-        );
+        let tokens: Vec<String> = (0..256)
+            .map(|_| {
+                // The same session id every time: the token must not derive
+                // from it.
+                SessionHandle::resumable(7)
+                    .expect("the random source is readable")
+                    .token()
+                    .expect("resumable sessions carry a token")
+                    .to_string()
+            })
+            .collect();
+        for token in &tokens {
+            let hex = token.strip_prefix("sess-").expect("tokens start sess-");
+            assert_eq!(hex.len(), 32, "128 bits in hex: {token}");
+            assert!(
+                hex.bytes()
+                    .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b)),
+                "lowercase hex only: {token}"
+            );
+        }
+        let mut unique = tokens.clone();
+        unique.sort();
+        unique.dedup();
+        assert_eq!(unique.len(), tokens.len(), "no token repeats");
     }
 
     #[test]

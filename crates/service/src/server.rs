@@ -26,21 +26,31 @@
 //! `resume <token> <last_seq>` and replay exactly the unacked suffix.
 //! Any other first request serves a classic anonymous session, wire-
 //! compatible with pre-resume daemons.
+//!
+//! Request lines are capped at 64 KiB. A longer line is answered with
+//! `error line too long …` and ends the session, resumable or not, and its
+//! connection is closed. TCP streams run with `TCP_NODELAY` and every line
+//! goes out in one write (see `protocol::write_line`).
 
 use crate::client::Client;
 use crate::pipe::pipe;
-use crate::protocol::{Request, Response};
+use crate::protocol::{write_line, Request, Response};
 use crate::scheduler::{QuotaConfig, Scheduler, SessionHandle};
 use ecs_model::backend::available_parallelism;
 use ecs_model::batching::DEFAULT_LINGER;
 use ecs_model::ThroughputPool;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// The longest request line the daemon reads, in bytes, excluding the `\n`.
+/// Real requests are under 200 bytes; the cap stops one newline-free stream
+/// from growing a session's line buffer without bound.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
@@ -87,13 +97,34 @@ struct DaemonShared {
     /// connection — that is the point — and are removed at `bye`.
     sessions: Mutex<HashMap<String, Arc<SessionHandle>>>,
     listen_addr: Option<SocketAddr>,
-    /// Force-closers for every live connection's read side, so `stop()` can
-    /// unblock readers parked on an idle stream.
-    closers: Mutex<Vec<Box<dyn Fn() + Send>>>,
+    /// Force-closers for every live connection's read side, by connection
+    /// number, so `stop()` can unblock readers parked on an idle stream. A
+    /// connection's entry (which holds a handle to its stream) is dropped
+    /// when its session ends, so the stream really closes then.
+    closers: Mutex<HashMap<u64, Box<dyn Fn() + Send>>>,
+    next_connection: AtomicU64,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl DaemonShared {
+    fn new(config: DaemonConfig, listen_addr: Option<SocketAddr>) -> Arc<Self> {
+        Arc::new(Self {
+            scheduler: Arc::new(
+                Scheduler::new(config.pool, config.max_inflight, config.linger)
+                    .with_trace_dir(config.trace_dir)
+                    .with_quotas(config.quotas),
+            ),
+            outbox_limit: config.outbox_limit,
+            next_session: AtomicU64::new(0),
+            stopping: AtomicBool::new(false),
+            sessions: Mutex::new(HashMap::new()),
+            listen_addr,
+            closers: Mutex::new(HashMap::new()),
+            next_connection: AtomicU64::new(0),
+            threads: Mutex::new(Vec::new()),
+        })
+    }
+
     /// Ends the accept loop and every session: drains are NOT awaited here —
     /// callers decide whether to drain first (protocol `shutdown`) or cancel
     /// first ([`DaemonHandle::stop`]).
@@ -101,11 +132,11 @@ impl DaemonShared {
         if self.stopping.swap(true, Ordering::SeqCst) {
             return;
         }
-        for closer in self
+        for (_, closer) in self
             .closers
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .drain(..)
+            .drain()
         {
             closer();
         }
@@ -122,7 +153,10 @@ impl DaemonShared {
             .push(handle);
     }
 
-    fn register_closer(&self, closer: Box<dyn Fn() + Send>) {
+    /// Registers a new connection's closer and returns the connection's
+    /// number for [`DaemonShared::forget_closer`].
+    fn register_closer(&self, closer: Box<dyn Fn() + Send>) -> u64 {
+        let connection = self.next_connection.fetch_add(1, Ordering::SeqCst);
         let mut closers = self
             .closers
             .lock()
@@ -131,8 +165,17 @@ impl DaemonShared {
             // Lost the race with close_all: close this connection directly.
             closer();
         } else {
-            closers.push(closer);
+            closers.insert(connection, closer);
         }
+        connection
+    }
+
+    /// Drops a finished connection's closer, releasing its stream handle.
+    fn forget_closer(&self, connection: u64) {
+        self.closers
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .remove(&connection);
     }
 }
 
@@ -145,21 +188,7 @@ impl Daemon {
     /// ephemeral port, reported by [`DaemonHandle::local_addr`]).
     pub fn bind(addr: &str, config: DaemonConfig) -> std::io::Result<DaemonHandle> {
         let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let shared = Arc::new(DaemonShared {
-            scheduler: Arc::new(
-                Scheduler::new(config.pool, config.max_inflight, config.linger)
-                    .with_trace_dir(config.trace_dir.clone())
-                    .with_quotas(config.quotas.clone()),
-            ),
-            outbox_limit: config.outbox_limit,
-            next_session: AtomicU64::new(0),
-            stopping: AtomicBool::new(false),
-            sessions: Mutex::new(HashMap::new()),
-            listen_addr: Some(local),
-            closers: Mutex::new(Vec::new()),
-            threads: Mutex::new(Vec::new()),
-        });
+        let shared = DaemonShared::new(config, Some(listener.local_addr()?));
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::spawn(move || {
             for stream in listener.incoming() {
@@ -167,22 +196,22 @@ impl Daemon {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                let session_shared = Arc::clone(&accept_shared);
-                let closer_stream = match stream.try_clone() {
-                    Ok(clone) => clone,
-                    Err(_) => continue,
+                // Responses are single small writes; without this, Nagle's
+                // algorithm holds each one until the client's delayed ACK.
+                let _ = stream.set_nodelay(true);
+                let (Ok(closer_stream), Ok(read_stream)) = (stream.try_clone(), stream.try_clone())
+                else {
+                    continue;
                 };
                 // Close only the read side: the reader unblocks with EOF
                 // while the session's writer still flushes queued results.
-                accept_shared.register_closer(Box::new(move || {
+                let connection = accept_shared.register_closer(Box::new(move || {
                     let _ = closer_stream.shutdown(std::net::Shutdown::Read);
                 }));
-                let reader = BufReader::new(match stream.try_clone() {
-                    Ok(clone) => clone,
-                    Err(_) => continue,
-                });
+                let session_shared = Arc::clone(&accept_shared);
                 let handle = std::thread::spawn(move || {
-                    serve_session(&session_shared, reader, stream);
+                    serve_session(&session_shared, BufReader::new(read_stream), stream);
+                    session_shared.forget_closer(connection);
                 });
                 accept_shared.adopt_thread(handle);
             }
@@ -196,22 +225,8 @@ impl Daemon {
     /// Starts a daemon with no listener; sessions are opened in-process via
     /// [`DaemonHandle::connect`].
     pub fn loopback(config: DaemonConfig) -> DaemonHandle {
-        let shared = Arc::new(DaemonShared {
-            scheduler: Arc::new(
-                Scheduler::new(config.pool, config.max_inflight, config.linger)
-                    .with_trace_dir(config.trace_dir.clone())
-                    .with_quotas(config.quotas.clone()),
-            ),
-            outbox_limit: config.outbox_limit,
-            next_session: AtomicU64::new(0),
-            stopping: AtomicBool::new(false),
-            sessions: Mutex::new(HashMap::new()),
-            listen_addr: None,
-            closers: Mutex::new(Vec::new()),
-            threads: Mutex::new(Vec::new()),
-        });
         DaemonHandle {
-            shared,
+            shared: DaemonShared::new(config, None),
             accept: None,
         }
     }
@@ -242,10 +257,12 @@ impl DaemonHandle {
         let (server_tx, client_rx) = pipe();
         let shared = Arc::clone(&self.shared);
         let close_rx = server_rx.closer();
-        self.shared
+        let connection = self
+            .shared
             .register_closer(Box::new(move || close_rx.close()));
         let handle = std::thread::spawn(move || {
             serve_session(&shared, BufReader::new(server_rx), server_tx);
+            shared.forget_closer(connection);
         });
         self.shared.adopt_thread(handle);
         Client::new(BufReader::new(client_rx), client_tx)
@@ -288,6 +305,33 @@ impl DaemonHandle {
     }
 }
 
+/// One request line read by [`read_request_line`].
+enum LineRead<'a> {
+    Line(&'a str),
+    /// The line ran past [`MAX_REQUEST_LINE`] bytes without a newline.
+    TooLong,
+    /// End of stream, a read error, or a line that is not UTF-8.
+    Closed,
+}
+
+/// Reads the next request line into `buf`, reading at most one byte past
+/// [`MAX_REQUEST_LINE`], so a line with no end costs a bounded buffer.
+fn read_request_line<'a, R: BufRead>(reader: &mut R, buf: &'a mut Vec<u8>) -> LineRead<'a> {
+    buf.clear();
+    let limit = MAX_REQUEST_LINE as u64 + 1;
+    match reader.by_ref().take(limit).read_until(b'\n', buf) {
+        Ok(0) | Err(_) => LineRead::Closed,
+        Ok(_) if buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') => LineRead::TooLong,
+        Ok(_) => std::str::from_utf8(buf).map_or(LineRead::Closed, LineRead::Line),
+    }
+}
+
+fn line_too_long() -> Response {
+    Response::Error {
+        message: format!("line too long (limit {MAX_REQUEST_LINE} bytes)"),
+    }
+}
+
 /// Serves one session: binds the session's identity from the connection's
 /// first request (`hello` → fresh resumable session, `resume` → re-attach a
 /// parked one, anything else → anonymous), spawns the writer, runs the
@@ -302,23 +346,31 @@ where
     // Identity prologue: read the first non-empty line before spawning
     // anything, so a failed `resume` can be answered on the raw connection
     // and hung up without ever touching a session.
-    let mut first = String::new();
-    loop {
-        first.clear();
-        match reader.read_line(&mut first) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
+    let mut buf = Vec::new();
+    let first = loop {
+        match read_request_line(&mut reader, &mut buf) {
+            LineRead::Closed => return,
+            LineRead::TooLong => {
+                let _ = write_line(&mut writer, line_too_long().render());
+                return;
+            }
+            LineRead::Line(line) if line.trim().is_empty() => {}
+            LineRead::Line(line) => break Request::parse(line),
         }
-        if !first.trim().is_empty() {
-            break;
-        }
-    }
+    };
     let mut deferred = None;
-    let (session, epoch) = match Request::parse(&first) {
+    let (session, epoch) = match first {
         Ok(Request::Hello) => {
-            let session = Arc::new(SessionHandle::resumable(
-                shared.next_session.fetch_add(1, Ordering::SeqCst),
-            ));
+            let minted =
+                SessionHandle::resumable(shared.next_session.fetch_add(1, Ordering::SeqCst));
+            let session = match minted {
+                Ok(session) => Arc::new(session),
+                Err(e) => {
+                    let message = format!("cannot mint a session token: {e}");
+                    let _ = write_line(&mut writer, Response::Error { message }.render());
+                    return;
+                }
+            };
             let token = session
                 .token()
                 .expect("resumable sessions carry a token")
@@ -354,8 +406,7 @@ where
             match resumed {
                 Ok(bound) => bound,
                 Err(message) => {
-                    let _ = writeln!(writer, "{}", Response::Error { message }.render());
-                    let _ = writer.flush();
+                    let _ = write_line(&mut writer, Response::Error { message }.render());
                     return;
                 }
             }
@@ -373,31 +424,29 @@ where
     let writer_session = Arc::clone(&session);
     let writer_thread = std::thread::spawn(move || {
         while let Some(line) = writer_session.outbox().pop_at(epoch) {
-            if writeln!(writer, "{line}").is_err() {
-                break;
-            }
-            if writer.flush().is_err() {
+            if write_line(&mut writer, line).is_err() {
                 break;
             }
         }
     });
 
     let scheduler = Arc::clone(&shared.scheduler);
-    let mut line = String::new();
+    // Set when the client broke the protocol badly enough to lose its
+    // session: it is closed even if it could otherwise be resumed.
+    let mut hung_up = false;
     loop {
         let request = match deferred.take() {
             Some(request) => request,
-            None => {
-                line.clear();
-                match reader.read_line(&mut line) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => {}
+            None => match read_request_line(&mut reader, &mut buf) {
+                LineRead::Closed => break,
+                LineRead::TooLong => {
+                    session.respond(&line_too_long());
+                    hung_up = true;
+                    break;
                 }
-                if line.trim().is_empty() {
-                    continue;
-                }
-                Request::parse(&line)
-            }
+                LineRead::Line(line) if line.trim().is_empty() => continue,
+                LineRead::Line(line) => Request::parse(line),
+            },
         };
         match request {
             Ok(Request::Submit(spec)) => {
@@ -439,7 +488,7 @@ where
         }
     }
 
-    if session.token().is_some() && !shared.stopping.load(Ordering::SeqCst) {
+    if session.token().is_some() && !hung_up && !shared.stopping.load(Ordering::SeqCst) {
         // The connection ended but the daemon lives on: park the session —
         // results keep landing in its retained outbox — and release this
         // writer so a future `resume` can replace it.

@@ -9,14 +9,16 @@
 //! a job's result line must depend only on its spec.
 
 use ecs_model::ThroughputPool;
-use ecs_service::protocol::{render_result, run_job};
+use ecs_service::protocol::{render_result, run_job, split_seq};
 use ecs_service::{
     AlgoSpec, BackendSpec, Client, Daemon, DaemonConfig, DistSpec, JobSpec, QuotaConfig, Request,
     Response,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::time::Duration;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 const SESSIONS: usize = 64;
 const JOBS_PER_SESSION: usize = 2;
@@ -283,8 +285,8 @@ fn a_resumed_session_replays_exactly_the_undropped_byte_stream() {
     // 1..=5, acks only through 3, then "crashes": lines 4 and 5 were on the
     // wire but never persisted, so the reconnect resumes from 3 and the
     // daemon must replay exactly the unacked suffix. Session B never drops.
-    // The two observed streams — seq prefixes included — must be identical
-    // byte for byte.
+    // The two observed streams after `hello` — seq prefixes included — must
+    // be identical byte for byte.
     let jobs = 4;
 
     let daemon_a = Daemon::loopback(daemon_config());
@@ -292,13 +294,9 @@ fn a_resumed_session_replays_exactly_the_undropped_byte_stream() {
     let token = {
         let mut client = daemon_a.connect();
         let token = client.hello().expect("hello");
-        stream_a.push(format!(
-            "seq=1 {}",
-            Response::Hello {
-                token: token.clone()
-            }
-            .render()
-        ));
+        // The `hello` line carries a random token, so it is checked for its
+        // place in the stream and left out of the byte comparison.
+        assert_eq!(client.last_seq(), 1, "hello is answered first, as seq=1");
         lockstep(&mut client, 0..1, &mut stream_a); // seq 2, 3
         client.ack(client.last_seq()).expect("ack through 3");
         // Job 1's lines (seq 4, 5) arrive but are "lost in the crash":
@@ -324,11 +322,8 @@ fn a_resumed_session_replays_exactly_the_undropped_byte_stream() {
     let mut stream_b = Vec::new();
     let mut undropped = daemon_b.connect();
     let token_b = undropped.hello().expect("hello");
-    assert_eq!(token, token_b, "fresh daemons mint the same first token");
-    stream_b.push(format!(
-        "seq=1 {}",
-        Response::Hello { token: token_b }.render()
-    ));
+    assert_eq!(undropped.last_seq(), 1, "hello is answered first, as seq=1");
+    assert_ne!(token, token_b, "tokens are random, not a session counter");
     lockstep(&mut undropped, 0..jobs, &mut stream_b);
 
     assert_eq!(
@@ -461,5 +456,165 @@ fn a_protocol_shutdown_stops_the_daemon_with_nothing_leaked() {
         "shutdown must end with bye: {tail:?}"
     );
     // join() returning is the no-leaked-threads guarantee.
+    daemon.join();
+}
+
+/// A job that takes microseconds, so a round trip measures the transport.
+fn tiny_seq_spec(j: usize) -> JobSpec {
+    JobSpec {
+        id: format!("rt{j:03}"),
+        tenant: "rt".to_string(),
+        weight: 1,
+        dist: DistSpec::Uniform(2),
+        n: 6,
+        seed: j as u64,
+        algo: AlgoSpec::ALL[j % AlgoSpec::ALL.len()],
+        backend: BackendSpec::Seq,
+    }
+}
+
+/// Runs `ROUND_TRIPS` sequential submit→result round trips on `client`,
+/// acking every line when `ack` is set, and returns how long they took.
+fn sequential_round_trips(client: &mut Client, ack: bool) -> Duration {
+    const ROUND_TRIPS: usize = 200;
+    let started = Instant::now();
+    for j in 0..ROUND_TRIPS {
+        let spec = tiny_seq_spec(j);
+        client.submit(&spec).expect("submit");
+        loop {
+            let response = client.recv().expect("recv").expect("stream stays open");
+            if ack {
+                client.ack(client.last_seq()).expect("ack");
+            }
+            match response {
+                Response::Accepted { .. } => {}
+                Response::Result { id, line } => {
+                    assert_eq!(id, spec.id);
+                    let run = run_job(&spec, Duration::ZERO, None);
+                    assert_eq!(line, render_result(&spec, &run));
+                    break;
+                }
+                other => panic!("unexpected response: {other:?}"),
+            }
+        }
+    }
+    started.elapsed()
+}
+
+#[test]
+fn sequential_tcp_round_trips_are_not_held_by_nagle() {
+    // A line written as payload then `\n` leaves in two segments, and
+    // Nagle's algorithm holds the second until the peer's delayed ACK:
+    // about 40 ms per round trip, so 200 of them take 8 s or more. With
+    // TCP_NODELAY and one write per line they take milliseconds.
+    let daemon = Daemon::bind("127.0.0.1:0", daemon_config()).expect("bind an ephemeral port");
+    let addr = daemon.local_addr().expect("a TCP daemon").to_string();
+
+    let mut anonymous = Client::connect(&addr).expect("connect");
+    let elapsed = sequential_round_trips(&mut anonymous, false);
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "200 anonymous round trips took {elapsed:?}"
+    );
+
+    let mut resumable = Client::connect(&addr).expect("connect");
+    resumable.hello().expect("hello");
+    let elapsed = sequential_round_trips(&mut resumable, true);
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "200 hello+ack round trips took {elapsed:?}"
+    );
+
+    drop(anonymous);
+    drop(resumable);
+    daemon.stop();
+    daemon.join();
+}
+
+/// Sends `prefix`, then a 1 MiB line with no newline, on a raw TCP
+/// connection, and returns every line the daemon sends before it closes the
+/// connection.
+fn flood_lines(addr: &str, prefix: &str) -> Vec<String> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("set a read timeout");
+    let mut writer = stream.try_clone().expect("clone the stream");
+    let mut flood = prefix.as_bytes().to_vec();
+    flood.resize(flood.len() + (1 << 20), b'a');
+    let flooder = std::thread::spawn(move || {
+        // The daemon hangs up mid-line, so this write may fail.
+        let _ = writer.write_all(&flood);
+    });
+    // A reset after the last line surfaces as an error: the end, too.
+    let lines = BufReader::new(stream)
+        .lines()
+        .map_while(Result::ok)
+        .collect();
+    flooder.join().expect("the flood thread does not panic");
+    lines
+}
+
+#[test]
+fn an_overlong_request_line_is_refused_and_a_sibling_session_is_untouched() {
+    let daemon = Daemon::bind("127.0.0.1:0", daemon_config()).expect("bind an ephemeral port");
+    let addr = daemon.local_addr().expect("a TCP daemon").to_string();
+    let specs: Vec<JobSpec> = (0..4).map(|j| grid_spec(60, j)).collect();
+    let mut sibling = Client::connect(&addr).expect("connect the sibling");
+    for spec in &specs[..2] {
+        sibling.submit(spec).expect("submit before the flood");
+    }
+
+    // As the first line, before any session exists.
+    let lines = flood_lines(&addr, "");
+    assert!(
+        lines.len() == 1 && lines[0].starts_with("error line too long"),
+        "an overlong first line gets a typed error, then the connection closes: {lines:?}"
+    );
+
+    // Inside a resumable session: the error arrives in the session's
+    // stream, and the session ends instead of parking.
+    let lines = flood_lines(&addr, "hello\n");
+    assert_eq!(lines.len(), 3, "hello, error, bye: {lines:?}");
+    let (_, hello) = split_seq(&lines[0]);
+    let Ok(Response::Hello { token }) = Response::parse(hello) else {
+        panic!("the session opens with hello: {lines:?}");
+    };
+    assert!(
+        lines[1].starts_with("seq=2 error line too long"),
+        "{lines:?}"
+    );
+    assert_eq!(lines[2], "seq=3 bye");
+    let mut late = Client::connect(&addr).expect("connect");
+    late.resume(&token, 3).expect("send resume");
+    assert!(
+        matches!(late.recv().expect("recv"), Some(Response::Error { message }) if message.contains("unknown session")),
+        "a session ended by an overlong line cannot be resumed"
+    );
+
+    for spec in &specs[2..] {
+        sibling.submit(spec).expect("submit after the flood");
+    }
+    let results: HashMap<String, String> = sibling
+        .drain()
+        .expect("drain the sibling")
+        .into_iter()
+        .filter_map(|response| match response {
+            Response::Result { id, line } => Some((id, line)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(results.len(), specs.len());
+    for spec in &specs {
+        let run = run_job(spec, Duration::ZERO, None);
+        assert_eq!(
+            results.get(&spec.id),
+            Some(&render_result(spec, &run)),
+            "job {}: a flooding neighbour changed the result",
+            spec.id
+        );
+    }
+    drop(sibling);
+    daemon.stop();
     daemon.join();
 }
