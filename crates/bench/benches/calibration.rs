@@ -1,18 +1,20 @@
-//! Self-tuning vs. best-fixed execution: does `Backend::Auto` earn its keep?
+//! Self-tuning vs. best-fixed execution: does `ExecutionBackend::auto` earn
+//! its keep?
 //!
 //! Three groups on a large balanced instance:
 //!
 //! * **round** — one maximal ER round (a perfect matching of `n / 2` pairs)
-//!   under `Auto`, the sequential backend, and the fixed threaded pools it
-//!   chooses between. Every backend is gated on bit-identical answers before
-//!   timing starts, and `Auto` is additionally gated on replaying its own
-//!   calibration log to the same answers.
-//! * **sort** — the full Theorem 1 compound-merge sort under `Auto` vs. the
+//!   under `auto`, the sequential backend, and fixed threaded pools. Every
+//!   contender is gated on bit-identical answers before timing starts.
+//! * **sort** — the full Theorem 1 compound-merge sort under `auto` vs. the
 //!   fixed backends, the end-to-end view of the same question.
 //! * **probe** — the calibration micro-probe itself (uncached path cost is
 //!   amortized by a process-wide `OnceLock`; this times the cached read),
-//!   plus the per-round `preview` decision lookup — the overhead `Auto`
-//!   pays on top of whatever backend it lowers to.
+//!   plus building an `auto` backend — the per-job cost `auto` pays on top
+//!   of the backend it lowers to.
+//!
+//! `auto` lowers to a fixed backend, so its label can equal a fixed
+//! contender's (`threaded(2)` on two cores); it runs under its own id.
 //!
 //! Set `ECS_BENCH_SMOKE=1` to shrink the instances (used by CI to exercise
 //! the harness on every push without paying the full measurement cost).
@@ -26,13 +28,17 @@ use ecs_model::{
 use ecs_rng::{SeedableEcsRng, Xoshiro256StarStar};
 use std::hint::black_box;
 
-/// The fixed backends `Auto` lowers onto, for side-by-side comparison.
-fn fixed_backends() -> Vec<ExecutionBackend> {
-    vec![
+/// `auto` and the fixed backends it chooses between, by benchmark id.
+fn contenders() -> Vec<(String, ExecutionBackend)> {
+    [
         ExecutionBackend::Sequential,
         ExecutionBackend::threaded(2),
         ExecutionBackend::threaded(4),
     ]
+    .into_iter()
+    .map(|backend| (backend.label(), backend))
+    .chain([("auto".to_string(), ExecutionBackend::auto())])
+    .collect()
 }
 
 /// A maximal ER round: the perfect matching (0,1), (2,3), ...
@@ -56,34 +62,17 @@ fn auto_round(c: &mut Criterion) {
         session.execute_round(&pairs)
     };
 
-    // Bit-identity gate, with the replay leg: an `Auto` recording must
-    // reproduce the sequential answers, and so must a replay of its log.
-    let recorder = ExecutionBackend::auto();
-    let mut check = ComparisonSession::with_backend(&oracle, ReadMode::Concurrent, recorder);
-    assert_eq!(
-        check.execute_round(&pairs),
-        reference,
-        "auto diverged from sequential answers"
-    );
-    let log = recorder
-        .calibration()
-        .expect("auto exposes its calibration handle")
-        .finish();
-    let replayer = ExecutionBackend::auto_replay(&log);
-    let mut check = ComparisonSession::with_backend(&oracle, ReadMode::Concurrent, replayer);
-    assert_eq!(
-        check.execute_round(&pairs),
-        reference,
-        "auto replay diverged from sequential answers"
-    );
-
     let mut group = c.benchmark_group(format!("calibration_round_n{n}"));
     group.sample_size(if smoke() { 3 } else { 10 });
-    let mut contenders = fixed_backends();
-    contenders.push(ExecutionBackend::auto());
-    for backend in contenders {
+    for (name, backend) in contenders() {
+        let mut check = ComparisonSession::with_backend(&oracle, ReadMode::Concurrent, backend);
+        assert_eq!(
+            check.execute_round(&pairs),
+            reference,
+            "{name} diverged from sequential answers"
+        );
         group.bench_with_input(
-            BenchmarkId::new("execute_round", backend.label()),
+            BenchmarkId::new("execute_round", name),
             &pairs,
             |b, pairs| {
                 b.iter(|| {
@@ -106,20 +95,14 @@ fn auto_sort(c: &mut Criterion) {
 
     let mut group = c.benchmark_group(format!("calibration_sort_n{n}"));
     group.sample_size(if smoke() { 3 } else { 10 });
-    let mut contenders = fixed_backends();
-    contenders.push(ExecutionBackend::auto());
-    for backend in contenders {
-        group.bench_with_input(
-            BenchmarkId::new("sort", backend.label()),
-            &instance,
-            |b, instance| {
-                b.iter(|| {
-                    let run = CrCompoundMerge::new(k).sort_with_backend(&oracle, backend);
-                    debug_assert!(instance.verify(&run.partition));
-                    black_box(run.metrics.comparisons())
-                });
-            },
-        );
+    for (name, backend) in contenders() {
+        group.bench_with_input(BenchmarkId::new("sort", name), &instance, |b, instance| {
+            b.iter(|| {
+                let run = CrCompoundMerge::new(k).sort_with_backend(&oracle, backend);
+                debug_assert!(instance.verify(&run.partition));
+                black_box(run.metrics.comparisons())
+            });
+        });
     }
     group.finish();
 }
@@ -130,9 +113,8 @@ fn calibration_overhead(c: &mut Criterion) {
     group.bench_function("probe_cached", |b| {
         b.iter(|| black_box(CalibrationProbe::measure().pair_ns));
     });
-    let backend = ExecutionBackend::auto();
-    group.bench_function("preview_decision", |b| {
-        b.iter(|| black_box(black_box(backend).worker_decision().threads));
+    group.bench_function("auto_per_job", |b| {
+        b.iter(|| black_box(ExecutionBackend::auto().worker_decision().threads));
     });
     group.finish();
 }

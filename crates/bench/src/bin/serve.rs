@@ -2,8 +2,11 @@
 //!
 //! ```text
 //! serve [--addr HOST:PORT] [--jobs N] [--max-inflight M] [--linger-us U]
-//!       [--trace-dir DIR] [--quota SPEC]
+//!       [--quota SPEC]
 //! ```
+//!
+//! Jobs that name no backend run under `auto`, which lowers a cached
+//! startup probe once to a fixed backend for this host.
 //!
 //! `--quota` takes comma-separated `tenant=queued:inflight:weight` entries
 //! (`*` names the default quota, `-` leaves a component unlimited), e.g.
@@ -28,7 +31,6 @@ fn main() {
         "threads",
         "batch",
         "backend",
-        "trace-dir",
         "quota",
     ]);
     let quotas = match args.get("quota").map(QuotaConfig::parse) {
@@ -44,10 +46,6 @@ fn main() {
         max_inflight: args.get_usize("max-inflight", 2 * pool.workers()),
         linger: args.linger(),
         pool,
-        // Jobs run under the self-tuning backend by default; with a trace
-        // dir, each finished auto job persists its calibration decision
-        // trace as one replayable `.calib` line.
-        trace_dir: args.get("trace-dir").map(std::path::PathBuf::from),
         quotas,
         ..DaemonConfig::default()
     };

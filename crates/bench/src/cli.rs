@@ -107,17 +107,16 @@ impl Args {
     /// with `--batch W` / `--threads N`, falling back to the `ECS_THREADS`
     /// environment variable when all three flags are absent.
     ///
-    /// * `--backend auto` selects [`ExecutionBackend::Auto`]: the
-    ///   calibration layer probes the machine at startup and lowers every
-    ///   round to concrete threaded / batched parameters, adapting the
-    ///   comparison threshold (and, unpinned, the worker count and wave) to
-    ///   the observed oracle latency. An explicit `--threads N` / `--batch
-    ///   W` *pins* that knob — calibration keeps it verbatim and adapts only
-    ///   the rest — with a warning saying which knobs remain adaptive. A
-    ///   bare `--backend` and an unrecognized value both select auto (the
-    ///   adaptive flag's analogue of bare `--jobs`), the latter with a
-    ///   warning; `--backend fixed` (or `seq` / `sequential`) explicitly
-    ///   selects the fixed chain below.
+    /// * `--backend auto` selects [`ExecutionBackend::auto`]: a cached
+    ///   startup probe of the machine is lowered once to a fixed backend —
+    ///   threaded on the available cores with a probe-derived comparison
+    ///   threshold, or sequential on one core. An explicit `--threads N` /
+    ///   `--batch W` *pins* that knob, with a warning saying what the pin
+    ///   does: `--threads` fixes the worker count, and `--batch` lowers
+    ///   every round to batched waves. A bare `--backend` and an
+    ///   unrecognized value both select auto (the flag's analogue of bare
+    ///   `--jobs`), the latter with a warning; `--backend fixed` (or `seq` /
+    ///   `sequential`) explicitly selects the fixed chain below.
     /// * `--batch W` selects [`ExecutionBackend::Batched`]: rounds are
     ///   submitted to the oracle as `same_batch` waves of up to `W` pairs
     ///   (`--batch 0` = the whole round as one wave; a bare `--batch` or an
@@ -167,17 +166,17 @@ impl Args {
     }
 
     /// The `--backend auto` lowering: explicit `--threads` / `--batch` pin
-    /// those knobs for the calibration layer instead of selecting a fixed
-    /// backend, with a warning spelling out what stays adaptive.
+    /// those knobs instead of selecting a fixed backend, with a warning
+    /// spelling out what the pin does.
     fn auto_backend(&self) -> ExecutionBackend {
         let mut pins = PinnedKnobs::default();
         if self.has("batch") {
             pins.wave = Some(self.batch_wave());
             warn_once(
                 "--backend/--batch",
-                "warning: --backend auto with --batch pins the wave size (every \
-                 round lowers to batched waves); only the comparison threshold \
-                 stays adaptive",
+                "warning: --backend auto with --batch pins the wave size: every \
+                 round runs as batched waves on the calling thread, so a \
+                 --threads value has no effect",
             );
         }
         if let Some(value) = self.get("threads") {
@@ -185,8 +184,8 @@ impl Args {
             warn_once(
                 "--backend/--threads",
                 "warning: --backend auto with --threads pins the worker count; \
-                 the comparison threshold and the threaded-vs-batched choice \
-                 stay adaptive",
+                 only the comparison threshold still comes from the startup \
+                 probe",
             );
         }
         ExecutionBackend::auto_pinned(pins)
@@ -502,18 +501,13 @@ mod tests {
 
     #[test]
     fn backend_flag_selects_auto() {
-        use ecs_model::{ExecutionBackend, PinnedKnobs};
-        let auto = args(&["--backend", "auto"]).execution_backend();
-        assert_eq!(auto.label(), "auto");
-        let handle = auto.calibration().expect("auto carries a handle");
-        assert_eq!(handle.pins(), PinnedKnobs::default());
-        // A bare `--backend` (the adaptive analogue of bare `--jobs`) and an
+        use ecs_model::ExecutionBackend;
+        let auto = ExecutionBackend::auto();
+        assert_eq!(args(&["--backend", "auto"]).execution_backend(), auto);
+        // A bare `--backend` (the analogue of bare `--jobs`) and an
         // unrecognized value both still select auto instead of vanishing.
-        assert_eq!(args(&["--backend"]).execution_backend().label(), "auto");
-        assert_eq!(
-            args(&["--backend", "turbo"]).execution_backend().label(),
-            "auto"
-        );
+        assert_eq!(args(&["--backend"]).execution_backend(), auto);
+        assert_eq!(args(&["--backend", "turbo"]).execution_backend(), auto);
         // The fixed chain stays reachable by explicit request.
         assert_eq!(
             args(&["--backend", "fixed", "--threads", "4"]).execution_backend(),
@@ -526,35 +520,26 @@ mod tests {
     }
 
     #[test]
-    fn explicit_knobs_pin_auto_calibration() {
-        use ecs_model::PinnedKnobs;
-        let pins = |parts: &[&str]| {
-            args(parts)
-                .execution_backend()
-                .calibration()
-                .expect("auto carries a handle")
-                .pins()
-        };
+    fn explicit_knobs_pin_auto() {
+        use ecs_model::{ExecutionBackend, PinnedKnobs};
+        let backend = |parts: &[&str]| args(parts).execution_backend();
+        let threads = backend(&["--backend", "auto", "--threads", "4"]);
         assert_eq!(
-            pins(&["--backend", "auto", "--threads", "4"]),
-            PinnedKnobs {
+            threads,
+            ExecutionBackend::auto_pinned(PinnedKnobs {
                 threads: Some(4),
                 wave: None,
-            }
+            })
+        );
+        assert_eq!(threads.threads(), 4);
+        assert_eq!(
+            backend(&["--backend", "auto", "--batch", "32"]),
+            ExecutionBackend::batched(32)
         );
         assert_eq!(
-            pins(&["--backend", "auto", "--batch", "32"]),
-            PinnedKnobs {
-                threads: None,
-                wave: Some(32),
-            }
-        );
-        assert_eq!(
-            pins(&["--backend=auto", "--threads", "2", "--batch", "0"]),
-            PinnedKnobs {
-                threads: Some(2),
-                wave: Some(0),
-            }
+            backend(&["--backend=auto", "--threads", "2", "--batch", "0"]),
+            ExecutionBackend::batched(0),
+            "a pinned wave wins over pinned threads"
         );
     }
 

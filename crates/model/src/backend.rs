@@ -15,19 +15,19 @@
 //! effects are applied in one deterministic commit when the round closes, so
 //! they too are bit-identical across backends, wave sizes, and thread counts.
 
-use crate::calibrate::{CalibrationHandle, CalibrationLog, PinnedKnobs, TuningDecision};
+use crate::calibrate::{policy, CalibrationProbe, PinnedKnobs, TuningDecision};
 use crate::oracle::EquivalenceOracle;
 use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 /// Smallest number of items a single pool task will process when a round is
 /// sharded, keeping chunks cache-friendly instead of pair-at-a-time.
 const MIN_CHUNK: usize = 1024;
 
 /// Where a [`crate::ComparisonSession`] evaluates each round's comparisons.
+/// [`ExecutionBackend::auto`] picks one of these from a startup probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionBackend {
     /// Evaluate every comparison on the calling thread.
@@ -61,18 +61,6 @@ pub enum ExecutionBackend {
         /// [`ExecutionBackend::batched`].
         wave: usize,
     },
-    /// Self-tuning: each round is lowered to concrete `Threaded` / `Batched`
-    /// parameters by a [`CalibrationHandle`] — a startup micro-probe plus
-    /// observed per-round latency feedback, with every decision recorded so
-    /// a run replays bit-identically from its [`CalibrationLog`]. Outputs
-    /// (partitions, [`crate::Metrics`], CSVs) are identical to
-    /// [`ExecutionBackend::Sequential`] regardless: charging precedes
-    /// evaluation and answers are collected in submission order, so tuning
-    /// can only move *where and in what waves* the oracle calls happen.
-    Auto {
-        /// Ticket into the calibration registry (recording or replaying).
-        calibration: CalibrationHandle,
-    },
 }
 
 impl ExecutionBackend {
@@ -101,35 +89,28 @@ impl ExecutionBackend {
         ExecutionBackend::Batched { wave }
     }
 
-    /// A fresh self-tuning backend: probes the process (cached), then adapts
-    /// threshold/wave from observed round latency, recording every decision.
+    /// The self-tuning backend: [`ExecutionBackend::auto_pinned`] with no
+    /// knob pinned.
     pub fn auto() -> Self {
         Self::auto_pinned(PinnedKnobs::default())
     }
 
-    /// A self-tuning backend with explicitly pinned knobs: a pinned knob
-    /// (`--threads`, `--batch`) is lowered verbatim into every decision and
-    /// excluded from adaptation; the remaining knobs stay adaptive.
+    /// Lowers the cached [`CalibrationProbe`] and `pins` once to a plain
+    /// backend: [`ExecutionBackend::Batched`] when a wave is pinned,
+    /// otherwise [`ExecutionBackend::Threaded`] on the pinned (or available)
+    /// thread count with the probe-derived threshold, or
+    /// [`ExecutionBackend::Sequential`] when that is one thread. Outputs are
+    /// identical to `Sequential` whatever it picks: charging precedes
+    /// evaluation and answers are collected in submission order.
     pub fn auto_pinned(pins: PinnedKnobs) -> Self {
-        ExecutionBackend::Auto {
-            calibration: CalibrationHandle::record(pins),
-        }
-    }
-
-    /// A self-tuning backend that replays a recorded [`CalibrationLog`]
-    /// verbatim: the decision schedule — and therefore every output — is
-    /// bit-identical to the recording run.
-    pub fn auto_replay(log: &CalibrationLog) -> Self {
-        ExecutionBackend::Auto {
-            calibration: CalibrationHandle::replay(log),
-        }
-    }
-
-    /// The calibration handle, when this is an [`ExecutionBackend::Auto`].
-    pub fn calibration(&self) -> Option<CalibrationHandle> {
-        match *self {
-            ExecutionBackend::Auto { calibration } => Some(calibration),
-            _ => None,
+        let decision = policy(CalibrationProbe::measure(), pins);
+        match decision.wave {
+            Some(wave) => ExecutionBackend::Batched { wave },
+            None if decision.threads > 1 => ExecutionBackend::Threaded {
+                threads: decision.threads,
+                threshold: decision.threshold,
+            },
+            None => ExecutionBackend::Sequential,
         }
     }
 
@@ -180,11 +161,8 @@ impl ExecutionBackend {
         }
     }
 
-    /// The planning-time [`TuningDecision`] of this backend: what pool
-    /// sizing, labels, and throughput planning consume instead of reading
-    /// variant fields. For [`ExecutionBackend::Auto`] this previews the
-    /// calibration **without** touching the recorded trace, so planning
-    /// questions never desynchronize record from replay.
+    /// The [`TuningDecision`] this backend lowers to: what planning code
+    /// consumes instead of reading variant fields.
     pub fn worker_decision(&self) -> TuningDecision {
         match *self {
             ExecutionBackend::Sequential => TuningDecision::sequential(),
@@ -198,18 +176,6 @@ impl ExecutionBackend {
                 threshold: usize::MAX,
                 wave: Some(wave),
             },
-            ExecutionBackend::Auto { calibration } => calibration.preview(),
-        }
-    }
-
-    /// The per-round [`TuningDecision`] for a round of `len` pairs. For
-    /// [`ExecutionBackend::Auto`] this is the recording/replaying step — it
-    /// advances the decision trace — so only [`ExecutionBackend::evaluate`]
-    /// calls it, exactly once per evaluated round.
-    fn tuning(&self, len: usize) -> TuningDecision {
-        match *self {
-            ExecutionBackend::Auto { calibration } => calibration.decide(len),
-            _ => self.worker_decision(),
         }
     }
 
@@ -218,14 +184,6 @@ impl ExecutionBackend {
         match *self {
             ExecutionBackend::Sequential | ExecutionBackend::Batched { .. } => 1,
             ExecutionBackend::Threaded { threads, .. } => threads.max(1),
-            ExecutionBackend::Auto { .. } => {
-                let decision = self.worker_decision();
-                if decision.wave.is_some() {
-                    1
-                } else {
-                    decision.threads
-                }
-            }
         }
     }
 
@@ -235,21 +193,13 @@ impl ExecutionBackend {
     }
 
     /// A short human-readable label (`"sequential"`, `"threaded(4)"`,
-    /// `"batched(256)"`, `"auto"`, `"auto(replay)"`) for benchmark tables
-    /// and CLI banners.
+    /// `"batched(256)"`) for benchmark tables and CLI banners.
     pub fn label(&self) -> String {
         match *self {
             ExecutionBackend::Sequential => "sequential".to_string(),
             ExecutionBackend::Threaded { threads, .. } => format!("threaded({threads})"),
             ExecutionBackend::Batched { wave: 0 } => "batched(all)".to_string(),
             ExecutionBackend::Batched { wave } => format!("batched({wave})"),
-            ExecutionBackend::Auto { calibration } => {
-                if calibration.is_replay() {
-                    "auto(replay)".to_string()
-                } else {
-                    "auto".to_string()
-                }
-            }
         }
     }
 
@@ -265,12 +215,9 @@ impl ExecutionBackend {
     }
 
     /// Evaluates one round of comparisons against the oracle, returning one
-    /// answer per pair in submission order.
-    ///
-    /// Every variant lowers through the same [`TuningDecision`] seam; the
-    /// fixed-parameter variants just lower to a constant decision. For
-    /// [`ExecutionBackend::Auto`], non-empty rounds additionally feed their
-    /// observed wall-clock back into the calibration (recording mode only).
+    /// answer per pair in submission order: as `same_batch` waves cut in
+    /// pair order on the batched backend, on the pool when a threaded round
+    /// clears its threshold, and inline otherwise.
     pub fn evaluate<O: EquivalenceOracle + ?Sized>(
         &self,
         oracle: &O,
@@ -280,30 +227,7 @@ impl ExecutionBackend {
             return Vec::new();
         }
         match *self {
-            ExecutionBackend::Auto { calibration } => {
-                let decision = calibration.decide(pairs.len());
-                let start = Instant::now();
-                let answers = Self::evaluate_decision(oracle, pairs, decision);
-                calibration.observe(pairs.len(), start.elapsed());
-                answers
-            }
-            _ => Self::evaluate_decision(oracle, pairs, self.tuning(pairs.len())),
-        }
-    }
-
-    /// Evaluates one non-empty round under one concrete decision. This is
-    /// the single lowering every backend variant funnels through: the
-    /// batched wave path when `wave` is set, the pool path when the round
-    /// clears the threshold, the inline scalar loop otherwise.
-    fn evaluate_decision<O: EquivalenceOracle + ?Sized>(
-        oracle: &O,
-        pairs: &[(usize, usize)],
-        decision: TuningDecision,
-    ) -> Vec<bool> {
-        if let Some(wave) = decision.wave {
-            return if wave == 0 || wave >= pairs.len() {
-                oracle.same_batch(pairs)
-            } else {
+            ExecutionBackend::Batched { wave } if wave != 0 && wave < pairs.len() => {
                 // Waves are cut in pair order, so concatenating their
                 // answers reproduces the scalar answer vector exactly.
                 let mut answers = Vec::with_capacity(pairs.len());
@@ -311,19 +235,20 @@ impl ExecutionBackend {
                     answers.extend(oracle.same_batch(wave_pairs));
                 }
                 answers
-            };
-        }
-        let threshold = decision.threshold.max(1);
-        if decision.threads > 1 && pairs.len() >= threshold {
-            shared_pool(decision.threads).install(|| {
-                pairs
-                    .par_iter()
-                    .with_min_len(MIN_CHUNK.min(threshold))
-                    .map(|&(a, b)| oracle.same(a, b))
-                    .collect()
-            })
-        } else {
-            pairs.iter().map(|&(a, b)| oracle.same(a, b)).collect()
+            }
+            ExecutionBackend::Batched { .. } => oracle.same_batch(pairs),
+            ExecutionBackend::Threaded { threads, threshold }
+                if threads > 1 && pairs.len() >= threshold.max(1) =>
+            {
+                shared_pool(threads).install(|| {
+                    pairs
+                        .par_iter()
+                        .with_min_len(MIN_CHUNK.min(threshold.max(1)))
+                        .map(|&(a, b)| oracle.same(a, b))
+                        .collect()
+                })
+            }
+            _ => pairs.iter().map(|&(a, b)| oracle.same(a, b)).collect(),
         }
     }
 }
@@ -333,7 +258,7 @@ impl ExecutionBackend {
 /// `ECS_THREADS=0`) are corrected to.
 ///
 /// The value is read once per process and cached: the standard library
-/// re-reads cgroup files on every call, and `auto` asks on every round.
+/// re-reads cgroup files on every call, and every `auto` backend asks.
 pub fn available_parallelism() -> usize {
     static AVAILABLE: OnceLock<usize> = OnceLock::new();
     *AVAILABLE
@@ -468,9 +393,12 @@ mod tests {
             .is_empty());
     }
 
+    fn pinned(threads: Option<usize>, wave: Option<usize>) -> ExecutionBackend {
+        ExecutionBackend::auto_pinned(PinnedKnobs { threads, wave })
+    }
+
     #[test]
-    fn auto_matches_sequential_and_replays_its_own_log() {
-        use crate::calibrate::PinnedKnobs;
+    fn auto_matches_sequential() {
         let labels: Vec<u32> = (0..6_000u32).map(|i| i % 11).collect();
         let oracle = LabelOracle::new(labels);
         let rounds: Vec<Vec<(usize, usize)>> = vec![
@@ -480,50 +408,54 @@ mod tests {
             // `6i ≡ -1 (mod 6000)` has no solution, so no self-comparison.
             (0..5_000).map(|i| (i, (i * 7 + 1) % 6_000)).collect(),
         ];
-        let reference: Vec<Vec<bool>> = rounds
-            .iter()
-            .map(|round| ExecutionBackend::Sequential.evaluate(&oracle, round))
-            .collect();
-
-        let auto = ExecutionBackend::auto();
-        let recorded: Vec<Vec<bool>> = rounds
-            .iter()
-            .map(|round| auto.evaluate(&oracle, round))
-            .collect();
-        assert_eq!(recorded, reference, "auto diverged from sequential");
-
-        let log = auto.calibration().expect("auto carries a handle").log();
-        // Empty rounds are never evaluated, so they record no decision.
-        assert_eq!(log.decisions.len(), 3);
-        let replay = ExecutionBackend::auto_replay(&log);
-        assert_eq!(replay.label(), "auto(replay)");
-        let replayed: Vec<Vec<bool>> = rounds
-            .iter()
-            .map(|round| replay.evaluate(&oracle, round))
-            .collect();
-        assert_eq!(replayed, reference);
-        assert_eq!(
-            replay.calibration().unwrap().log(),
-            log,
-            "the replayed schedule must equal the recording"
-        );
-
-        // Pinned knobs flow through to the lowered decisions.
-        let pinned = ExecutionBackend::auto_pinned(PinnedKnobs {
-            threads: Some(2),
-            wave: None,
-        });
-        assert_eq!(pinned.worker_decision().threads, 2);
-        assert_eq!(pinned.evaluate(&oracle, &rounds[0]), reference[0]);
+        for backend in [
+            ExecutionBackend::auto(),
+            pinned(Some(2), None),
+            pinned(None, Some(16)),
+        ] {
+            for round in &rounds {
+                assert_eq!(
+                    backend.evaluate(&oracle, round),
+                    ExecutionBackend::Sequential.evaluate(&oracle, round),
+                    "{} diverged from sequential",
+                    backend.label()
+                );
+            }
+        }
     }
 
     #[test]
-    fn auto_handles_are_identity_distinct() {
-        let a = ExecutionBackend::auto();
-        let b = ExecutionBackend::auto();
-        assert_ne!(a, b, "two recordings are distinct backends");
-        assert_eq!(a, a);
-        assert!(a.label() == "auto");
+    fn auto_is_a_pure_value() {
+        let decision = policy(CalibrationProbe::measure(), PinnedKnobs::default());
+        let expected = if decision.threads > 1 {
+            ExecutionBackend::Threaded {
+                threads: decision.threads,
+                threshold: decision.threshold,
+            }
+        } else {
+            ExecutionBackend::Sequential
+        };
+        assert_eq!(ExecutionBackend::auto(), ExecutionBackend::auto());
+        assert_eq!(ExecutionBackend::auto(), expected);
+        assert_eq!(ExecutionBackend::auto().threads(), available_parallelism());
+        assert_eq!(pinned(Some(2), Some(16)), ExecutionBackend::batched(16));
+    }
+
+    #[test]
+    fn auto_pins_are_lowered_verbatim() {
+        let three = PinnedKnobs {
+            threads: Some(3),
+            wave: None,
+        };
+        assert_eq!(
+            ExecutionBackend::auto_pinned(three),
+            ExecutionBackend::Threaded {
+                threads: 3,
+                threshold: policy(CalibrationProbe::measure(), three).threshold,
+            }
+        );
+        assert_eq!(pinned(Some(1), None), ExecutionBackend::Sequential);
+        assert_eq!(pinned(None, Some(0)), ExecutionBackend::batched(0));
     }
 
     #[test]

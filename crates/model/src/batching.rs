@@ -112,16 +112,6 @@ impl<O: EquivalenceOracle> BatchingOracle<O> {
         Self::with_linger(inner, wave, DEFAULT_LINGER)
     }
 
-    /// Wraps `inner` with the wave width lowered from a calibration
-    /// [`TuningDecision`](crate::TuningDecision): `wave: Some(w)` batches in
-    /// waves of `w` (with `Some(0)` unbounded, as everywhere else), while
-    /// `wave: None` — a decision that chose the threaded or inline route —
-    /// degrades to scalar passthrough (`wave: 1`) so the adapter stays
-    /// transparent.
-    pub fn with_tuning(inner: O, decision: crate::TuningDecision, linger: Duration) -> Self {
-        Self::with_linger(inner, decision.wave.unwrap_or(1), linger)
-    }
-
     /// Wraps `inner` with an explicit leader linger — how long the opener of
     /// a wave waits for peers before flushing it partially filled. `linger`
     /// only bounds *added latency*; correctness never depends on it (except

@@ -1,13 +1,12 @@
-//! Online calibration for [`crate::ExecutionBackend::Auto`]: measure, decide,
-//! record, replay.
+//! How [`crate::ExecutionBackend::auto`] picks its parameters: a cached
+//! micro-probe plus any pinned knobs, lowered once to a fixed backend.
 //!
-//! The model's determinism story makes self-tuning safe: comparison charging
+//! The model's determinism story makes this safe: comparison charging
 //! happens *before* a round is evaluated and answers are collected in
 //! submission order, so partitions, [`crate::Metrics`], and CSVs never depend
-//! on the thread count, parallel threshold, or wave size a round happens to
-//! run with. Calibration therefore only has to make the *decision schedule*
-//! reproducible, not the outputs — and it does, via a recorded
-//! [`CalibrationLog`]:
+//! on the thread count, parallel threshold, or wave size a round runs with.
+//! `auto` therefore only has to choose those parameters well; nothing about
+//! the choice needs recording.
 //!
 //! * **Probe.** At first use the process measures two synthetic
 //!   micro-benchmarks ([`CalibrationProbe`]): the cost of one in-memory label
@@ -15,57 +14,30 @@
 //!   (`dispatch_ns`, a mutex-guarded queue handoff — the same shape as a pool
 //!   chunk handoff). The probe never touches an [`crate::EquivalenceOracle`]:
 //!   a probe query would bypass the session's round-commit protocol and
-//!   corrupt adaptive (adversary) oracles, so oracle latency is learned only
-//!   from *observed* rounds.
-//! * **Decide.** Each evaluated round asks its [`CalibrationHandle`] for a
-//!   [`TuningDecision`] — concrete `threads` / `threshold` / `wave`
-//!   parameters lowered from the probe, the pinned knobs, and an EWMA of
-//!   observed per-pair latency. Recording handles append every decision to
-//!   their trace.
-//! * **Replay.** A handle built from a recorded [`CalibrationLog`] serves the
-//!   recorded decisions verbatim (no clock reads at all), so a replayed run
-//!   makes bit-identical scheduling choices — and, by the charging argument
-//!   above, bit-identical outputs.
-//!
-//! The trace is bounded by [`DECISION_TRACE_LIMIT`]. Past the bound *both*
-//! recording and replay switch to the frozen pure policy (probe + pins only,
-//! no latency feedback), so a replayed schedule still matches its recording
-//! exactly on arbitrarily long runs.
+//!   corrupt adaptive (adversary) oracles.
+//! * **Policy.** `policy` lowers probe + [`PinnedKnobs`] to one
+//!   [`TuningDecision`], which [`crate::ExecutionBackend::auto_pinned`] turns
+//!   into a plain `Sequential`, `Threaded`, or `Batched` value.
 
 use crate::backend::available_parallelism;
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
-
-/// Maximum number of per-round decisions a recording handle keeps (and a
-/// replay handle consumes). Beyond this, decisions come from the frozen
-/// policy on both sides, keeping record and replay aligned without unbounded
-/// memory.
-pub const DECISION_TRACE_LIMIT: usize = 4096;
-
-/// Observed per-pair latency (EWMA) above which Auto lowers to the batched
-/// backend: when one comparison costs microseconds the oracle is
-/// latency-dominated (round trips, disk), and coalescing waves beats
-/// sharding threads.
-const BATCH_LATENCY_NS: f64 = 2_000.0;
-
-/// EWMA smoothing factor for observed per-pair latency.
-const EWMA_ALPHA: f64 = 0.2;
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
 /// How many pairs' worth of work one chunk dispatch must amortize before
-/// sharding a round pays; multiplied by the thread count to get the adaptive
+/// sharding a round pays; multiplied by the thread count to get the
 /// parallel threshold.
 const DISPATCH_AMORTIZATION: usize = 8;
 
-/// Bounds on the adaptive parallel threshold.
+/// Bounds on the probe-derived parallel threshold.
 const MIN_AUTO_THRESHOLD: usize = 64;
 const MAX_AUTO_THRESHOLD: usize = 1 << 20;
 
-/// The concrete per-round execution parameters an [`crate::ExecutionBackend`]
-/// lowers to: the one seam through which sessions, pools, and batching
-/// oracles consume tuning instead of reading backend fields.
+/// The concrete execution parameters an [`crate::ExecutionBackend`] lowers
+/// to: what `policy` produces for `auto`, and what
+/// [`crate::ExecutionBackend::worker_decision`] reports for any backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TuningDecision {
-    /// OS threads the round may shard across (`1` = inline).
+    /// OS threads a round may shard across (`1` = inline).
     pub threads: usize,
     /// Minimum round size dispatched to the pool when sharding.
     pub threshold: usize,
@@ -83,32 +55,6 @@ impl TuningDecision {
             wave: None,
         }
     }
-
-    /// Renders as `threads:threshold:wave` with `-` for "no wave", the form
-    /// used inside [`CalibrationLog`] lines and the service `status` verb.
-    pub fn render(&self) -> String {
-        let wave = self.wave.map_or_else(|| "-".to_string(), |w| w.to_string());
-        format!("{}:{}:{}", self.threads, self.threshold, wave)
-    }
-
-    /// Parses the [`TuningDecision::render`] form.
-    pub fn parse(text: &str) -> Option<Self> {
-        let mut parts = text.split(':');
-        let threads = parts.next()?.parse().ok()?;
-        let threshold = parts.next()?.parse().ok()?;
-        let wave = match parts.next()? {
-            "-" => None,
-            w => Some(w.parse().ok()?),
-        };
-        if parts.next().is_some() {
-            return None;
-        }
-        Some(Self {
-            threads,
-            threshold,
-            wave,
-        })
-    }
 }
 
 /// The startup micro-probe: synthetic costs measured once per process (no
@@ -123,8 +69,7 @@ pub struct CalibrationProbe {
 
 impl CalibrationProbe {
     /// The process-wide probe, measured on first use and cached: every
-    /// recording handle starts from the same numbers, so two Auto runs in
-    /// one process differ only through their observed-latency feedback.
+    /// `auto` backend in a process lowers from the same numbers.
     pub fn measure() -> Self {
         static PROBE: OnceLock<CalibrationProbe> = OnceLock::new();
         *PROBE.get_or_init(Self::measure_uncached)
@@ -173,8 +118,7 @@ impl CalibrationProbe {
 }
 
 /// Knobs the user pinned explicitly (`--threads` / `--batch` next to
-/// `--backend auto`): a pinned knob is excluded from adaptation and lowered
-/// verbatim into every decision.
+/// `--backend auto`): a pinned knob is lowered verbatim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PinnedKnobs {
     /// Pinned worker count, if any.
@@ -183,291 +127,21 @@ pub struct PinnedKnobs {
     pub wave: Option<usize>,
 }
 
-/// The recorded schedule of one Auto run: everything needed to replay its
-/// decisions bit-identically — the probe it started from, the pins it ran
-/// under, and every per-round decision in order.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CalibrationLog {
-    /// The probe the run started from.
-    pub probe: Option<CalibrationProbe>,
-    /// The pinned knobs the run ran under.
-    pub pins: PinnedKnobs,
-    /// `(round_len, decision)` per evaluated round, in round order, capped
-    /// at [`DECISION_TRACE_LIMIT`].
-    pub decisions: Vec<(usize, TuningDecision)>,
-}
-
-impl CalibrationLog {
-    /// Renders the log as one line:
-    /// `probe=<pair>:<dispatch> pins=<threads|->:<wave|-> trace=<len>:<decision>;...`
-    pub fn render_line(&self) -> String {
-        let probe = self.probe.map_or_else(
-            || "-".to_string(),
-            |p| format!("{}:{}", p.pair_ns, p.dispatch_ns),
-        );
-        let pin = |knob: Option<usize>| knob.map_or_else(|| "-".to_string(), |v| v.to_string());
-        let trace: Vec<String> = self
-            .decisions
-            .iter()
-            .map(|(len, decision)| format!("{len}:{}", decision.render()))
-            .collect();
-        format!(
-            "probe={probe} pins={}:{} trace={}",
-            pin(self.pins.threads),
-            pin(self.pins.wave),
-            trace.join(";")
-        )
-    }
-
-    /// Parses a [`CalibrationLog::render_line`] line. Unknown fields are
-    /// ignored and missing fields default (tolerant, like the service status
-    /// parser), so old logs stay readable as the format grows.
-    pub fn parse_line(line: &str) -> Option<Self> {
-        let mut log = CalibrationLog::default();
-        for field in line.split_whitespace() {
-            let (key, value) = field.split_once('=')?;
-            match key {
-                "probe" if value != "-" => {
-                    let (pair, dispatch) = value.split_once(':')?;
-                    log.probe = Some(CalibrationProbe {
-                        pair_ns: pair.parse().ok()?,
-                        dispatch_ns: dispatch.parse().ok()?,
-                    });
-                }
-                "pins" => {
-                    let (threads, wave) = value.split_once(':')?;
-                    let knob = |text: &str| -> Option<Option<usize>> {
-                        match text {
-                            "-" => Some(None),
-                            v => v.parse().ok().map(Some),
-                        }
-                    };
-                    log.pins.threads = knob(threads)?;
-                    log.pins.wave = knob(wave)?;
-                }
-                "trace" => {
-                    for entry in value.split(';').filter(|e| !e.is_empty()) {
-                        let (len, decision) = entry.split_once(':')?;
-                        log.decisions
-                            .push((len.parse().ok()?, TuningDecision::parse(decision)?));
-                    }
-                }
-                _ => {}
-            }
-        }
-        Some(log)
-    }
-}
-
-/// The frozen pure policy: lowers probe + pins to a decision with no latency
-/// feedback. Used directly past the trace cap (on both record and replay
-/// sides) and as the base the EWMA feedback perturbs.
-fn policy(probe: CalibrationProbe, pins: PinnedKnobs, observed_pair_ns: f64) -> TuningDecision {
+/// Lowers probe + pins to a decision. Unpinned, the thread count is the
+/// machine's available parallelism, no wave is chosen, and the threshold is
+/// the round size at which each of the pool's chunk dispatches amortizes
+/// over enough pairs that the handoff cost disappears into the comparison
+/// work.
+pub(crate) fn policy(probe: CalibrationProbe, pins: PinnedKnobs) -> TuningDecision {
     let threads = pins.threads.unwrap_or_else(available_parallelism).max(1);
-    // A pinned wave forces the batched lowering; otherwise batching is
-    // chosen only when the observed oracle is latency-dominated.
-    let wave = pins.wave.or_else(|| {
-        (observed_pair_ns >= BATCH_LATENCY_NS)
-            .then_some(crate::ExecutionBackend::DEFAULT_BATCH_WAVE)
-    });
-    // The round size where sharding starts to pay: each of the pool's chunk
-    // dispatches must amortize over enough pairs that the handoff cost
-    // disappears into the comparison work.
     let dispatch_pairs =
-        (probe.dispatch_ns as f64 / (observed_pair_ns.max(1.0))) * DISPATCH_AMORTIZATION as f64;
+        probe.dispatch_ns as f64 / probe.pair_ns.max(1) as f64 * DISPATCH_AMORTIZATION as f64;
     let threshold =
         ((threads as f64 * dispatch_pairs) as usize).clamp(MIN_AUTO_THRESHOLD, MAX_AUTO_THRESHOLD);
     TuningDecision {
         threads,
         threshold,
-        wave,
-    }
-}
-
-enum Mode {
-    /// Live calibration: decisions computed from feedback and appended.
-    Record,
-    /// Serving a recorded trace; `cursor` is the next decision to serve.
-    Replay { cursor: usize },
-}
-
-struct CalibrationState {
-    probe: CalibrationProbe,
-    pins: PinnedKnobs,
-    mode: Mode,
-    decisions: Vec<(usize, TuningDecision)>,
-    /// EWMA of observed per-pair round latency (recording mode only);
-    /// seeded from the probe's synthetic pair cost.
-    observed_pair_ns: f64,
-}
-
-impl CalibrationState {
-    fn decide(&mut self, len: usize) -> TuningDecision {
-        match self.mode {
-            Mode::Record => {
-                if self.decisions.len() >= DECISION_TRACE_LIMIT {
-                    // Frozen tail: no feedback, so replay (which also runs
-                    // the frozen policy past the cap) stays aligned.
-                    return policy(self.probe, self.pins, self.probe.pair_ns as f64);
-                }
-                let decision = policy(self.probe, self.pins, self.observed_pair_ns);
-                self.decisions.push((len, decision));
-                decision
-            }
-            Mode::Replay { ref mut cursor } => {
-                if let Some(&(_, decision)) = self.decisions.get(*cursor) {
-                    *cursor += 1;
-                    decision
-                } else {
-                    policy(self.probe, self.pins, self.probe.pair_ns as f64)
-                }
-            }
-        }
-    }
-
-    fn preview(&self) -> TuningDecision {
-        let estimate = match self.mode {
-            Mode::Record => self.observed_pair_ns,
-            Mode::Replay { .. } => self.probe.pair_ns as f64,
-        };
-        policy(self.probe, self.pins, estimate)
-    }
-
-    fn observe(&mut self, len: usize, elapsed: Duration) {
-        if len == 0 || !matches!(self.mode, Mode::Record) {
-            return;
-        }
-        let per_pair = elapsed.as_nanos() as f64 / len as f64;
-        self.observed_pair_ns = EWMA_ALPHA * per_pair + (1.0 - EWMA_ALPHA) * self.observed_pair_ns;
-    }
-
-    fn log(&self) -> CalibrationLog {
-        let decisions = match self.mode {
-            Mode::Record => self.decisions.clone(),
-            // A replay handle reports only what it actually served, so a
-            // record → replay round trip on the same run yields the same
-            // trace (and a shorter replayed run yields its prefix).
-            Mode::Replay { cursor } => self.decisions[..cursor].to_vec(),
-        };
-        CalibrationLog {
-            probe: Some(self.probe),
-            pins: self.pins,
-            decisions,
-        }
-    }
-}
-
-/// Process-wide registry of calibration states, addressed by
-/// [`CalibrationHandle`] index. Keeping the state out-of-line is what lets
-/// [`crate::ExecutionBackend`] stay `Copy + Eq`: the handle is a `u32`, and
-/// handle equality is identity (two recordings are distinct backends even if
-/// their parameters coincide).
-fn registry() -> &'static Mutex<Vec<Arc<Mutex<CalibrationState>>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<Mutex<CalibrationState>>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// A `Copy` ticket into the calibration registry — the only thing an
-/// [`crate::ExecutionBackend::Auto`] carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CalibrationHandle(u32);
-
-impl CalibrationHandle {
-    fn register(state: CalibrationState) -> Self {
-        let mut slots = registry()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let index = u32::try_from(slots.len()).expect("calibration registry overflow");
-        slots.push(Arc::new(Mutex::new(state)));
-        CalibrationHandle(index)
-    }
-
-    fn with_state<R>(&self, f: impl FnOnce(&mut CalibrationState) -> R) -> R {
-        let slot = {
-            let slots = registry()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            Arc::clone(&slots[self.0 as usize])
-        };
-        let mut state = slot
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        f(&mut state)
-    }
-
-    /// A fresh recording handle: probes the process (cached) and adapts from
-    /// observed round latency, subject to `pins`.
-    pub fn record(pins: PinnedKnobs) -> Self {
-        let probe = CalibrationProbe::measure();
-        Self::register(CalibrationState {
-            probe,
-            pins,
-            mode: Mode::Record,
-            decisions: Vec::new(),
-            observed_pair_ns: probe.pair_ns as f64,
-        })
-    }
-
-    /// A replay handle serving `log`'s decisions verbatim: no clock is ever
-    /// read, so the decision schedule is bit-identical to the recording.
-    pub fn replay(log: &CalibrationLog) -> Self {
-        let probe = log.probe.unwrap_or_else(CalibrationProbe::measure);
-        Self::register(CalibrationState {
-            probe,
-            pins: log.pins,
-            mode: Mode::Replay { cursor: 0 },
-            decisions: log.decisions.clone(),
-            observed_pair_ns: probe.pair_ns as f64,
-        })
-    }
-
-    /// Whether this handle replays a recorded log (vs. recording live).
-    pub fn is_replay(&self) -> bool {
-        self.with_state(|state| matches!(state.mode, Mode::Replay { .. }))
-    }
-
-    /// The pinned knobs this handle runs under.
-    pub fn pins(&self) -> PinnedKnobs {
-        self.with_state(|state| state.pins)
-    }
-
-    /// Snapshot of the decision trace so far (recording: everything
-    /// recorded; replay: everything served).
-    pub fn log(&self) -> CalibrationLog {
-        self.with_state(|state| state.log())
-    }
-
-    /// Like [`CalibrationHandle::log`], but also drops the stored trace to
-    /// free memory — for callers done with the run (e.g. the service daemon
-    /// persisting one trace per finished job).
-    pub fn finish(&self) -> CalibrationLog {
-        self.with_state(|state| {
-            let log = state.log();
-            state.decisions = Vec::new();
-            if let Mode::Replay { ref mut cursor } = state.mode {
-                *cursor = 0;
-            }
-            log
-        })
-    }
-
-    /// The decision for the next evaluated round of `len` pairs (recording
-    /// appends to the trace; replay consumes it).
-    pub(crate) fn decide(&self, len: usize) -> TuningDecision {
-        self.with_state(|state| state.decide(len))
-    }
-
-    /// A decision preview that does **not** touch the trace — what pool
-    /// sizing, labels, and `is_parallel` queries use, so planning questions
-    /// never desynchronize the recorded schedule from the evaluated rounds.
-    pub(crate) fn preview(&self) -> TuningDecision {
-        self.with_state(|state| state.preview())
-    }
-
-    /// Feeds one observed round back into the EWMA (recording mode only; a
-    /// replay handle never reads clocks).
-    pub(crate) fn observe(&self, len: usize, elapsed: Duration) {
-        self.with_state(|state| state.observe(len, elapsed));
+        wave: pins.wave,
     }
 }
 
@@ -485,184 +159,37 @@ mod tests {
     }
 
     #[test]
-    fn decision_render_round_trips() {
-        for decision in [
-            TuningDecision::sequential(),
-            TuningDecision {
-                threads: 4,
-                threshold: 512,
-                wave: None,
-            },
-            TuningDecision {
-                threads: 1,
-                threshold: 64,
-                wave: Some(0),
-            },
-            TuningDecision {
-                threads: 2,
-                threshold: usize::MAX,
-                wave: Some(256),
-            },
-        ] {
-            assert_eq!(TuningDecision::parse(&decision.render()), Some(decision));
-        }
-        assert_eq!(TuningDecision::parse("4:512"), None);
-        assert_eq!(TuningDecision::parse("4:512:-:9"), None);
-        assert_eq!(TuningDecision::parse("x:512:-"), None);
-    }
-
-    #[test]
-    fn log_line_round_trips() {
-        let log = CalibrationLog {
-            probe: Some(CalibrationProbe {
-                pair_ns: 12,
-                dispatch_ns: 340,
-            }),
-            pins: PinnedKnobs {
-                threads: Some(4),
-                wave: None,
-            },
-            decisions: vec![
-                (
-                    128,
-                    TuningDecision {
-                        threads: 4,
-                        threshold: 512,
-                        wave: None,
-                    },
-                ),
-                (
-                    9,
-                    TuningDecision {
-                        threads: 4,
-                        threshold: 512,
-                        wave: Some(64),
-                    },
-                ),
-            ],
+    fn policy_lowers_pins_verbatim_and_bounds_the_threshold() {
+        let probe = CalibrationProbe {
+            pair_ns: 1,
+            dispatch_ns: 24,
         };
-        let line = log.render_line();
-        assert_eq!(CalibrationLog::parse_line(&line), Some(log));
-        // An empty trace and an absent probe survive the trip too.
-        let empty = CalibrationLog::default();
-        assert_eq!(
-            CalibrationLog::parse_line(&empty.render_line()),
-            Some(empty)
+        let pinned = policy(
+            probe,
+            PinnedKnobs {
+                threads: Some(3),
+                wave: Some(64),
+            },
         );
-        // Unknown fields are tolerated (old client / new server).
-        let tolerant = CalibrationLog::parse_line("probe=1:2 pins=-:- trace= future=stuff");
-        assert_eq!(tolerant.unwrap().probe.unwrap().pair_ns, 1);
-    }
-
-    #[test]
-    fn recording_then_replaying_serves_the_identical_schedule() {
-        let recorder = CalibrationHandle::record(PinnedKnobs::default());
-        let lens = [100usize, 2_000, 50, 9_000, 1];
-        let recorded: Vec<TuningDecision> = lens
-            .iter()
-            .map(|&len| {
-                let decision = recorder.decide(len);
-                // Feed wildly varying latencies — replay must be immune.
-                recorder.observe(len, Duration::from_micros((len as u64).max(5)));
-                decision
-            })
-            .collect();
-        let log = recorder.log();
-        assert_eq!(log.decisions.len(), lens.len());
-
-        let replayer = CalibrationHandle::replay(&log);
-        assert!(replayer.is_replay());
-        let replayed: Vec<TuningDecision> = lens
-            .iter()
-            .map(|&len| {
-                let decision = replayer.decide(len);
-                replayer.observe(len, Duration::from_millis(3));
-                decision
-            })
-            .collect();
-        assert_eq!(recorded, replayed);
-        // The served trace equals the recorded trace, including round sizes.
-        assert_eq!(replayer.log(), log);
-        // Round-tripping the log through its line form changes nothing.
-        let reparsed = CalibrationLog::parse_line(&log.render_line()).expect("parses");
-        let replayer2 = CalibrationHandle::replay(&reparsed);
-        let again: Vec<TuningDecision> = lens.iter().map(|&len| replayer2.decide(len)).collect();
-        assert_eq!(recorded, again);
-    }
-
-    #[test]
-    fn pins_are_lowered_verbatim_and_disable_adaptation_of_that_knob() {
-        let pinned = CalibrationHandle::record(PinnedKnobs {
-            threads: Some(3),
-            wave: Some(64),
-        });
-        let decision = pinned.decide(1_000);
-        assert_eq!(decision.threads, 3);
-        assert_eq!(decision.wave, Some(64));
-        // Huge observed latency cannot move a pinned wave.
-        pinned.observe(1_000, Duration::from_secs(1));
-        assert_eq!(pinned.decide(1_000).wave, Some(64));
-    }
-
-    #[test]
-    fn slow_oracles_flip_an_unpinned_run_to_batched_waves() {
-        let handle = CalibrationHandle::record(PinnedKnobs::default());
-        // The synthetic probe sees nanosecond pairs: no batching.
-        assert_eq!(handle.decide(100).wave, None);
-        // Sustained multi-microsecond pairs drive the EWMA over the
-        // latency threshold: the next decisions lower to batched waves.
-        for _ in 0..40 {
-            handle.observe(100, Duration::from_millis(2));
-        }
-        assert_eq!(
-            handle.decide(100).wave,
-            Some(crate::ExecutionBackend::DEFAULT_BATCH_WAVE)
-        );
-    }
-
-    #[test]
-    fn preview_never_consumes_the_trace() {
-        let recorder = CalibrationHandle::record(PinnedKnobs::default());
-        let preview = recorder.preview();
-        assert!(preview.threads >= 1);
-        assert!(recorder.log().decisions.is_empty());
-        let replayer = CalibrationHandle::replay(&CalibrationLog {
-            probe: None,
-            pins: PinnedKnobs::default(),
-            decisions: vec![(7, TuningDecision::sequential())],
-        });
-        let _ = replayer.preview();
-        assert_eq!(replayer.decide(7), TuningDecision::sequential());
-    }
-
-    #[test]
-    fn past_the_cap_record_and_replay_agree_via_the_frozen_policy() {
-        let recorder = CalibrationHandle::record(PinnedKnobs {
+        assert_eq!((pinned.threads, pinned.wave), (3, Some(64)));
+        assert_eq!(pinned.threshold, 3 * 24 * DISPATCH_AMORTIZATION);
+        let unpinned = policy(probe, PinnedKnobs::default());
+        assert_eq!(unpinned.threads, available_parallelism());
+        assert_eq!(unpinned.wave, None);
+        // Cheap dispatch hits the floor, costly dispatch the ceiling.
+        let two = PinnedKnobs {
             threads: Some(2),
             wave: None,
-        });
-        let total = DECISION_TRACE_LIMIT + 8;
-        let recorded: Vec<TuningDecision> = (0..total)
-            .map(|i| {
-                let decision = recorder.decide(i + 1);
-                recorder.observe(i + 1, Duration::from_micros(50));
-                decision
-            })
-            .collect();
-        let log = recorder.log();
-        assert_eq!(log.decisions.len(), DECISION_TRACE_LIMIT);
-        let replayer = CalibrationHandle::replay(&log);
-        let replayed: Vec<TuningDecision> = (0..total).map(|i| replayer.decide(i + 1)).collect();
-        assert_eq!(recorded, replayed, "the frozen tail must align");
-    }
-
-    #[test]
-    fn finish_snapshots_then_drops_the_trace() {
-        let recorder = CalibrationHandle::record(PinnedKnobs::default());
-        recorder.decide(10);
-        recorder.decide(20);
-        let log = recorder.finish();
-        assert_eq!(log.decisions.len(), 2);
-        assert!(recorder.log().decisions.is_empty());
+        };
+        let cheap = CalibrationProbe {
+            pair_ns: 1_000,
+            dispatch_ns: 1,
+        };
+        assert_eq!(policy(cheap, two).threshold, MIN_AUTO_THRESHOLD);
+        let costly = CalibrationProbe {
+            pair_ns: 1,
+            dispatch_ns: u64::MAX,
+        };
+        assert_eq!(policy(costly, two).threshold, MAX_AUTO_THRESHOLD);
     }
 }

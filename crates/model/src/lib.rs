@@ -23,11 +23,10 @@
 //!   oracles whose cost is dominated by per-request overhead.
 //! * [`ExecutionBackend`] — where comparisons physically run: sequentially
 //!   on the calling thread, sharded across a work-stealing pool of OS
-//!   threads, submitted as `same_batch` waves
-//!   ([`ExecutionBackend::Batched`]), or self-tuned per round
-//!   ([`ExecutionBackend::Auto`], lowering through the [`calibrate`]
-//!   module's deterministic-replayable [`CalibrationLog`]), with answers
-//!   always collected in submission order.
+//!   threads, or submitted as `same_batch` waves
+//!   ([`ExecutionBackend::Batched`]); [`ExecutionBackend::auto`] picks one
+//!   of these once from a cached startup probe (the [`calibrate`] module).
+//!   Answers are always collected in submission order.
 //! * [`BatchingOracle`] — an adapter coalescing concurrent scalar `same`
 //!   calls (e.g. from [`ThroughputPool`] job workers) into batch waves.
 //! * [`ComparisonSession`] — counts comparisons and rounds, enforces the ER /
@@ -63,9 +62,7 @@ pub mod transcript;
 
 pub use backend::ExecutionBackend;
 pub use batching::BatchingOracle;
-pub use calibrate::{
-    CalibrationHandle, CalibrationLog, CalibrationProbe, PinnedKnobs, TuningDecision,
-};
+pub use calibrate::{CalibrationProbe, PinnedKnobs, TuningDecision};
 pub use cancellation::{CancellableOracle, CancellationToken, Cancelled};
 pub use instance::Instance;
 pub use metrics::{Metrics, PlanStats, RoundSizeHistogram};

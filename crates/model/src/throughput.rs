@@ -135,17 +135,9 @@ impl ThroughputPool {
         self.backend
     }
 
-    /// The number of OS threads draining the job queue. Routed through the
-    /// backend's planning-time [`crate::TuningDecision`] (never the recorded
-    /// trace), so an `Auto` pool's worker count is stable for the pool's
-    /// lifetime and planning it cannot perturb a calibration recording.
+    /// The number of OS threads draining the job queue.
     pub fn workers(&self) -> usize {
-        let decision = self.backend.worker_decision();
-        if decision.wave.is_some() {
-            1
-        } else {
-            decision.threads
-        }
+        self.backend.threads()
     }
 
     /// A short label (`"serial"`, `"pooled(4)"`) for banners and benchmarks.

@@ -34,8 +34,8 @@ use ecs_core::{
 };
 use ecs_distributions::class_distribution::AnyDistribution;
 use ecs_model::{
-    BatchingOracle, CalibrationLog, CancellableOracle, CancellationToken, EquivalenceOracle,
-    ExecutionBackend, Instance, InstanceOracle, TuningDecision,
+    BatchingOracle, CancellableOracle, CancellationToken, EquivalenceOracle, ExecutionBackend,
+    Instance, InstanceOracle,
 };
 use ecs_rng::{SeedableEcsRng, Xoshiro256StarStar};
 use std::fmt;
@@ -165,12 +165,10 @@ pub enum BackendSpec {
     /// with wave budget `W` and the daemon's `--linger-us` window, so a
     /// parked caller helps drain other sessions' jobs while its wave forms.
     Coalesced(usize),
-    /// `auto` — the calibration layer lowers every round to concrete
-    /// threaded / batched parameters ([`ExecutionBackend::Auto`]); the
-    /// recorded per-job decision trace rides back in
-    /// [`JobRun::calibration`]. This is the daemon's default since the
-    /// self-tuning PR — results are backend-independent by construction, so
-    /// the switch is observationally invisible to clients.
+    /// `auto` — [`ExecutionBackend::auto`]: the cached startup probe picks
+    /// threaded (or sequential) parameters for the host. This is the
+    /// daemon's default — results are backend-independent by construction,
+    /// so the choice is invisible to clients.
     Auto,
 }
 
@@ -577,11 +575,6 @@ pub enum Response {
         /// second (integer, so the line stays ASCII-token friendly). Absent
         /// from older daemons' lines.
         rate_mjps: Option<u64>,
-        /// The most recently lowered `auto` [`TuningDecision`] per tenant,
-        /// in tenant-name order — what "currently tuned to" means for a
-        /// tenant's jobs. Tenants that never ran an `auto` job are absent,
-        /// as is the whole field on older daemons.
-        tuning: Vec<(String, TuningDecision)>,
     },
     /// Every job this session submitted has completed.
     Drained,
@@ -642,9 +635,10 @@ impl Response {
                         .collect(),
                     Err(_) => Vec::new(),
                 },
-                // The three self-tuning fields are newer still; absence *and*
+                // The latency and rate fields are newer still; absence *and*
                 // malformed entries both degrade to "not reported" so a new
-                // client keeps working against any daemon vintage.
+                // client keeps working against any daemon vintage. Tokens
+                // with unknown keys are ignored.
                 latency: match field("latency_us") {
                     Ok(packed) => packed
                         .split(',')
@@ -669,16 +663,6 @@ impl Response {
                     Err(_) => Vec::new(),
                 },
                 rate_mjps: field("rate_mjps").ok().and_then(|t| t.parse().ok()),
-                tuning: match field("tuning") {
-                    Ok(packed) => packed
-                        .split(',')
-                        .filter_map(|entry| {
-                            let (name, decision) = entry.split_once(':')?;
-                            Some((name.to_string(), TuningDecision::parse(decision)?))
-                        })
-                        .collect(),
-                    Err(_) => Vec::new(),
-                },
             }),
             "drained" => Ok(Self::Drained),
             "bye" => Ok(Self::Bye),
@@ -717,7 +701,6 @@ impl Response {
                 tenants,
                 latency,
                 rate_mjps,
-                tuning,
             } => {
                 let mut line = format!(
                     "status queued={queued} inflight={inflight} completed={completed} draining={draining}"
@@ -743,15 +726,6 @@ impl Response {
                 }
                 if let Some(rate) = rate_mjps {
                     line.push_str(&format!(" rate_mjps={rate}"));
-                }
-                if !tuning.is_empty() {
-                    let packed: Vec<String> = tuning
-                        .iter()
-                        .map(|(name, decision)| {
-                            format!("{}:{}", flatten_name(name), decision.render())
-                        })
-                        .collect();
-                    line.push_str(&format!(" tuning={}", packed.join(",")));
                 }
                 line
             }
@@ -796,31 +770,6 @@ pub(crate) fn write_line<W: Write + ?Sized>(writer: &mut W, mut line: String) ->
 /// the daemon and a serial caller produce bit-identical [`EcsRun`]s. Panics
 /// with [`ecs_model::Cancelled`] if `token` trips mid-run.
 pub fn run_job(spec: &JobSpec, linger: Duration, token: Option<&CancellationToken>) -> EcsRun {
-    run_job_traced(spec, linger, token).run
-}
-
-/// A completed job evaluation: the run itself, plus — for
-/// [`BackendSpec::Auto`] jobs — the calibration decision trace the daemon
-/// persists and reports.
-#[derive(Debug, Clone)]
-pub struct JobRun {
-    /// The partition and metrics, bit-identical across every backend.
-    pub run: EcsRun,
-    /// The recorded [`CalibrationLog`] of an `auto` job (`None` for fixed
-    /// backends). Replaying it through
-    /// [`ExecutionBackend::auto_replay`] reproduces the run's exact
-    /// threshold / wave schedule.
-    pub calibration: Option<CalibrationLog>,
-}
-
-/// [`run_job`] with the calibration trace kept: what the daemon's dispatch
-/// path calls, so an `auto` job's lowered parameters can be persisted and
-/// surfaced through `status`.
-pub fn run_job_traced(
-    spec: &JobSpec,
-    linger: Duration,
-    token: Option<&CancellationToken>,
-) -> JobRun {
     let mut rng = Xoshiro256StarStar::seed_from_u64(spec.seed);
     let n = spec.n.max(1);
     let instance = match spec.dist {
@@ -838,62 +787,37 @@ pub fn run_job_traced(
     };
     let k = instance.ground_truth().num_classes().max(1);
     let oracle = InstanceOracle::new(&instance);
-    let untraced = |run: EcsRun| JobRun {
-        run,
-        calibration: None,
+    let backend = match spec.backend {
+        // A coalesced job evaluates sequentially; the batching happens in
+        // the oracle adapter below.
+        BackendSpec::Seq | BackendSpec::Coalesced(_) => ExecutionBackend::Sequential,
+        BackendSpec::Threaded(n) => ExecutionBackend::from_threads(n.max(1)),
+        BackendSpec::Batched(w) => ExecutionBackend::batched(w),
+        BackendSpec::Auto => ExecutionBackend::auto(),
     };
     match (spec.backend, token) {
-        (BackendSpec::Coalesced(wave), Some(token)) => untraced(execute(
+        (BackendSpec::Coalesced(wave), Some(token)) => execute(
             spec,
             k,
             &CancellableOracle::new(
                 BatchingOracle::with_linger(oracle, wave, linger),
                 token.clone(),
             ),
-            ExecutionBackend::Sequential,
-        )),
-        (BackendSpec::Coalesced(wave), None) => untraced(execute(
+            backend,
+        ),
+        (BackendSpec::Coalesced(wave), None) => execute(
             spec,
             k,
             &BatchingOracle::with_linger(oracle, wave, linger),
-            ExecutionBackend::Sequential,
-        )),
-        (BackendSpec::Auto, token) => {
-            // One fresh calibration handle per job: the recorded trace is the
-            // job's own schedule, not a process-wide aggregate.
-            let backend = ExecutionBackend::auto();
-            let run = match token {
-                Some(token) => execute(
-                    spec,
-                    k,
-                    &CancellableOracle::new(oracle, token.clone()),
-                    backend,
-                ),
-                None => execute(spec, k, &oracle, backend),
-            };
-            JobRun {
-                run,
-                calibration: backend.calibration().map(|handle| handle.finish()),
-            }
-        }
-        (backend, Some(token)) => untraced(execute(
+            backend,
+        ),
+        (_, Some(token)) => execute(
             spec,
             k,
             &CancellableOracle::new(oracle, token.clone()),
-            plain_backend(backend),
-        )),
-        (backend, None) => untraced(execute(spec, k, &oracle, plain_backend(backend))),
-    }
-}
-
-fn plain_backend(spec: BackendSpec) -> ExecutionBackend {
-    match spec {
-        BackendSpec::Seq => ExecutionBackend::Sequential,
-        BackendSpec::Threaded(n) => ExecutionBackend::from_threads(n.max(1)),
-        BackendSpec::Batched(w) => ExecutionBackend::batched(w),
-        BackendSpec::Coalesced(_) | BackendSpec::Auto => {
-            unreachable!("coalesced and auto are handled by the caller")
-        }
+            backend,
+        ),
+        (_, None) => execute(spec, k, &oracle, backend),
     }
 }
 
@@ -1038,7 +962,6 @@ mod tests {
                 tenants: Vec::new(),
                 latency: Vec::new(),
                 rate_mjps: None,
-                tuning: Vec::new(),
             },
             Response::Status {
                 queued: 2,
@@ -1061,24 +984,6 @@ mod tests {
                     buckets: vec![(0, 0, 1), (513, 1024, 3)],
                 }],
                 rate_mjps: Some(1500),
-                tuning: vec![
-                    (
-                        "alpha".into(),
-                        TuningDecision {
-                            threads: 2,
-                            threshold: 4096,
-                            wave: None,
-                        },
-                    ),
-                    (
-                        "beta".into(),
-                        TuningDecision {
-                            threads: 1,
-                            threshold: 64,
-                            wave: Some(256),
-                        },
-                    ),
-                ],
             },
             Response::Error {
                 message: "queue is draining".into(),
@@ -1105,20 +1010,18 @@ mod tests {
                 tenants: Vec::new(),
                 latency: Vec::new(),
                 rate_mjps: None,
-                tuning: Vec::new(),
             }
         );
-        // A PR 8 daemon's line (tenants, but no self-tuning fields) and a
-        // line with malformed self-tuning entries both still parse, with the
-        // unusable parts degraded to "not reported".
-        let pr8 = "status queued=0 inflight=0 completed=2 draining=false tenants=a:0:2";
+        // A line with tenants but no latency or rate fields, and a line
+        // with malformed latency and rate entries, both still parse, with
+        // the unusable parts degraded to "not reported".
+        let older = "status queued=0 inflight=0 completed=2 draining=false tenants=a:0:2";
         let Response::Status {
             tenants,
             latency,
             rate_mjps,
-            tuning,
             ..
-        } = Response::parse(pr8).unwrap()
+        } = Response::parse(older).unwrap()
         else {
             panic!("status must parse");
         };
@@ -1127,21 +1030,17 @@ mod tests {
             vec![TenantCounters::basic("a", 0, 2)],
             "a pre-quota entry parses with no rejections and unlimited quotas"
         );
-        assert_eq!((latency, rate_mjps, tuning), (Vec::new(), None, Vec::new()));
+        assert_eq!((latency, rate_mjps), (Vec::new(), None));
         let mangled = "status queued=0 inflight=0 completed=2 draining=false \
-                       latency_us=a:junk;1.2.3 rate_mjps=fast tuning=a:1:2";
+                       latency_us=a:junk;1.2.3 rate_mjps=fast";
         let Response::Status {
-            latency,
-            rate_mjps,
-            tuning,
-            ..
+            latency, rate_mjps, ..
         } = Response::parse(mangled).unwrap()
         else {
             panic!("status must parse");
         };
         assert_eq!(latency[0].buckets, vec![(1, 2, 3)], "bad triples skipped");
         assert_eq!(rate_mjps, None);
-        assert!(tuning.is_empty(), "a truncated decision is skipped");
     }
 
     #[test]
@@ -1154,7 +1053,6 @@ mod tests {
             tenants: vec![TenantCounters::basic("a:b,c=d", 1, 2)],
             latency: Vec::new(),
             rate_mjps: None,
-            tuning: Vec::new(),
         };
         let line = status.render();
         assert!(line.ends_with("tenants=a_b_c_d:1:2:0:-:-"), "{line}");
@@ -1235,28 +1133,6 @@ mod tests {
             let line = render_result(&base, &run_job(&other, Duration::ZERO, None));
             assert_eq!(line, reference, "{backend} diverged from seq");
         }
-    }
-
-    #[test]
-    fn auto_jobs_carry_a_replayable_calibration_trace() {
-        let mut job = spec("auto");
-        job.backend = BackendSpec::Auto;
-        let traced = run_job_traced(&job, Duration::ZERO, None);
-        let log = traced.calibration.expect("auto jobs record a trace");
-        assert_eq!(
-            CalibrationLog::parse_line(&log.render_line()),
-            Some(log.clone()),
-            "the persisted trace line must round-trip"
-        );
-        // Fixed backends carry no trace, and the auto result is the seq one.
-        let mut fixed = job.clone();
-        fixed.backend = BackendSpec::Seq;
-        let reference = run_job_traced(&fixed, Duration::ZERO, None);
-        assert!(reference.calibration.is_none());
-        assert_eq!(
-            render_result(&job, &traced.run),
-            render_result(&fixed, &reference.run)
-        );
     }
 
     #[test]

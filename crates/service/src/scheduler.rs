@@ -27,17 +27,12 @@
 //! what the submit asked for.
 
 use crate::outbox::Outbox;
-use crate::protocol::{
-    render_result, run_job_traced, JobSpec, Response, TenantCounters, TenantLatency,
-};
+use crate::protocol::{render_result, run_job, JobSpec, Response, TenantCounters, TenantLatency};
 use ecs_model::throughput::JobPanic;
-use ecs_model::{
-    CalibrationLog, CancellationToken, RoundSizeHistogram, ThroughputPool, TuningDecision,
-};
+use ecs_model::{CancellationToken, RoundSizeHistogram, ThroughputPool};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -245,9 +240,6 @@ struct Tenant {
     /// Wall-clock of this tenant's *dispatched* jobs (power-of-two µs
     /// buckets; queued cancels never ran, so they are not counted).
     latency_us: RoundSizeHistogram,
-    /// The last decision the calibration layer lowered for one of this
-    /// tenant's `auto` jobs — what the tenant is "currently tuned to".
-    last_tuning: Option<TuningDecision>,
 }
 
 #[derive(Debug)]
@@ -276,9 +268,6 @@ pub struct Scheduler {
     max_inflight: usize,
     /// Per-tenant admission limits (default: unlimited).
     quotas: QuotaConfig,
-    /// Where finished `auto` jobs persist their calibration trace (one file
-    /// per job, best-effort), when configured.
-    trace_dir: Option<PathBuf>,
     state: Mutex<SchedState>,
     settled: Condvar,
 }
@@ -292,7 +281,6 @@ impl Scheduler {
             linger,
             max_inflight: max_inflight.max(1),
             quotas: QuotaConfig::default(),
-            trace_dir: None,
             state: Mutex::new(SchedState::default()),
             settled: Condvar::new(),
         }
@@ -303,15 +291,6 @@ impl Scheduler {
     /// serving traffic.
     pub fn with_quotas(mut self, quotas: QuotaConfig) -> Self {
         self.quotas = quotas;
-        self
-    }
-
-    /// Persists every finished `auto` job's [`CalibrationLog`] as
-    /// `<dir>/<tenant>__<session>__<job>.calib` (names flattened to
-    /// filesystem-safe characters). Writes are best-effort: an unwritable
-    /// directory never fails the job.
-    pub fn with_trace_dir(mut self, dir: Option<PathBuf>) -> Self {
-        self.trace_dir = dir;
         self
     }
 
@@ -358,7 +337,6 @@ impl Scheduler {
                 rejected: 0,
                 completed: 0,
                 latency_us: RoundSizeHistogram::default(),
-                last_tuning: None,
             });
         if let Some(max_queued) = tenant.quota.max_queued {
             if tenant.queue.len() >= max_queued {
@@ -427,9 +405,8 @@ impl Scheduler {
     }
 
     /// Daemon-wide counters, plus per-tenant queue depth, completed-job
-    /// counts, job-latency histograms, and the last `auto`-lowered tuning
-    /// decision (all in tenant-name order — the tenant map is a `BTreeMap`,
-    /// so the rendering is deterministic).
+    /// counts, and job-latency histograms (all in tenant-name order — the
+    /// tenant map is a `BTreeMap`, so the rendering is deterministic).
     pub fn status(&self) -> Response {
         let mut state = self.lock();
         // Millijobs/second over the trailing RATE_WINDOW: integer so the
@@ -465,13 +442,6 @@ impl Scheduler {
                 })
                 .collect(),
             rate_mjps: Some(rate_mjps),
-            tuning: state
-                .tenants
-                .iter()
-                .filter_map(|(name, tenant)| {
-                    tenant.last_tuning.map(|decision| (name.clone(), decision))
-                })
-                .collect(),
         }
     }
 
@@ -555,21 +525,17 @@ impl Scheduler {
             self.pool.spawn(move || {
                 let QueuedJob { spec, session } = job;
                 let dispatched = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    run_job_traced(&spec, linger, Some(&token))
-                }));
+                let outcome =
+                    catch_unwind(AssertUnwindSafe(|| run_job(&spec, linger, Some(&token))));
                 let elapsed = dispatched.elapsed();
-                let (response, calibration) = match outcome {
-                    Ok(traced) => (
-                        Response::Result {
-                            id: spec.id.clone(),
-                            line: render_result(&spec, &traced.run),
-                        },
-                        traced.calibration,
-                    ),
+                let response = match outcome {
+                    Ok(run) => Response::Result {
+                        id: spec.id.clone(),
+                        line: render_result(&spec, &run),
+                    },
                     Err(payload) => {
                         let panic = JobPanic::from_payload(payload);
-                        let response = if panic.is_cancelled() {
+                        if panic.is_cancelled() {
                             Response::Cancelled {
                                 id: spec.id.clone(),
                             }
@@ -578,27 +544,17 @@ impl Scheduler {
                                 id: spec.id.clone(),
                                 message: panic.message().to_string(),
                             }
-                        };
-                        (response, None)
+                        }
                     }
                 };
-                scheduler.persist_trace(&billed_to, &key, calibration.as_ref());
-                scheduler.complete(
-                    &key,
-                    &billed_to,
-                    &session,
-                    &response,
-                    elapsed,
-                    calibration.as_ref(),
-                );
+                scheduler.complete(&key, &billed_to, &session, &response, elapsed);
             });
         }
     }
 
     /// The completion path every dispatched job takes — success, panic, or
-    /// cancellation: deliver the terminal response, bill the tenant (count,
-    /// latency, and any `auto` tuning it ran under), release the fairness
-    /// slot, dispatch whoever is next.
+    /// cancellation: deliver the terminal response, bill the tenant (count
+    /// and latency), release the fairness slot, dispatch whoever is next.
     fn complete(
         self: &Arc<Self>,
         key: &str,
@@ -606,7 +562,6 @@ impl Scheduler {
         session: &Arc<SessionHandle>,
         response: &Response,
         elapsed: Duration,
-        calibration: Option<&CalibrationLog>,
     ) {
         session.finish_job(response);
         let mut state = self.lock();
@@ -618,25 +573,10 @@ impl Scheduler {
             tenant
                 .latency_us
                 .record(usize::try_from(elapsed.as_micros()).unwrap_or(usize::MAX));
-            if let Some((_, decision)) = calibration.and_then(|log| log.decisions.last()) {
-                tenant.last_tuning = Some(*decision);
-            }
         }
         self.dispatch_locked(&mut state);
         drop(state);
         self.settled.notify_all();
-    }
-
-    /// Writes one finished `auto` job's trace under the configured
-    /// directory. Best-effort by design: persistence failures must never
-    /// fail the job or the daemon.
-    fn persist_trace(&self, tenant: &str, key: &str, calibration: Option<&CalibrationLog>) {
-        let (Some(dir), Some(log)) = (&self.trace_dir, calibration) else {
-            return;
-        };
-        let path = dir.join(trace_file_name(tenant, key));
-        let _ = std::fs::create_dir_all(dir);
-        let _ = std::fs::write(path, format!("{}\n", log.render_line()));
     }
 
     /// Records `count` just-finished jobs in both the lifetime counter and
@@ -666,30 +606,6 @@ impl Scheduler {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
-}
-
-/// The `.calib` file a job's trace persists to. Each component escapes
-/// every byte outside `[A-Za-z0-9.-]` as `_xx` (lowercase hex) — `_` itself
-/// becomes `_5f` — so the `__` separator can never be forged from inside a
-/// tenant or key name and distinct (tenant, key) pairs can never collide.
-fn trace_file_name(tenant: &str, key: &str) -> String {
-    format!(
-        "{}__{}.calib",
-        escape_component(tenant),
-        escape_component(key)
-    )
-}
-
-fn escape_component(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for byte in text.bytes() {
-        if byte.is_ascii_alphanumeric() || byte == b'-' || byte == b'.' {
-            out.push(byte as char);
-        } else {
-            out.push_str(&format!("_{byte:02x}"));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -871,7 +787,7 @@ mod tests {
     }
 
     #[test]
-    fn status_reports_latency_rate_and_auto_tuning() {
+    fn status_reports_latency_and_rate() {
         let scheduler = Arc::new(Scheduler::new(
             ThroughputPool::from_jobs(1),
             1,
@@ -880,18 +796,13 @@ mod tests {
         let session = Arc::new(SessionHandle::new(11));
         let mut auto_job = spec("auto0", "a", 1);
         auto_job.backend = BackendSpec::Auto;
-        // Round-executing algorithm: single `compare` calls bypass the
-        // backend, so a round-robin job would record no decisions.
         auto_job.algo = AlgoSpec::ErMerge;
         scheduler.submit(auto_job, &session);
         scheduler.submit(spec("seq0", "b", 1), &session);
         let _ = drain_lines(&session);
         scheduler.wait_idle();
         let Response::Status {
-            latency,
-            rate_mjps,
-            tuning,
-            ..
+            latency, rate_mjps, ..
         } = scheduler.status()
         else {
             panic!("status must render counters")
@@ -911,49 +822,14 @@ mod tests {
             "each dispatched job lands in its tenant's latency histogram"
         );
         assert!(rate_mjps.is_some(), "a live daemon always reports a rate");
-        let tuned: Vec<&str> = tuning.iter().map(|(name, _)| name.as_str()).collect();
-        assert_eq!(
-            tuned,
-            vec!["a"],
-            "only the auto tenant reports a lowered decision"
-        );
-        // The full self-tuning status line survives a wire round-trip. (The
-        // rate is time-dependent, so compare the re-rendered line, not a
-        // second `status()` snapshot.)
+        // The full status line survives a wire round-trip. (The rate is
+        // time-dependent, so compare the re-rendered line, not a second
+        // `status()` snapshot.)
         let rendered = scheduler.status().render();
         assert_eq!(
             Response::parse(&rendered).expect("status parses").render(),
             rendered
         );
-    }
-
-    #[test]
-    fn auto_traces_persist_to_the_trace_dir() {
-        let dir = std::env::temp_dir().join(format!("ecs-trace-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let scheduler = Arc::new(
-            Scheduler::new(ThroughputPool::from_jobs(1), 1, Duration::ZERO)
-                .with_trace_dir(Some(dir.clone())),
-        );
-        let session = Arc::new(SessionHandle::new(12));
-        let mut auto_job = spec("traced", "t", 1);
-        auto_job.backend = BackendSpec::Auto;
-        auto_job.algo = AlgoSpec::ErMerge;
-        scheduler.submit(auto_job, &session);
-        scheduler.submit(spec("plain", "t", 1), &session);
-        let _ = drain_lines(&session);
-        scheduler.wait_idle();
-        let files: Vec<_> = std::fs::read_dir(&dir)
-            .expect("trace dir was created")
-            .map(|entry| entry.expect("entry reads").path())
-            .collect();
-        assert_eq!(files.len(), 1, "only the auto job persists a trace");
-        let line = std::fs::read_to_string(&files[0]).expect("trace reads");
-        assert!(
-            CalibrationLog::parse_line(line.trim()).is_some(),
-            "persisted trace must parse back: {line}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1124,30 +1000,6 @@ mod tests {
             rate_mjps,
             Some(0),
             "an idle daemon reports zero, not completed/uptime decaying forever"
-        );
-    }
-
-    #[test]
-    fn trace_file_names_cannot_collide_across_the_separator() {
-        // The old `flat()` scheme mapped both (tenant `a_`, key `b`) and
-        // (tenant `a`, key `_b`) to `a___b.calib`, silently overwriting one
-        // job's trace with another's.
-        assert_ne!(
-            trace_file_name("a_", "b"),
-            trace_file_name("a", "_b"),
-            "an underscore in a name must not forge the tenant/key separator"
-        );
-        assert_eq!(trace_file_name("a_", "b"), "a_5f__b.calib");
-        assert_eq!(trace_file_name("a", "_b"), "a___5fb.calib");
-        assert_eq!(
-            trace_file_name("t", "1:job"),
-            "t__1_3ajob.calib",
-            "the session:id colon escapes per byte"
-        );
-        assert_eq!(
-            escape_component("ok-1.x"),
-            "ok-1.x",
-            "safe bytes pass through"
         );
     }
 

@@ -64,10 +64,6 @@ pub struct DaemonConfig {
     /// Result lines a session may have queued before its reader stops
     /// admitting new submits.
     pub outbox_limit: usize,
-    /// Directory where finished `auto` jobs persist their calibration trace
-    /// (one `.calib` file per job, best-effort). `None` disables
-    /// persistence.
-    pub trace_dir: Option<std::path::PathBuf>,
     /// Per-tenant admission limits (the `--quota` knob); the default is
     /// fully unlimited.
     pub quotas: QuotaConfig,
@@ -81,7 +77,6 @@ impl Default for DaemonConfig {
             max_inflight: 2 * workers,
             linger: DEFAULT_LINGER,
             outbox_limit: 64,
-            trace_dir: None,
             quotas: QuotaConfig::default(),
         }
     }
@@ -111,7 +106,6 @@ impl DaemonShared {
         Arc::new(Self {
             scheduler: Arc::new(
                 Scheduler::new(config.pool, config.max_inflight, config.linger)
-                    .with_trace_dir(config.trace_dir)
                     .with_quotas(config.quotas),
             ),
             outbox_limit: config.outbox_limit,

@@ -76,10 +76,9 @@ pub mod prelude {
     };
     pub use ecs_graph::{HamiltonianUnion, UnionFind};
     pub use ecs_model::{
-        BatchingOracle, CalibrationHandle, CalibrationLog, CalibrationProbe, ComparisonSession,
-        EquivalenceOracle, ExecutionBackend, Instance, InstanceOracle, LabelOracle, Metrics,
-        Partition, PinnedKnobs, PlanStats, ReadMode, RecordingOracle, RoundSizeHistogram,
-        ThroughputPool, Transcript,
+        BatchingOracle, CalibrationProbe, ComparisonSession, EquivalenceOracle, ExecutionBackend,
+        Instance, InstanceOracle, LabelOracle, Metrics, Partition, PinnedKnobs, PlanStats,
+        ReadMode, RecordingOracle, RoundSizeHistogram, ThroughputPool, Transcript,
     };
     pub use ecs_rng::{EcsRng, SeedableEcsRng, SplitMix64, StreamSplit, Xoshiro256StarStar};
     pub use ecs_service::{Client, Daemon, DaemonConfig, JobSpec, Request, Response};

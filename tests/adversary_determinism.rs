@@ -16,10 +16,8 @@
 use parallel_ecs::prelude::*;
 use proptest::prelude::*;
 
-/// The backends every adversarial run must agree across. `Auto` rides along:
-/// the round-commit protocol answers against round-start state in canonical
-/// order, so even a backend that re-tunes itself mid-run cannot perturb an
-/// adversarial transcript.
+/// The backends every adversarial run must agree across. `auto()` rides
+/// along as whichever fixed backend the startup probe picks on this host.
 fn backends() -> [ExecutionBackend; 6] {
     [
         ExecutionBackend::Sequential,

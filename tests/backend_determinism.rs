@@ -20,10 +20,9 @@ use ecs_model::{ExecutionBackend, Instance, InstanceOracle};
 use ecs_rng::{SeedableEcsRng, Xoshiro256StarStar};
 use proptest::prelude::*;
 
-/// The backends every run must agree across. The self-tuning `Auto` backend
-/// is in the roster because whatever it lowers to per round, answers are
-/// still collected in submission order — calibration may only move work
-/// between threads, never change results.
+/// The backends every run must agree across. `auto()` is in the roster with
+/// its probe-derived threshold, which the `threshold: 1` entries do not
+/// cover.
 fn backends() -> [ExecutionBackend; 4] {
     [
         ExecutionBackend::Sequential,

@@ -25,8 +25,8 @@ fn backends() -> [ExecutionBackend; 4] {
             threshold: 1,
         },
         ExecutionBackend::batched(64),
-        // Pinned to two workers so the roster exercises Auto's threaded
-        // lowering even on a single-core CI host.
+        // Pinned to two workers so `auto` lowers to the threaded backend
+        // even on a single-core host.
         ExecutionBackend::auto_pinned(PinnedKnobs {
             threads: Some(2),
             wave: None,
@@ -124,12 +124,7 @@ where
         // a round's pairs in whatever interleaving its threads race to (two
         // full-replan runs differ the same way), so only the multiset is
         // comparable there; the deterministic backends must match exactly.
-        // `Auto` may lower any round to that pool, so it gets the same
-        // treatment.
-        if matches!(
-            backend,
-            ExecutionBackend::Threaded { .. } | ExecutionBackend::Auto { .. }
-        ) {
+        if matches!(backend, ExecutionBackend::Threaded { .. }) {
             let mut a = incremental.transcript.clone();
             let mut b = full.transcript.clone();
             a.sort_unstable();

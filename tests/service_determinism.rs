@@ -59,7 +59,6 @@ fn daemon_config() -> DaemonConfig {
         max_inflight: 4,
         linger: Duration::ZERO,
         outbox_limit: 16,
-        trace_dir: None,
         quotas: QuotaConfig::default(),
     }
 }
