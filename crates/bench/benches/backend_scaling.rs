@@ -45,8 +45,8 @@ fn bench_round_evaluation(
     pairs: &[(usize, usize)],
 ) {
     // Concurrent-read mode so the timed path is the backend's evaluation
-    // alone: exclusive-read validation rebuilds a matching HashSet per round,
-    // which would dominate the measurement (the pairs are a matching either
+    // alone: exclusive-read validation (a stamp per endpoint) is the
+    // session's work, not the backend's (the pairs are a matching either
     // way).
     let oracle = InstanceOracle::new(instance);
     let reference = {

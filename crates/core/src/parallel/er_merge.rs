@@ -13,7 +13,7 @@
 
 use crate::answer::Answer;
 use crate::run::{EcsAlgorithm, EcsRun};
-use ecs_model::schedule::bipartite_rounds;
+use ecs_model::schedule::bipartite_round;
 use ecs_model::{ComparisonSession, EquivalenceOracle, ExecutionBackend, Partition, ReadMode};
 
 /// The exclusive-read pairwise-merge algorithm (Theorem 2).
@@ -29,7 +29,8 @@ impl ErMergeSort {
     /// Merges consecutive pairs of answers at one tree level. The bipartite
     /// schedules of all pairs are interleaved: global round `r` executes round
     /// `r` of every pair's schedule (element-disjoint, hence a legal ER
-    /// round).
+    /// round). Each answer is written straight into its merge's result
+    /// vector, at the position [`Answer::merge_with`] reads it from.
     fn merge_level<O: EquivalenceOracle>(
         answers: Vec<Answer>,
         session: &mut ComparisonSession<'_, O>,
@@ -37,64 +38,57 @@ impl ErMergeSort {
         if answers.len() < 2 {
             return answers;
         }
-        // Build the per-pair bipartite schedules.
-        struct PairPlan {
-            rounds: Vec<Vec<(usize, usize)>>,
-            // (round, index within round) -> position of (rep_a, rep_b) result
-            // recorded as the flattened a * kb + b index for merge_with.
+        /// One merge of the level: the two sides' representatives and the
+        /// merge's results, indexed `left * right.len() + right`.
+        struct Merge {
+            left: Vec<usize>,
+            right: Vec<usize>,
+            results: Vec<bool>,
         }
-        let mut plans: Vec<Option<PairPlan>> = Vec::new();
-        for chunk in answers.chunks(2) {
-            if chunk.len() == 2 {
-                let left = chunk[0].representatives();
-                let right = chunk[1].representatives();
-                plans.push(Some(PairPlan {
-                    rounds: bipartite_rounds(&left, &right),
-                }));
-            } else {
-                plans.push(None);
-            }
-        }
-        let max_rounds = plans
+        let mut merges: Vec<Merge> = answers
+            .chunks_exact(2)
+            .map(|pair| {
+                let (left, right) = (pair[0].representatives(), pair[1].representatives());
+                let results = vec![false; left.len() * right.len()];
+                Merge {
+                    left,
+                    right,
+                    results,
+                }
+            })
+            .collect();
+        let max_rounds = merges
             .iter()
-            .flatten()
-            .map(|p| p.rounds.len())
+            .map(|m| m.left.len().max(m.right.len()))
             .max()
             .unwrap_or(0);
 
-        // Execute the interleaved schedule and collect per-pair results keyed
-        // by (representative_a, representative_b).
-        let mut outcomes: std::collections::HashMap<(usize, usize), bool> =
-            std::collections::HashMap::new();
+        let mut round: Vec<(usize, usize)> = Vec::new();
+        let mut slots: Vec<(usize, usize)> = Vec::new();
         for r in 0..max_rounds {
-            let mut round: Vec<(usize, usize)> = Vec::new();
-            for plan in plans.iter().flatten() {
-                if let Some(pairs) = plan.rounds.get(r) {
-                    round.extend_from_slice(pairs);
+            round.clear();
+            slots.clear();
+            for (m, merge) in merges.iter().enumerate() {
+                let kb = merge.right.len();
+                for (a, b) in bipartite_round(merge.left.len(), kb, r) {
+                    round.push((merge.left[a], merge.right[b]));
+                    slots.push((m, a * kb + b));
                 }
             }
-            let answers_for_round = session.execute_round(&round);
-            for (&pair, &same) in round.iter().zip(&answers_for_round) {
-                outcomes.insert(pair, same);
+            let results = session.execute_round(&round);
+            for (&(m, at), same) in slots.iter().zip(results) {
+                merges[m].results[at] = same;
             }
         }
 
-        // Apply the merges.
-        let mut merged = Vec::with_capacity(answers.len().div_ceil(2));
-        for (chunk, plan) in answers.chunks(2).zip(&plans) {
-            if plan.is_none() || chunk.len() == 1 {
-                merged.push(chunk[0].clone());
-                continue;
-            }
-            let a = &chunk[0];
-            let b = &chunk[1];
-            let results: Vec<bool> = a
-                .merge_comparisons(b)
-                .into_iter()
-                .map(|pair| outcomes[&pair])
-                .collect();
-            merged.push(a.merge_with(b, &results));
-        }
+        // Apply the merges; an odd answer out is carried up unchanged.
+        let pairs = answers.chunks_exact(2);
+        let odd = pairs.remainder().iter().cloned();
+        let mut merged: Vec<Answer> = pairs
+            .zip(&merges)
+            .map(|(pair, merge)| pair[0].merge_with(&pair[1], &merge.results))
+            .collect();
+        merged.extend(odd);
         merged
     }
 }
@@ -228,6 +222,44 @@ mod tests {
         let oracle = InstanceOracle::new(&inst);
         let run = ErMergeSort::new().sort(&oracle);
         assert!(inst.verify(&run.partition));
+    }
+
+    #[test]
+    fn interleaved_rounds_follow_the_bipartite_schedule() {
+        // One level over answers with 3, 1, 2, 2 and 4 classes: global round
+        // `r` is round `r` of each merge's `bipartite_rounds` schedule, in
+        // merge order, and the odd answer is carried up.
+        use ecs_model::schedule::bipartite_rounds;
+        use ecs_model::{LabelOracle, RecordingOracle};
+        let answers = vec![
+            Answer::from_classes(vec![vec![0], vec![1], vec![2]]),
+            Answer::from_classes(vec![vec![3]]),
+            Answer::from_classes(vec![vec![4], vec![5]]),
+            Answer::from_classes(vec![vec![6], vec![7]]),
+            Answer::from_classes(vec![vec![8], vec![9], vec![10], vec![11]]),
+        ];
+        let oracle = RecordingOracle::new(LabelOracle::new((0..12).collect()));
+        let mut session = ComparisonSession::new(&oracle, ReadMode::Exclusive);
+        let merged = ErMergeSort::merge_level(answers.clone(), &mut session);
+        assert_eq!(merged.len(), 3);
+        assert_eq!(merged[2], answers[4], "the odd answer is carried up");
+        assert_eq!(merged[0].num_classes(), 4);
+
+        let schedules = [
+            bipartite_rounds(&answers[0].representatives(), &answers[1].representatives()),
+            bipartite_rounds(&answers[2].representatives(), &answers[3].representatives()),
+        ];
+        let mut expected = Vec::new();
+        for r in 0..3 {
+            for schedule in &schedules {
+                if let Some(pairs) = schedule.get(r) {
+                    expected.extend(pairs.iter().map(|&(a, b)| (a, b, false)));
+                }
+            }
+        }
+        let asked: Vec<_> = oracle.transcript().iter().collect();
+        assert_eq!(asked, expected);
+        assert_eq!(session.metrics().rounds(), 3);
     }
 
     proptest! {

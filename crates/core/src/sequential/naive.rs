@@ -1,10 +1,9 @@
 //! The brute-force baseline: compare every pair.
 
 use crate::run::{EcsAlgorithm, EcsRun};
-use ecs_graph::UnionFind;
 use ecs_model::{ComparisonSession, EquivalenceOracle, ExecutionBackend, Partition, ReadMode};
 
-/// Compares all `C(n, 2)` pairs of elements and unions the equal ones.
+/// Compares all `C(n, 2)` pairs of elements and groups the equal ones.
 ///
 /// This performs `Θ(n²)` comparisons regardless of the class structure, so it
 /// is only useful as a correctness oracle for the other algorithms on small
@@ -36,15 +35,26 @@ impl EcsAlgorithm for NaiveAllPairs {
     ) -> EcsRun {
         let n = oracle.n();
         let mut session = ComparisonSession::with_backend(oracle, ReadMode::Exclusive, backend);
-        let mut uf = UnionFind::new(n);
+        // Row `a` asks `(a, a+1), ..., (a, n-1)` as one sequence of single
+        // comparisons: the same queries in the same order as a pair loop.
+        // Each element takes the label of its first equal partner (labels
+        // only point down, so `label[b] == b` means not yet matched); for a
+        // consistent oracle that labels the whole class alike.
+        let mut label: Vec<usize> = (0..n).collect();
+        let mut row: Vec<(usize, usize)> = Vec::with_capacity(n);
         for a in 0..n {
-            for b in (a + 1)..n {
-                if session.compare(a, b) {
-                    uf.union(a, b);
+            row.clear();
+            row.extend(((a + 1)..n).map(|b| (a, b)));
+            let answers = session.compare_sequence(&row);
+            for (&(_, b), same) in row.iter().zip(answers) {
+                // Test the label first: once most elements are matched it is
+                // almost always false, which keeps the branch predictable.
+                if label[b] == b && same {
+                    label[b] = label[a];
                 }
             }
         }
-        EcsRun::new(Partition::from_labels(&uf.labels()), session.into_metrics())
+        EcsRun::new(Partition::from_labels(&label), session.into_metrics())
     }
 }
 

@@ -4,9 +4,9 @@
 //! sweeps over the elements in rounds, and in each sweep every still-active
 //! element initiates one equivalence test with the *next element whose
 //! relationship to it is still unknown*. Knowledge is shared at the group
-//! level: discovered equivalences contract groups (union-find), discovered
-//! differences are recorded between groups, and a relationship is "known" as
-//! soon as it can be inferred from the group structure.
+//! level: discovered equivalences contract groups, discovered differences
+//! are recorded between groups, and a relationship is "known" as soon as it
+//! can be inferred from the group structure.
 //!
 //! The lemma of Jayapaul et al. used by Theorem 7 states that this schedule
 //! performs at most `2·min(Y_i, Y_j)` tests between any two classes of sizes
@@ -15,9 +15,8 @@
 //! integration tests and the `theorem7_dominance` benchmark binary).
 
 use crate::run::{EcsAlgorithm, EcsRun};
-use ecs_graph::UnionFind;
+use ecs_graph::BitRow;
 use ecs_model::{ComparisonSession, EquivalenceOracle, ExecutionBackend, Partition, ReadMode};
-use std::collections::{HashMap, HashSet};
 
 /// The round-robin sequential equivalence class sorter.
 #[derive(Debug, Clone, Copy, Default)]
@@ -30,95 +29,294 @@ impl RoundRobin {
     }
 }
 
-/// Group-level knowledge: which group roots are known to be different.
+/// The groups one group is known to differ from.
+///
+/// A short set is a sorted list. Once the list would take as many bytes as a
+/// bit row over all `n` group ids (`len ≥ n / 32`), it becomes that row, so
+/// an insert never shifts a long list and a lookup is one bit test; it turns
+/// back into a list if merges shrink it below half that size. Either way a
+/// set costs O(its length) bytes, so all of them take O(n + known pairs).
+#[derive(Debug)]
+enum KnownSet {
+    List(Vec<u32>),
+    Row { row: BitRow, len: usize },
+}
+
+impl KnownSet {
+    fn len(&self) -> usize {
+        match self {
+            Self::List(list) => list.len(),
+            Self::Row { len, .. } => *len,
+        }
+    }
+
+    fn contains(&self, g: u32) -> bool {
+        match self {
+            Self::List(list) => list.binary_search(&g).is_ok(),
+            Self::Row { row, .. } => row.test(g as usize),
+        }
+    }
+
+    /// Calls `f` on every member.
+    fn for_each(&self, mut f: impl FnMut(u32)) {
+        match self {
+            Self::List(list) => list.iter().for_each(|&g| f(g)),
+            Self::Row { row, .. } => row.for_each_one(|g| f(g as u32)),
+        }
+    }
+
+    /// A list of `n` possible members, as a row if it is long.
+    fn from_list(list: Vec<u32>, n: usize) -> Self {
+        if list.len() * 32 < n {
+            return Self::List(list);
+        }
+        let mut row = BitRow::new(n);
+        for &g in &list {
+            row.set(g as usize);
+        }
+        Self::Row {
+            row,
+            len: list.len(),
+        }
+    }
+
+    /// Adds `g`; `false` if it was already a member.
+    fn insert(&mut self, g: u32, n: usize) -> bool {
+        match self {
+            Self::List(list) => match list.binary_search(&g) {
+                Ok(_) => false,
+                Err(at) => {
+                    list.insert(at, g);
+                    if list.len() * 32 >= n {
+                        *self = Self::from_list(std::mem::take(list), n);
+                    }
+                    true
+                }
+            },
+            Self::Row { row, len } => {
+                let fresh = row.set(g as usize);
+                *len += usize::from(fresh);
+                fresh
+            }
+        }
+    }
+
+    /// Removes `g`; `false` if it was not a member.
+    fn remove(&mut self, g: u32, n: usize) -> bool {
+        match self {
+            Self::List(list) => match list.binary_search(&g) {
+                Ok(at) => {
+                    list.remove(at);
+                    true
+                }
+                Err(_) => false,
+            },
+            Self::Row { row, len } => {
+                if !row.clear(g as usize) {
+                    return false;
+                }
+                *len -= 1;
+                if *len * 64 < n {
+                    let list = row.iter_ones().map(|g| g as u32).collect();
+                    *self = Self::List(list);
+                }
+                true
+            }
+        }
+    }
+
+    /// The union of two sets.
+    fn union(self, other: Self, n: usize) -> Self {
+        match (self, other) {
+            (Self::List(a), Self::List(b)) => Self::from_list(union_sorted(&a, &b), n),
+            (Self::Row { row, len }, other) | (other, Self::Row { row, len }) => {
+                let (mut row, mut len) = (row, len);
+                other.for_each(|g| len += usize::from(row.set(g as usize)));
+                Self::Row { row, len }
+            }
+        }
+    }
+}
+
+/// The sorted union of two sorted, duplicate-free lists.
+fn union_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// Group-level knowledge in flat arrays, with no hashing: O(n + known pairs)
+/// memory, and O(1) work per skipped cursor step.
+///
+/// A group's id is one of its members, so ids live in `0..n` and every
+/// per-group array is indexed by element. Contracting two groups relabels
+/// the smaller one, so each element is relabelled O(log n) times.
 struct Knowledge {
-    uf: UnionFind,
-    /// For each group root, the set of other group roots known to differ.
-    diff: HashMap<usize, HashSet<usize>>,
+    /// The group of every element.
+    group_of: Vec<u32>,
+    /// Circular member lists: `next[x]` is the next member of `x`'s group.
+    next: Vec<u32>,
+    /// Member count of each live group.
+    size: Vec<u32>,
+    /// For each live group, the groups known to differ from it.
+    diff: Vec<KnownSet>,
+    /// Number of live groups.
+    groups: usize,
     /// Number of unordered known-different group pairs.
     known_pairs: usize,
+    /// The group of the element scanning this turn.
+    scanner: usize,
+    /// Whether this turn's scanner was stamped (its set is a list).
+    stamped: bool,
+    /// Once stamped, `stamp[g] == turn` marks the scanner's group and the
+    /// groups it is known to differ from (see [`Knowledge::knows`]).
+    stamp: Vec<u32>,
+    turn: u32,
 }
 
 impl Knowledge {
     fn new(n: usize) -> Self {
+        let ids: Vec<u32> = (0..n as u32).collect();
         Self {
-            uf: UnionFind::new(n),
-            diff: HashMap::new(),
+            group_of: ids.clone(),
+            next: ids,
+            size: vec![1; n],
+            diff: (0..n).map(|_| KnownSet::List(Vec::new())).collect(),
+            groups: n,
             known_pairs: 0,
+            scanner: 0,
+            stamped: false,
+            stamp: vec![0; n],
+            turn: 0,
         }
     }
 
-    fn root(&mut self, x: usize) -> usize {
-        self.uf.find(x)
+    fn n(&self) -> usize {
+        self.group_of.len()
     }
 
-    fn groups(&self) -> usize {
-        self.uf.num_sets()
+    fn group(&self, x: usize) -> usize {
+        self.group_of[x] as usize
     }
 
     /// All pairwise relationships among current groups are known.
     fn complete(&self) -> bool {
-        let g = self.groups();
-        self.known_pairs == g * (g - 1) / 2
-    }
-
-    fn knows(&mut self, a: usize, b: usize) -> bool {
-        let ra = self.root(a);
-        let rb = self.root(b);
-        ra == rb
-            || self
-                .diff
-                .get(&ra)
-                .map(|set| set.contains(&rb))
-                .unwrap_or(false)
+        self.known_pairs == self.groups * (self.groups - 1) / 2
     }
 
     /// The group of `x` knows its relationship to every other current group.
-    fn fully_informed(&mut self, x: usize) -> bool {
-        let r = self.root(x);
-        let known = self.diff.get(&r).map(|s| s.len()).unwrap_or(0);
-        known == self.groups() - 1
+    fn fully_informed(&self, x: usize) -> bool {
+        self.diff[self.group(x)].len() == self.groups - 1
+    }
+
+    /// Opens `x`'s cursor scan. Knowledge does not change until the scan
+    /// ends in a comparison, so what the scan sets up here holds for all of
+    /// it: a scanner whose set is a list stamps its group and every group in
+    /// the list, so each step is one array read; a scanner whose set is a
+    /// row answers each step with one bit test instead of stamping its many
+    /// groups on every turn.
+    fn begin_scan(&mut self, x: usize) {
+        self.scanner = self.group(x);
+        self.stamped = matches!(self.diff[self.scanner], KnownSet::List(_));
+        if self.stamped {
+            self.stamp_scanner();
+        }
+    }
+
+    /// Whether the relationship between `y` and the element scanning this
+    /// turn is known.
+    #[inline]
+    fn knows(&self, y: usize) -> bool {
+        let g = self.group(y);
+        if self.stamped {
+            return self.stamp[g] == self.turn;
+        }
+        g == self.scanner || self.diff[self.scanner].contains(g as u32)
+    }
+
+    /// Stamps the scanner's group and every group it is known to differ
+    /// from with a fresh turn.
+    fn stamp_scanner(&mut self) {
+        self.turn = self.turn.wrapping_add(1);
+        if self.turn == 0 {
+            self.stamp.fill(0);
+            self.turn = 1;
+        }
+        let Self {
+            diff,
+            stamp,
+            turn,
+            scanner,
+            ..
+        } = self;
+        stamp[*scanner] = *turn;
+        diff[*scanner].for_each(|h| stamp[h as usize] = *turn);
     }
 
     /// Records a "different" answer between the groups of `a` and `b`.
     fn record_different(&mut self, a: usize, b: usize) {
-        let ra = self.root(a);
-        let rb = self.root(b);
-        debug_assert_ne!(ra, rb, "consistent oracles never separate equal elements");
-        if self.diff.entry(ra).or_default().insert(rb) {
-            self.diff.entry(rb).or_default().insert(ra);
+        let (ga, gb) = (self.group(a), self.group(b));
+        debug_assert_ne!(ga, gb, "consistent oracles never separate equal elements");
+        let n = self.n();
+        if self.diff[ga].insert(gb as u32, n) {
+            self.diff[gb].insert(ga as u32, n);
             self.known_pairs += 1;
         }
     }
 
-    /// Records an "equal" answer: contracts the two groups and merges their
-    /// difference knowledge.
+    /// Records an "equal" answer: contracts the two groups (relabelling the
+    /// smaller) and merges their difference knowledge.
     fn record_equal(&mut self, a: usize, b: usize) {
-        let ra = self.root(a);
-        let rb = self.root(b);
-        if ra == rb {
+        let (ga, gb) = (self.group(a), self.group(b));
+        if ga == gb {
             return;
         }
         debug_assert!(
-            !self.diff.get(&ra).map(|s| s.contains(&rb)).unwrap_or(false),
+            !self.diff[ga].contains(gb as u32),
             "oracle inconsistency: groups known different answered equal"
         );
-        self.uf.union(ra, rb);
-        let new_root = self.uf.find(ra);
-        let old_root = if new_root == ra { rb } else { ra };
-        let old_set = self.diff.remove(&old_root).unwrap_or_default();
-        for z in old_set {
-            // Repoint z's knowledge from the vanished root to the surviving one.
-            if let Some(set) = self.diff.get_mut(&z) {
-                set.remove(&old_root);
-                if !set.insert(new_root) {
-                    // z already knew the surviving root: two known pairs collapse.
-                    self.known_pairs -= 1;
-                }
+        let (keep, gone) = if self.size[ga] >= self.size[gb] {
+            (ga, gb)
+        } else {
+            (gb, ga)
+        };
+        let mut x = gone;
+        loop {
+            self.group_of[x] = keep as u32;
+            x = self.next[x] as usize;
+            if x == gone {
+                break;
             }
-            let new_set = self.diff.entry(new_root).or_default();
-            new_set.insert(z);
         }
+        // Swapping one successor in each circle splices them into one.
+        self.next.swap(keep, gone);
+        self.size[keep] += self.size[gone];
+        self.groups -= 1;
+        let n = self.n();
+        let gone_diff = std::mem::replace(&mut self.diff[gone], KnownSet::List(Vec::new()));
+        let Self {
+            diff, known_pairs, ..
+        } = self;
+        gone_diff.for_each(|z| {
+            // Repoint z's knowledge from the vanished group to the survivor.
+            let known = &mut diff[z as usize];
+            let removed = known.remove(gone as u32, n);
+            debug_assert!(removed, "difference knowledge is symmetric");
+            if !known.insert(keep as u32, n) {
+                // z already knew the survivor: two known pairs collapse.
+                *known_pairs -= 1;
+            }
+        });
+        let kept = std::mem::replace(&mut self.diff[keep], KnownSet::List(Vec::new()));
+        self.diff[keep] = kept.union(gone_diff, n);
     }
 }
 
@@ -163,14 +361,16 @@ impl EcsAlgorithm for RoundRobin {
                 }
                 // Advance the cursor to the next element with an unknown
                 // relationship and test it.
+                knowledge.begin_scan(x);
                 loop {
                     if cursor[x] >= n {
                         active[x] = false;
                         break;
                     }
-                    let y = (x + cursor[x]) % n;
+                    let y = x + cursor[x];
+                    let y = if y >= n { y - n } else { y };
                     cursor[x] += 1;
-                    if knowledge.knows(x, y) {
+                    if knowledge.knows(y) {
                         continue;
                     }
                     progressed = true;
@@ -189,7 +389,7 @@ impl EcsAlgorithm for RoundRobin {
         }
 
         EcsRun::new(
-            Partition::from_labels(&knowledge.uf.labels()),
+            Partition::from_labels(&knowledge.group_of),
             session.into_metrics(),
         )
     }
@@ -201,9 +401,88 @@ mod tests {
     use ecs_model::{Instance, InstanceOracle};
     use ecs_rng::{EcsRng, SeedableEcsRng, Xoshiro256StarStar};
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn rng(seed: u64) -> Xoshiro256StarStar {
         Xoshiro256StarStar::seed_from_u64(seed)
+    }
+
+    #[test]
+    fn known_sets_switch_between_list_and_row() {
+        let n = 64; // rows from 2 members, lists again below 1
+        let mut set = KnownSet::List(vec![9]);
+        assert!(set.insert(5, n));
+        assert!(matches!(set, KnownSet::Row { len: 2, .. }));
+        assert!(!set.insert(9, n));
+        assert!(set.contains(5) && set.contains(9) && !set.contains(6));
+        assert!(set.remove(9, n) && !set.remove(9, n));
+        assert!(matches!(set, KnownSet::Row { len: 1, .. }));
+        assert!(set.remove(5, n));
+        assert!(matches!(&set, KnownSet::List(list) if list.is_empty()));
+
+        let big = 1000; // lists up to 31 members
+        let evens = KnownSet::List((0..20).map(|g| 2 * g).collect());
+        let threes = KnownSet::List((0..20).map(|g| 3 * g).collect());
+        let union = evens.union(threes, big);
+        let mut members = Vec::new();
+        union.for_each(|g| members.push(g));
+        let mut expected: Vec<u32> = (0..20).flat_map(|g| [2 * g, 3 * g]).collect();
+        expected.sort_unstable();
+        expected.dedup();
+        assert_eq!(members, expected);
+        assert!(matches!(union, KnownSet::Row { len, .. } if len == expected.len()));
+        let list_first = KnownSet::List(vec![3, 7]).union(union, big);
+        assert_eq!(list_first.len(), expected.len() + 1, "7 is new, 3 is not");
+        assert_eq!(
+            union_sorted(&[1, 4, 9], &[0, 4, 5, 12]),
+            vec![0, 1, 4, 5, 9, 12]
+        );
+    }
+
+    #[test]
+    fn knowledge_contracts_groups_and_survives_stamp_wrap() {
+        let mut k = Knowledge::new(200); // short sets stay lists
+        k.record_different(0, 1);
+        k.record_different(2, 1);
+        k.record_equal(0, 2); // {0, 2} both knew 1: two pairs collapse
+        assert_eq!((k.groups, k.known_pairs), (199, 1));
+        k.record_equal(3, 0); // the larger group {0, 2} survives
+        assert_eq!(k.group(3), k.group(0));
+        assert_eq!(k.size[k.group(0)], 3);
+        assert_eq!(k.diff[k.group(0)].len(), 1);
+        assert!(matches!(k.diff[k.group(0)], KnownSet::List(_)));
+        k.turn = u32::MAX; // the next stamp wraps the counter
+        k.begin_scan(2);
+        assert_eq!(k.turn, 1);
+        assert!(k.knows(0) && k.knows(3), "the scanner's own group");
+        assert!(k.knows(1));
+        assert!(!k.knows(4) && !k.knows(5));
+        assert!(!k.fully_informed(2));
+        let mut labels: Vec<usize> = (0..200).collect();
+        labels[2] = 0;
+        labels[3] = 0;
+        assert_eq!(
+            Partition::from_labels(&k.group_of),
+            Partition::from_labels(&labels)
+        );
+    }
+
+    #[test]
+    fn scans_answer_alike_from_lists_and_rows() {
+        // Group 0 knows 59 groups: a list at n = 4000, which the scan
+        // stamps, and a row at n = 100, which it bit-tests.
+        for n in [4000, 100] {
+            let mut k = Knowledge::new(n);
+            for y in 1..60 {
+                k.record_different(0, y);
+            }
+            k.begin_scan(0);
+            assert_eq!(k.stamped, n == 4000);
+            assert_eq!(matches!(k.diff[0], KnownSet::List(_)), n == 4000);
+            for y in 0..100 {
+                assert_eq!(k.knows(y), y < 60, "n = {n}, y = {y}");
+            }
+        }
     }
 
     #[test]

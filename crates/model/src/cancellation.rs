@@ -122,6 +122,11 @@ impl<O: EquivalenceOracle> EquivalenceOracle for CancellableOracle<O> {
         self.inner.same_batch(pairs)
     }
 
+    fn same_sequence(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
+        self.check();
+        self.inner.same_sequence(pairs)
+    }
+
     fn round_opened(&self, pairs: &[(usize, usize)]) {
         self.check();
         self.inner.round_opened(pairs);
@@ -163,6 +168,7 @@ mod tests {
         }
         let pairs = [(0usize, 1usize), (1, 2), (2, 3)];
         assert_eq!(wrapped.same_batch(&pairs), inner.same_batch(&pairs));
+        assert_eq!(wrapped.same_sequence(&pairs), inner.same_sequence(&pairs));
     }
 
     #[test]
@@ -176,6 +182,9 @@ mod tests {
             })),
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let _ = oracle.same_batch(&[(0, 1)]);
+            })),
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = oracle.same_sequence(&[(0, 1)]);
             })),
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 oracle.round_opened(&[(0, 1)]);

@@ -105,6 +105,11 @@ impl RoundSizeHistogram {
         self.counts[Self::bucket(size)] += 1;
     }
 
+    /// Counts `times` values of `size` at once.
+    fn record_many(&mut self, size: usize, times: u64) {
+        self.counts[Self::bucket(size)] += times;
+    }
+
     fn merge(&mut self, other: &Self) {
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
             *mine += theirs;
@@ -283,6 +288,27 @@ impl Metrics {
         self.record_round(1);
     }
 
+    /// Records `k` single comparisons at once: exactly what `k` calls to
+    /// [`Metrics::record_single`] record, including dropping the trace when
+    /// the run crosses the trace limit part-way through the `k`.
+    pub fn record_singles(&mut self, k: usize) {
+        if k == 0 {
+            return;
+        }
+        self.comparisons += k as u64;
+        self.rounds += k as u64;
+        self.max_round_size = self.max_round_size.max(1);
+        self.histogram.record_many(1, k as u64);
+        if !self.trace_complete {
+            return;
+        }
+        if k <= self.trace_limit - self.trace.len() {
+            self.trace.resize(self.trace.len() + k, 1);
+        } else {
+            self.drop_trace();
+        }
+    }
+
     /// Merges another metrics object into this one (summing work and depth);
     /// used when an algorithm runs subphases with separate sessions. The
     /// exact trace survives only if both sides retained theirs and the
@@ -371,6 +397,50 @@ mod tests {
         assert_eq!(m.rounds(), 5);
         assert_eq!(m.max_round_size(), 1);
         assert_eq!(m.histogram().count_for_size(1), 5);
+    }
+
+    #[test]
+    fn record_singles_is_k_record_single_calls() {
+        let limit = 8;
+        // k = 0, below the limit, exactly at it, and across it — from an
+        // empty trace and from one already part-full.
+        for prefix in [0, 3] {
+            for k in [
+                0,
+                1,
+                limit - prefix - 1,
+                limit - prefix,
+                limit - prefix + 1,
+                40,
+            ] {
+                let mut bulk = Metrics::with_trace_limit(limit);
+                let mut looped = Metrics::with_trace_limit(limit);
+                for m in [&mut bulk, &mut looped] {
+                    for _ in 0..prefix {
+                        m.record_round(5);
+                    }
+                }
+                bulk.record_singles(k);
+                for _ in 0..k {
+                    looped.record_single();
+                }
+                let context = format!("prefix {prefix}, k {k}");
+                assert_eq!(bulk, looped, "{context}");
+                assert_eq!(bulk.round_sizes(), looped.round_sizes(), "{context}");
+                assert_eq!(
+                    bulk.histogram().nonzero_buckets(),
+                    looped.histogram().nonzero_buckets(),
+                    "{context}"
+                );
+                assert_eq!(bulk.trace.capacity() == 0, looped.trace.capacity() == 0);
+            }
+        }
+        // Once the trace is gone, later singles leave it gone.
+        let mut m = Metrics::with_trace_limit(2);
+        m.record_singles(3);
+        m.record_singles(1);
+        assert_eq!(m.round_sizes(), None);
+        assert_eq!(m.rounds(), 4);
     }
 
     #[test]

@@ -64,6 +64,26 @@ pub trait EquivalenceOracle: Sync {
         answers
     }
 
+    /// Answers `pairs` as consecutive *sequential* queries, one answer per
+    /// pair in pair order — the bulk form of calling [`Self::same`] on each
+    /// pair in turn, behind [`crate::ComparisonSession::compare_sequence`].
+    /// Every pair is its own single-pair round, exactly as a scalar `same`
+    /// outside a round is: no round hooks are involved.
+    ///
+    /// The default is that scalar loop, so order-adaptive oracles (the
+    /// lower-bound adversaries answer each query against the state the
+    /// previous one left) and instrumenting wrappers behave exactly as they
+    /// would under a `same` loop. Only an oracle whose answers do not depend
+    /// on query order may override it — e.g. with its [`Self::same_batch`],
+    /// as the ground-truth oracles do. Pass-through wrappers
+    /// ([`crate::CancellableOracle`], [`crate::RecordingOracle`]) forward it
+    /// to the wrapped oracle so such an override is not defeated.
+    fn same_sequence(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
+        let mut answers = Vec::with_capacity(pairs.len());
+        answers.extend(pairs.iter().map(|&(a, b)| self.same(a, b)));
+        answers
+    }
+
     /// Round-boundary hook: a [`crate::ComparisonSession`] calls this with
     /// the round's pairs (in submission order) before evaluating them, and
     /// [`Self::round_closed`] after.
@@ -266,6 +286,11 @@ impl EquivalenceOracle for InstanceOracle<'_> {
         }
         answers
     }
+
+    fn same_sequence(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
+        // Answers from fixed ground truth do not depend on query order.
+        self.same_batch(pairs)
+    }
 }
 
 /// An oracle defined by an explicit label vector — convenient in tests where
@@ -321,6 +346,11 @@ impl EquivalenceOracle for LabelOracle {
             }
         }
         answers
+    }
+
+    fn same_sequence(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
+        // Answers from fixed labels do not depend on query order.
+        self.same_batch(pairs)
     }
 }
 
@@ -420,6 +450,17 @@ mod tests {
             Parity.same_batch(&[(0, 2), (0, 1), (3, 5)]),
             vec![true, false, true]
         );
+        assert_eq!(
+            Parity.same_sequence(&[(0, 2), (0, 1), (3, 5)]),
+            vec![true, false, true]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn same_sequence_rejects_out_of_range_pairs() {
+        let inst = Instance::from_labels(&[1, 1, 2]);
+        let _ = InstanceOracle::new(&inst).same_sequence(&[(0, 1), (0, 2), (0, 3)]);
     }
 
     #[test]

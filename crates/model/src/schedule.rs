@@ -40,8 +40,8 @@ pub fn schedule_er(pairs: &[(usize, usize)]) -> Vec<Vec<(usize, usize)>> {
 }
 
 /// Schedules the complete bipartite comparison pattern between `left` and
-/// `right` as exclusive-read rounds using the round-robin rotation: in round
-/// `r`, `left[i]` is compared with `right[(i + r) mod |right|]`.
+/// `right` as exclusive-read rounds using the round-robin rotation of
+/// [`bipartite_round`].
 ///
 /// This is the schedule behind Theorem 2's merge step: comparing one
 /// representative of each of `≤ k` classes on one side with each of `≤ k`
@@ -56,23 +56,38 @@ pub fn bipartite_rounds(left: &[usize], right: &[usize]) -> Vec<Vec<(usize, usiz
         left.iter().all(|x| !right.contains(x)),
         "bipartite schedule requires disjoint sides"
     );
-    // Rotate the larger side against the smaller so every pair appears once.
-    let (small, large, swapped) = if left.len() <= right.len() {
-        (left, right, false)
+    (0..left.len().max(right.len()))
+        .map(|r| {
+            bipartite_round(left.len(), right.len(), r)
+                .map(|(a, b)| (left[a], right[b]))
+                .collect()
+        })
+        .collect()
+}
+
+/// Round `r` of the complete bipartite schedule between a side of `left`
+/// and a side of `right` elements, as `(left index, right index)` pairs:
+/// the smaller side's `i`-th element meets the larger side's
+/// `(i + r) mod len`-th, so every pair appears once over
+/// `max(left, right)` rounds. Empty from round `max(left, right)` on, and
+/// when either side is.
+pub fn bipartite_round(
+    left: usize,
+    right: usize,
+    r: usize,
+) -> impl Iterator<Item = (usize, usize)> {
+    let width = if r < left.max(right) {
+        left.min(right)
     } else {
-        (right, left, true)
+        0
     };
-    let rounds_needed = large.len();
-    let mut rounds = Vec::with_capacity(rounds_needed);
-    for r in 0..rounds_needed {
-        let mut round = Vec::with_capacity(small.len());
-        for (i, &s) in small.iter().enumerate() {
-            let l = large[(i + r) % large.len()];
-            round.push(if swapped { (l, s) } else { (s, l) });
+    (0..width).map(move |i| {
+        if left <= right {
+            (i, (i + r) % right)
+        } else {
+            ((i + r) % left, i)
         }
-        rounds.push(round);
-    }
-    rounds
+    })
 }
 
 /// The maximum multiplicity of any element in the pair list (the maximum
@@ -188,6 +203,26 @@ mod tests {
     fn bipartite_empty_side() {
         assert!(bipartite_rounds(&[], &[1, 2]).is_empty());
         assert!(bipartite_rounds(&[1, 2], &[]).is_empty());
+        assert_eq!(bipartite_round(0, 3, 0).count(), 0);
+        assert_eq!(bipartite_round(2, 3, 3).count(), 0, "past the last round");
+    }
+
+    #[test]
+    fn bipartite_rotation_keeps_the_larger_side_moving() {
+        let rounds: Vec<Vec<(usize, usize)>> =
+            (0..3).map(|r| bipartite_round(3, 2, r).collect()).collect();
+        assert_eq!(
+            rounds,
+            vec![
+                vec![(0, 0), (1, 1)],
+                vec![(1, 0), (2, 1)],
+                vec![(2, 0), (0, 1)]
+            ]
+        );
+        assert_eq!(
+            bipartite_rounds(&[10, 11], &[20, 21, 22])[1],
+            vec![(10, 21), (11, 22)]
+        );
     }
 
     #[test]

@@ -49,6 +49,11 @@ pub struct ComparisonSession<'a, O: EquivalenceOracle> {
     processors: usize,
     metrics: Metrics,
     backend: ExecutionBackend,
+    /// Per-element stamp of the last ER round that used the element, so
+    /// matching validation is one array probe per endpoint.
+    seen: Vec<u32>,
+    /// Stamp of the ER round being validated.
+    epoch: u32,
 }
 
 impl<'a, O: EquivalenceOracle> ComparisonSession<'a, O> {
@@ -89,6 +94,8 @@ impl<'a, O: EquivalenceOracle> ComparisonSession<'a, O> {
             processors,
             metrics: Metrics::new(),
             backend,
+            seen: Vec::new(),
+            epoch: 0,
         }
     }
 
@@ -137,6 +144,17 @@ impl<'a, O: EquivalenceOracle> ComparisonSession<'a, O> {
         self.oracle.same(a, b)
     }
 
+    /// Performs consecutive single comparisons, one per pair in order, and
+    /// returns their answers: exactly the charges and queries of calling
+    /// [`Self::compare`] on each pair in turn (every pair is its own round,
+    /// and no round hooks are called), in one call. Oracles whose answers do
+    /// not depend on query order answer the whole sequence at once through
+    /// [`EquivalenceOracle::same_sequence`].
+    pub fn compare_sequence(&mut self, pairs: &[(usize, usize)]) -> Vec<bool> {
+        self.metrics.record_singles(pairs.len());
+        self.oracle.same_sequence(pairs)
+    }
+
     /// Executes one parallel round of comparisons and returns one answer per
     /// pair, in order.
     ///
@@ -182,18 +200,30 @@ impl<'a, O: EquivalenceOracle> ComparisonSession<'a, O> {
         rounds.iter().map(|r| self.execute_round(r)).collect()
     }
 
-    fn validate_matching(&self, pairs: &[(usize, usize)]) {
-        let mut seen = std::collections::HashSet::with_capacity(pairs.len() * 2);
+    fn validate_matching(&mut self, pairs: &[(usize, usize)]) {
+        let n = self.oracle.n();
+        if self.seen.len() < n {
+            self.seen.resize(n, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
         for &(a, b) in pairs {
             assert_ne!(a, b, "ER round contains a self-comparison ({a}, {a})");
-            assert!(
-                seen.insert(a),
-                "ER round reuses element {a}: not a matching"
-            );
-            assert!(
-                seen.insert(b),
-                "ER round reuses element {b}: not a matching"
-            );
+            for x in [a, b] {
+                // An out-of-range index is left to the oracle's own
+                // diagnostic when the round is evaluated.
+                if let Some(stamp) = self.seen.get_mut(x) {
+                    assert!(
+                        *stamp != epoch,
+                        "ER round reuses element {x}: not a matching"
+                    );
+                    *stamp = epoch;
+                }
+            }
         }
     }
 
@@ -207,6 +237,7 @@ mod tests {
     use super::*;
     use crate::instance::Instance;
     use crate::oracle::{InstanceOracle, LabelOracle};
+    use crate::transcript::RecordingOracle;
     use ecs_rng::{SeedableEcsRng, Xoshiro256StarStar};
 
     fn rng(seed: u64) -> Xoshiro256StarStar {
@@ -244,6 +275,93 @@ mod tests {
         let oracle = LabelOracle::new(vec![0, 0, 1, 1]);
         let mut s = ComparisonSession::new(&oracle, ReadMode::Exclusive);
         let _ = s.execute_round(&[(0, 1), (1, 2)]);
+    }
+
+    #[test]
+    fn er_rounds_may_reuse_elements_across_rounds() {
+        let oracle = LabelOracle::new(vec![0, 0, 1, 1]);
+        let mut s = ComparisonSession::new(&oracle, ReadMode::Exclusive);
+        for _ in 0..3 {
+            assert_eq!(s.execute_round(&[(0, 1), (2, 3)]), vec![true, true]);
+            assert_eq!(s.execute_round(&[(1, 2), (3, 0)]), vec![false, false]);
+        }
+        assert_eq!(s.metrics().rounds(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn er_round_out_of_range_reaches_the_oracle_diagnostic() {
+        let oracle = LabelOracle::new(vec![0, 0, 1, 1]);
+        let mut s = ComparisonSession::new(&oracle, ReadMode::Exclusive);
+        let _ = s.execute_round(&[(0, 1), (2, 7)]);
+    }
+
+    #[test]
+    fn compare_sequence_matches_the_compare_loop() {
+        let mut r = rng(5);
+        let inst = Instance::balanced(300, 6, &mut r);
+        let labels = inst.ground_truth().labels().to_vec();
+        // Rows of the all-pairs shape (long consecutive runs) plus a few
+        // scattered pairs.
+        let mut pairs: Vec<(usize, usize)> = (0..300)
+            .step_by(37)
+            .flat_map(|a| ((a + 1)..300).map(move |b| (a, b)))
+            .collect();
+        pairs.extend([(5, 2), (299, 0), (17, 160)]);
+
+        fn check<O: EquivalenceOracle>(oracle: &O, pairs: &[(usize, usize)]) -> Vec<bool> {
+            let mut bulk = ComparisonSession::new(oracle, ReadMode::Exclusive);
+            bulk.compare(1, 2);
+            let answers = bulk.compare_sequence(pairs);
+            assert!(bulk.compare_sequence(&[]).is_empty());
+            let mut looped = ComparisonSession::new(oracle, ReadMode::Exclusive);
+            looped.compare(1, 2);
+            let expected: Vec<bool> = pairs.iter().map(|&(a, b)| looped.compare(a, b)).collect();
+            assert_eq!(answers, expected);
+            assert_eq!(bulk.metrics(), looped.metrics());
+            assert_eq!(bulk.metrics().round_sizes(), looped.metrics().round_sizes());
+            answers
+        }
+
+        let by_instance = check(&InstanceOracle::new(&inst), &pairs);
+        let by_labels = check(&LabelOracle::new(labels), &pairs);
+        assert_eq!(by_instance, by_labels);
+
+        let bulk = RecordingOracle::new(InstanceOracle::new(&inst));
+        let looped = RecordingOracle::new(InstanceOracle::new(&inst));
+        let _ = ComparisonSession::new(&bulk, ReadMode::Exclusive).compare_sequence(&pairs);
+        let mut s = ComparisonSession::new(&looped, ReadMode::Exclusive);
+        for &(a, b) in &pairs {
+            let _ = s.compare(a, b);
+        }
+        let bulk: Vec<_> = bulk.transcript().iter().collect();
+        let looped: Vec<_> = looped.transcript().iter().collect();
+        assert_eq!(bulk.len(), pairs.len());
+        assert_eq!(bulk, looped, "same transcript, pair for pair");
+    }
+
+    #[test]
+    fn compare_sequence_on_a_tripped_token_unwinds_with_cancelled() {
+        use crate::cancellation::{is_cancellation, CancellableOracle, CancellationToken};
+        let token = CancellationToken::new();
+        let oracle = CancellableOracle::new(LabelOracle::new(vec![0, 0, 1]), token.clone());
+        let mut s = ComparisonSession::new(&oracle, ReadMode::Exclusive);
+        assert_eq!(s.compare_sequence(&[(0, 1), (0, 2)]), vec![true, false]);
+        token.cancel();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.compare_sequence(&[(0, 1), (0, 2)])
+        }));
+        assert!(is_cancellation(
+            &*unwound.expect_err("a tripped token must abort")
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn compare_sequence_rejects_out_of_range_pairs() {
+        let oracle = LabelOracle::new(vec![0, 0, 1]);
+        let mut s = ComparisonSession::new(&oracle, ReadMode::Exclusive);
+        let _ = s.compare_sequence(&[(0, 1), (1, 3)]);
     }
 
     #[test]

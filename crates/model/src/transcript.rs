@@ -142,6 +142,15 @@ impl<O: EquivalenceOracle> RecordingOracle<O> {
     pub fn inner(&self) -> &O {
         &self.inner
     }
+
+    /// Records every pair with its answer, in pair order.
+    fn record_all(&self, pairs: &[(usize, usize)], answers: Vec<bool>) -> Vec<bool> {
+        let mut transcript = self.transcript.lock();
+        for (&(a, b), &answer) in pairs.iter().zip(&answers) {
+            transcript.record(a, b, answer);
+        }
+        answers
+    }
 }
 
 impl<O: EquivalenceOracle> EquivalenceOracle for RecordingOracle<O> {
@@ -158,12 +167,11 @@ impl<O: EquivalenceOracle> EquivalenceOracle for RecordingOracle<O> {
     fn same_batch(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
         // Delegate the whole wave (so an inner batch override is not
         // silently defeated), then record every pair with its answer.
-        let answers = self.inner.same_batch(pairs);
-        let mut transcript = self.transcript.lock();
-        for (&(a, b), &answer) in pairs.iter().zip(&answers) {
-            transcript.record(a, b, answer);
-        }
-        answers
+        self.record_all(pairs, self.inner.same_batch(pairs))
+    }
+
+    fn same_sequence(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
+        self.record_all(pairs, self.inner.same_sequence(pairs))
     }
 
     fn round_opened(&self, pairs: &[(usize, usize)]) {

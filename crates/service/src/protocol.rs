@@ -78,6 +78,25 @@ impl DistSpec {
             other => Err(format!("unknown distribution `{other}`")),
         }
     }
+
+    /// Draws a job's `n`-element instance from this family, seeded by
+    /// `seed` — the instance [`run_job`] sorts.
+    pub fn instance(self, n: usize, seed: u64) -> Instance {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        match self {
+            Self::Uniform(k) => {
+                Instance::from_distribution(&AnyDistribution::uniform(k.max(1)), n, &mut rng)
+            }
+            Self::Geometric(p) => {
+                Instance::from_distribution(&AnyDistribution::geometric(p), n, &mut rng)
+            }
+            Self::Poisson(lambda) => {
+                Instance::from_distribution(&AnyDistribution::poisson(lambda), n, &mut rng)
+            }
+            Self::Zeta(s) => Instance::from_distribution(&AnyDistribution::zeta(s), n, &mut rng),
+            Self::Balanced(k) => Instance::balanced(n, k.clamp(1, n), &mut rng),
+        }
+    }
 }
 
 impl fmt::Display for DistSpec {
@@ -142,6 +161,28 @@ impl AlgoSpec {
             Self::ErMerge => "er-merge",
             Self::ErConstant => "er-constant",
             Self::CrCompound => "cr-compound",
+        }
+    }
+
+    /// Sorts `oracle`'s instance with this algorithm on `backend`, as
+    /// [`run_job`] does: `seed` seeds `er-constant`, and `k` is the class
+    /// count `cr-compound` is given.
+    pub fn sort<O: EquivalenceOracle>(
+        self,
+        seed: u64,
+        k: usize,
+        oracle: &O,
+        backend: ExecutionBackend,
+    ) -> EcsRun {
+        match self {
+            Self::Naive => NaiveAllPairs::new().sort_with_backend(oracle, backend),
+            Self::RoundRobin => RoundRobin::new().sort_with_backend(oracle, backend),
+            Self::RepresentativeScan => {
+                RepresentativeScan::new().sort_with_backend(oracle, backend)
+            }
+            Self::ErMerge => ErMergeSort::new().sort_with_backend(oracle, backend),
+            Self::ErConstant => ErConstantRound::adaptive(seed).sort_with_backend(oracle, backend),
+            Self::CrCompound => CrCompoundMerge::new(k).sort_with_backend(oracle, backend),
         }
     }
 }
@@ -770,21 +811,7 @@ pub(crate) fn write_line<W: Write + ?Sized>(writer: &mut W, mut line: String) ->
 /// the daemon and a serial caller produce bit-identical [`EcsRun`]s. Panics
 /// with [`ecs_model::Cancelled`] if `token` trips mid-run.
 pub fn run_job(spec: &JobSpec, linger: Duration, token: Option<&CancellationToken>) -> EcsRun {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(spec.seed);
-    let n = spec.n.max(1);
-    let instance = match spec.dist {
-        DistSpec::Uniform(k) => {
-            Instance::from_distribution(&AnyDistribution::uniform(k.max(1)), n, &mut rng)
-        }
-        DistSpec::Geometric(p) => {
-            Instance::from_distribution(&AnyDistribution::geometric(p), n, &mut rng)
-        }
-        DistSpec::Poisson(lambda) => {
-            Instance::from_distribution(&AnyDistribution::poisson(lambda), n, &mut rng)
-        }
-        DistSpec::Zeta(s) => Instance::from_distribution(&AnyDistribution::zeta(s), n, &mut rng),
-        DistSpec::Balanced(k) => Instance::balanced(n, k.clamp(1, n), &mut rng),
-    };
+    let instance = spec.dist.instance(spec.n.max(1), spec.seed);
     let k = instance.ground_truth().num_classes().max(1);
     let oracle = InstanceOracle::new(&instance);
     let backend = match spec.backend {
@@ -796,8 +823,8 @@ pub fn run_job(spec: &JobSpec, linger: Duration, token: Option<&CancellationToke
         BackendSpec::Auto => ExecutionBackend::auto(),
     };
     match (spec.backend, token) {
-        (BackendSpec::Coalesced(wave), Some(token)) => execute(
-            spec,
+        (BackendSpec::Coalesced(wave), Some(token)) => spec.algo.sort(
+            spec.seed,
             k,
             &CancellableOracle::new(
                 BatchingOracle::with_linger(oracle, wave, linger),
@@ -805,39 +832,19 @@ pub fn run_job(spec: &JobSpec, linger: Duration, token: Option<&CancellationToke
             ),
             backend,
         ),
-        (BackendSpec::Coalesced(wave), None) => execute(
-            spec,
+        (BackendSpec::Coalesced(wave), None) => spec.algo.sort(
+            spec.seed,
             k,
             &BatchingOracle::with_linger(oracle, wave, linger),
             backend,
         ),
-        (_, Some(token)) => execute(
-            spec,
+        (_, Some(token)) => spec.algo.sort(
+            spec.seed,
             k,
             &CancellableOracle::new(oracle, token.clone()),
             backend,
         ),
-        (_, None) => execute(spec, k, &oracle, backend),
-    }
-}
-
-fn execute<O: EquivalenceOracle>(
-    spec: &JobSpec,
-    k: usize,
-    oracle: &O,
-    backend: ExecutionBackend,
-) -> EcsRun {
-    match spec.algo {
-        AlgoSpec::Naive => NaiveAllPairs::new().sort_with_backend(oracle, backend),
-        AlgoSpec::RoundRobin => RoundRobin::new().sort_with_backend(oracle, backend),
-        AlgoSpec::RepresentativeScan => {
-            RepresentativeScan::new().sort_with_backend(oracle, backend)
-        }
-        AlgoSpec::ErMerge => ErMergeSort::new().sort_with_backend(oracle, backend),
-        AlgoSpec::ErConstant => {
-            ErConstantRound::adaptive(spec.seed).sort_with_backend(oracle, backend)
-        }
-        AlgoSpec::CrCompound => CrCompoundMerge::new(k).sort_with_backend(oracle, backend),
+        (_, None) => spec.algo.sort(spec.seed, k, &oracle, backend),
     }
 }
 

@@ -300,23 +300,31 @@ impl DaemonHandle {
 }
 
 /// One request line read by [`read_request_line`].
-enum LineRead<'a> {
-    Line(&'a str),
+enum LineRead {
+    /// A line holding something other than whitespace, parsed; a line that
+    /// is not UTF-8 is a parse error like any other garbage.
+    Request(Result<Request, String>),
+    /// A line holding only whitespace: ignored.
+    Blank,
     /// The line ran past [`MAX_REQUEST_LINE`] bytes without a newline.
     TooLong,
-    /// End of stream, a read error, or a line that is not UTF-8.
+    /// End of stream or a read error.
     Closed,
 }
 
 /// Reads the next request line into `buf`, reading at most one byte past
 /// [`MAX_REQUEST_LINE`], so a line with no end costs a bounded buffer.
-fn read_request_line<'a, R: BufRead>(reader: &mut R, buf: &'a mut Vec<u8>) -> LineRead<'a> {
+fn read_request_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> LineRead {
     buf.clear();
     let limit = MAX_REQUEST_LINE as u64 + 1;
     match reader.by_ref().take(limit).read_until(b'\n', buf) {
         Ok(0) | Err(_) => LineRead::Closed,
         Ok(_) if buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') => LineRead::TooLong,
-        Ok(_) => std::str::from_utf8(buf).map_or(LineRead::Closed, LineRead::Line),
+        Ok(_) => match std::str::from_utf8(buf) {
+            Ok(line) if line.trim().is_empty() => LineRead::Blank,
+            Ok(line) => LineRead::Request(Request::parse(line)),
+            Err(_) => LineRead::Request(Err("request line is not valid UTF-8".to_string())),
+        },
     }
 }
 
@@ -348,8 +356,8 @@ where
                 let _ = write_line(&mut writer, line_too_long().render());
                 return;
             }
-            LineRead::Line(line) if line.trim().is_empty() => {}
-            LineRead::Line(line) => break Request::parse(line),
+            LineRead::Blank => {}
+            LineRead::Request(request) => break request,
         }
     };
     let mut deferred = None;
@@ -438,8 +446,8 @@ where
                     hung_up = true;
                     break;
                 }
-                LineRead::Line(line) if line.trim().is_empty() => continue,
-                LineRead::Line(line) => Request::parse(line),
+                LineRead::Blank => continue,
+                LineRead::Request(request) => request,
             },
         };
         match request {

@@ -18,7 +18,13 @@
 //!    ground-truth oracle — including when queried concurrently from
 //!    [`ThroughputPool`] job workers — must answer every query exactly as
 //!    the unwrapped oracle would.
+//! 4. **Sequence transparency.** `ComparisonSession::compare_sequence` must
+//!    ask, answer and charge exactly what a loop of `compare` calls does —
+//!    also for the order-adaptive adversaries, which keep the default
+//!    `same_sequence` (a `same` loop) and so must force the same answers,
+//!    partition and marks.
 
+use ecs_adversary::{EqualSizeAdversary, SmallestClassAdversary};
 use ecs_core::{
     CrCompoundMerge, EcsAlgorithm, EcsRun, ErConstantRound, ErMergeSort, NaiveAllPairs,
     RepresentativeScan, RoundRobin,
@@ -26,8 +32,8 @@ use ecs_core::{
 use ecs_distributions::class_distribution::AnyDistribution;
 use ecs_model::throughput::Job;
 use ecs_model::{
-    BatchingOracle, EquivalenceOracle, ExecutionBackend, Instance, InstanceOracle, LabelOracle,
-    ThroughputPool,
+    BatchingOracle, ComparisonSession, EquivalenceOracle, ExecutionBackend, Instance,
+    InstanceOracle, LabelOracle, Partition, ReadMode, ThroughputPool,
 };
 use ecs_rng::{EcsRng, SeedableEcsRng, Xoshiro256StarStar};
 use proptest::prelude::*;
@@ -213,4 +219,73 @@ fn throughput_jobs_through_a_batching_oracle_stay_bit_identical() {
         "every job's queries flow through the adapter"
     );
     assert!(coalescing.waves_flushed() <= coalescing.queries());
+}
+
+/// Runs `pairs` through one session as a sequence and through another as a
+/// `compare` loop, and returns both answer lists after checking the charges
+/// agree.
+fn sequence_and_loop<O: EquivalenceOracle>(
+    bulk: &O,
+    looped: &O,
+    pairs: &[(usize, usize)],
+) -> (Vec<bool>, Vec<bool>) {
+    let mut s = ComparisonSession::new(bulk, ReadMode::Exclusive);
+    let sequence = s.compare_sequence(pairs);
+    let mut t = ComparisonSession::new(looped, ReadMode::Exclusive);
+    let compared: Vec<bool> = pairs.iter().map(|&(a, b)| t.compare(a, b)).collect();
+    assert_eq!(s.metrics(), t.metrics());
+    assert_eq!(s.metrics().round_sizes(), t.metrics().round_sizes());
+    (sequence, compared)
+}
+
+#[test]
+fn adversaries_answer_a_sequence_exactly_as_a_compare_loop() {
+    let n = 96;
+    // All-pairs rows, the shape naive all-pairs submits, then a few
+    // repeated and reversed pairs.
+    let mut pairs: Vec<(usize, usize)> = (0..n)
+        .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
+        .collect();
+    pairs.extend([(5, 1), (90, 3), (5, 1)]);
+
+    let (bulk, looped) = (EqualSizeAdversary::new(n, 4), EqualSizeAdversary::new(n, 4));
+    let (sequence, compared) = sequence_and_loop(&bulk, &looped, &pairs);
+    assert_eq!(sequence, compared);
+    assert_eq!(bulk.comparisons(), looped.comparisons());
+    assert_eq!(bulk.marked_elements(), looped.marked_elements());
+    assert_eq!(bulk.swaps(), looped.swaps());
+    assert_eq!(bulk.partition(), looped.partition());
+
+    let (bulk, looped) = (
+        SmallestClassAdversary::new(n, 6),
+        SmallestClassAdversary::new(n, 6),
+    );
+    let (sequence, compared) = sequence_and_loop(&bulk, &looped, &pairs);
+    assert_eq!(sequence, compared);
+    assert_eq!(bulk.comparisons(), looped.comparisons());
+    assert_eq!(bulk.marked_elements(), looped.marked_elements());
+    assert_eq!(bulk.swaps(), looped.swaps());
+    assert_eq!(bulk.partition(), looped.partition());
+}
+
+#[test]
+fn ground_truth_sequences_match_the_compare_loop_on_every_distribution() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(41);
+    for choice in 0..4 {
+        let instance = Instance::from_distribution(&distribution(choice), 300, &mut rng);
+        let labels = instance.ground_truth().labels().to_vec();
+        let pairs = query_pairs(300, 2_000, u64::from(choice));
+        let oracle = InstanceOracle::new(&instance);
+        let (sequence, compared) = sequence_and_loop(&oracle, &oracle, &pairs);
+        assert_eq!(sequence, compared);
+        let oracle = LabelOracle::new(labels);
+        let (sequence, compared) = sequence_and_loop(&oracle, &oracle, &pairs);
+        assert_eq!(sequence, compared);
+        // Naive all-pairs, built on sequences, still finds the truth.
+        let run = NaiveAllPairs::new().sort(&InstanceOracle::new(&instance));
+        assert_eq!(
+            run.partition,
+            Partition::from_labels(instance.ground_truth().labels())
+        );
+    }
 }

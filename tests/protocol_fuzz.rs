@@ -1,12 +1,112 @@
-//! Property: the protocol parsers never panic, whatever a peer sends.
+//! Property: the protocol parsers never panic, whatever a peer sends, and a
+//! live session survives garbage.
 //!
 //! `Request::parse` runs on every line a client sends the daemon, and
 //! `Response::parse` on every line a daemon sends a client, so both must
 //! answer any input — random bytes, or known keys with garbage values — with
-//! `Ok` or `Err`, never a panic.
+//! `Ok` or `Err`, never a panic. Over a real TCP session, every garbage line
+//! must be answered with exactly one typed `error` line, and the session must
+//! still serve a valid job afterwards.
 
-use ecs_service::{Request, Response};
+use ecs_model::ThroughputPool;
+use ecs_service::protocol::{render_result, run_job};
+use ecs_service::{
+    AlgoSpec, BackendSpec, Daemon, DaemonConfig, DistSpec, JobSpec, QuotaConfig, Request, Response,
+};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
+
+/// How long one whole live-session exchange may take before it counts as a
+/// hang.
+const EXCHANGE_TIMEOUT: Duration = Duration::from_secs(20);
+
+/// Whether the daemon answers `bytes`, sent as one line, with an error: it
+/// is not whitespace only (those are skipped) and is not a request.
+fn is_garbage(bytes: &[u8]) -> bool {
+    let mut line = bytes.to_vec();
+    line.push(b'\n');
+    std::str::from_utf8(&line).map_or(true, |line| {
+        !line.trim().is_empty() && Request::parse(line).is_err()
+    })
+}
+
+/// Sends `garbage` lines, then one valid naive submit, over a raw TCP
+/// connection to a fresh daemon, and checks the replies: one `error` per
+/// garbage line, in order, then the job's result, byte-identical to the
+/// serial reference.
+fn garbage_then_a_job(garbage: &[Vec<u8>]) -> Result<(), TestCaseError> {
+    let config = DaemonConfig {
+        pool: ThroughputPool::from_jobs(1),
+        max_inflight: 2,
+        linger: Duration::ZERO,
+        outbox_limit: 16,
+        quotas: QuotaConfig::default(),
+    };
+    let daemon = Daemon::bind("127.0.0.1:0", config).expect("bind an ephemeral port");
+    let addr = daemon.local_addr().expect("a TCP daemon");
+    let started = Instant::now();
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(EXCHANGE_TIMEOUT))
+        .expect("set a read timeout");
+    let mut writer = stream.try_clone().expect("clone the stream");
+    let mut reader = BufReader::new(stream);
+    let mut recv = || {
+        let mut line = String::new();
+        match reader.read_line(&mut line) {
+            Ok(0) => panic!("the daemon closed the session"),
+            Ok(_) => line.trim_end_matches('\n').to_string(),
+            Err(e) => panic!("no reply within {EXCHANGE_TIMEOUT:?}: {e}"),
+        }
+    };
+
+    let spec = JobSpec {
+        id: "after-garbage".to_string(),
+        tenant: "fuzz".to_string(),
+        weight: 1,
+        dist: DistSpec::Zeta(2.5),
+        n: 48,
+        seed: garbage.len() as u64,
+        algo: AlgoSpec::Naive,
+        backend: BackendSpec::Auto,
+    };
+    let mut bytes = Vec::new();
+    for line in garbage {
+        bytes.extend_from_slice(line);
+        bytes.push(b'\n');
+    }
+    bytes.extend_from_slice(Request::Submit(spec.clone()).render().as_bytes());
+    bytes.push(b'\n');
+    writer.write_all(&bytes).expect("send the lines");
+
+    for (i, line) in garbage.iter().enumerate() {
+        let reply = recv();
+        prop_assert!(
+            matches!(Response::parse(&reply), Ok(Response::Error { .. })),
+            "garbage line {i} ({line:?}) got {reply:?}, not one typed error"
+        );
+    }
+    let expected = render_result(&spec, &run_job(&spec, Duration::ZERO, None));
+    loop {
+        let reply = recv();
+        prop_assert!(
+            !matches!(Response::parse(&reply), Ok(Response::Error { .. })),
+            "an extra error after the garbage: {reply:?}"
+        );
+        if reply.starts_with("result ") {
+            prop_assert_eq!(reply, expected);
+            break;
+        }
+    }
+    prop_assert!(started.elapsed() < EXCHANGE_TIMEOUT, "the exchange hung");
+    drop(writer);
+    daemon.stop();
+    daemon.join();
+    Ok(())
+}
 
 /// Keys a `status` line is built from: every key the parser reads, the
 /// retired `tuning=`, and two degenerate ones.
@@ -68,6 +168,41 @@ proptest! {
             prop_assert_eq!(Response::parse(&status.render()), Ok(status));
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn a_live_session_answers_each_garbage_line_with_one_error_then_serves_a_job(
+        lines in proptest::collection::vec(proptest::collection::vec(0u8..=255, 0..=512), 1..=16),
+    ) {
+        // No line may contain the separator, and every line must be garbage
+        // to the daemon; a random line is almost always both.
+        let garbage: Vec<Vec<u8>> = lines
+            .into_iter()
+            .map(|mut line| {
+                line.retain(|&b| b != b'\n');
+                line
+            })
+            .filter(|line| is_garbage(line))
+            .collect();
+        prop_assume!(!garbage.is_empty());
+        garbage_then_a_job(&garbage)?;
+    }
+}
+
+#[test]
+fn non_utf8_and_near_miss_lines_each_get_one_error() {
+    let garbage = [
+        vec![0xff, 0xfe, b's'],
+        b"submit id=x".to_vec(),
+        b"cancel".to_vec(),
+        b"ack seq=x".to_vec(),
+        vec![0xc3],
+    ];
+    assert!(garbage.iter().all(|line| is_garbage(line)));
+    garbage_then_a_job(&garbage).expect("every line answered, then the job served");
 }
 
 /// A status line from a daemon that still reported per-tenant tuning parses,
