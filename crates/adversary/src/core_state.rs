@@ -1,7 +1,7 @@
 //! The shared coloring-adversary machinery behind Theorems 5 and 6.
 //!
 //! [`AdversaryCore`] holds the committed adversary state and the sequential
-//! case analysis of Section 3 ([`AdversaryCore::answer`]). The round-commit
+//! case analysis of Section 3 (`AdversaryCore::answer`). The round-commit
 //! protocol in [`crate::round_commit`] drives it: all pairs of one comparison
 //! round are answered by replaying them in **pair order** against the state
 //! at round start, so the answers an algorithm observes never depend on
@@ -21,8 +21,8 @@
 //! for iteration while the masks answer every order-independent question.
 //!
 //! Answering and cost accounting are deliberately split:
-//! [`AdversaryCore::answer`] applies the swap/mark/edge/contract intents of
-//! one pair without counting it, and [`AdversaryCore::record`] charges one
+//! `AdversaryCore::answer` applies the swap/mark/edge/contract intents of
+//! one pair without counting it, and `AdversaryCore::record` charges one
 //! comparison (and optionally a transcript entry) per *query served* — the
 //! round protocol plans a pair once but charges every repeat.
 

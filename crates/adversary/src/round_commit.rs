@@ -34,7 +34,7 @@
 //! ## The incremental plan cache
 //!
 //! Planned answers are not discarded at the commit: they live in a
-//! persistent [`PlanCache`], keyed by the endpoints' knowledge epochs
+//! persistent `PlanCache`, keyed by the endpoints' knowledge epochs
 //! ([`AdversaryState::epoch_of`]). The adversary's answers are *eternal* —
 //! once a pair is settled (contracted equal, or joined by a known-unequal
 //! edge) its answer can never change, and replaying a settled pair is a pure

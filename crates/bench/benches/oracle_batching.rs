@@ -9,10 +9,7 @@
 //! * **round evaluation** — one large ER round on a [`SyntheticLatencyOracle`]
 //!   (a fixed per-request latency plus a small per-pair cost, busy-waited so
 //!   the measurement is scheduler-independent), evaluated under the
-//!   sequential backend and batched backends with several wave sizes;
-//! * **coalescing adapter** — the same query volume issued as concurrent
-//!   scalar `same` calls from [`ThroughputPool`] job workers, with and
-//!   without a [`BatchingOracle`] wrapping the slow oracle.
+//!   sequential backend and batched backends with several wave sizes.
 //!
 //! Answers are asserted bit-identical across configurations before any
 //! timing starts. Set `ECS_BENCH_SMOKE=1` to shrink the workload (used by CI
@@ -20,11 +17,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecs_bench::smoke;
-use ecs_model::throughput::Job;
-use ecs_model::{
-    BatchingOracle, ComparisonSession, EquivalenceOracle, ExecutionBackend, LabelOracle, ReadMode,
-    ThroughputPool,
-};
+use ecs_model::{ComparisonSession, EquivalenceOracle, ExecutionBackend, LabelOracle, ReadMode};
 use std::time::{Duration, Instant};
 
 /// Busy-waits for `duration` — `thread::sleep` has millisecond-scale
@@ -132,69 +125,5 @@ fn round_evaluation(c: &mut Criterion) {
     group.finish();
 }
 
-/// The concurrent-scalar regime: pool jobs each issue one `same` call at a
-/// time against a shared slow oracle, with and without wave coalescing.
-fn coalescing_adapter(c: &mut Criterion) {
-    let n = if smoke() { 256 } else { 1_024 };
-    let queries = if smoke() { 200 } else { 2_000 };
-    let workers = 4;
-    let labels: Vec<u32> = (0..n as u32).map(|i| i % 8).collect();
-    let plain = SyntheticLatencyOracle::new(labels.clone(), 20, 50);
-
-    let query_pairs: Vec<(usize, usize)> = (0..queries)
-        .map(|q| {
-            let a = (q * 7) % n;
-            let b = (a + 1 + (q * 13) % (n - 1)) % n;
-            (a, b)
-        })
-        .filter(|&(a, b)| a != b)
-        .collect();
-    let reference: Vec<bool> = query_pairs
-        .iter()
-        .map(|&(a, b)| plain.inner.same(a, b))
-        .collect();
-
-    let run_through_pool = |oracle: &(dyn EquivalenceOracle + Sync)| -> Vec<bool> {
-        let pool = ThroughputPool::from_jobs(workers);
-        let jobs: Vec<Job<'_, bool>> = query_pairs
-            .iter()
-            .map(|&(a, b)| Box::new(move || oracle.same(a, b)) as Job<'_, bool>)
-            .collect();
-        pool.run(jobs)
-    };
-
-    let coalescing = BatchingOracle::with_linger(
-        SyntheticLatencyOracle::new(labels, 20, 50),
-        workers,
-        Duration::from_micros(100),
-    );
-    assert_eq!(
-        run_through_pool(&plain),
-        reference,
-        "plain pooled queries diverged"
-    );
-    assert_eq!(
-        run_through_pool(&coalescing),
-        reference,
-        "coalesced pooled queries diverged"
-    );
-
-    let mut group = c.benchmark_group(format!("oracle_batching_coalesce_{queries}_queries"));
-    group.sample_size(if smoke() { 3 } else { 10 });
-    group.bench_function(BenchmarkId::new("pooled_scalar", "plain"), |b| {
-        b.iter(|| std::hint::black_box(run_through_pool(&plain).len()));
-    });
-    group.bench_function(BenchmarkId::new("pooled_scalar", "coalescing(4)"), |b| {
-        b.iter(|| std::hint::black_box(run_through_pool(&coalescing).len()));
-    });
-    group.finish();
-    println!(
-        "coalescing stats: {} queries in {} waves ({} coalesced)",
-        coalescing.queries(),
-        coalescing.waves_flushed(),
-        coalescing.coalesced_queries()
-    );
-}
-
-criterion_group!(benches, round_evaluation, coalescing_adapter);
+criterion_group!(benches, round_evaluation);
 criterion_main!(benches);

@@ -4,7 +4,6 @@
 //! ecs_load [--sessions S] [--tenants T] [--per-session J] [--n N] [--seed S]
 //!          [--out results] [--connect HOST:PORT] [--serial] [--duration-ms MS]
 //!          [--chaos] [--reject-smoke] [--jobs N] [--max-inflight M]
-//!          [--linger-us U]
 //! ```
 //!
 //! Four modes:
@@ -59,10 +58,9 @@ fn job_spec(session: usize, j: usize, base_seed: u64, tenants: usize, n: usize) 
     };
     // Indexed by `session + j`, not `j` alone, so the two-job smoke slates
     // still reach every backend, including the daemon's default `auto`.
-    let backend = match (session + j) % 4 {
+    let backend = match (session + j) % 3 {
         0 => BackendSpec::Seq,
         1 => BackendSpec::Batched(32),
-        2 => BackendSpec::Coalesced(4),
         _ => BackendSpec::Auto,
     };
     JobSpec {
@@ -111,7 +109,6 @@ fn main() {
         "reject-smoke",
         "jobs",
         "max-inflight",
-        "linger-us",
         "threads",
         "batch",
         "backend",
@@ -137,7 +134,6 @@ fn main() {
             };
             let config = DaemonConfig {
                 max_inflight: args.get_usize("max-inflight", 2 * pool.workers()),
-                linger: args.linger(),
                 pool,
                 quotas,
                 ..DaemonConfig::default()
@@ -188,14 +184,12 @@ fn main() {
 
     if args.has("serial") && !args.has("duration-ms") {
         // The serial reference: the same specs through the same run_job /
-        // render_result pair, no daemon involved. Results are
-        // linger-independent (the coalescing adapter is transparent), so
-        // the local linger value cannot affect the diff.
+        // render_result pair, no daemon involved.
         let serial: Vec<(String, String)> = (0..sessions)
             .flat_map(|s| (0..per_session).map(move |j| (s, j)))
             .map(|(s, j)| {
                 let spec = job_spec(s, j, base_seed, tenants, n);
-                let run = run_job(&spec, args.linger(), None);
+                let run = run_job(&spec, Duration::ZERO, None);
                 (spec.id.clone(), render_result(&spec, &run))
             })
             .collect();

@@ -1,8 +1,7 @@
 //! `serve` — run the equivalence-sorting daemon.
 //!
 //! ```text
-//! serve [--addr HOST:PORT] [--jobs N] [--max-inflight M] [--linger-us U]
-//!       [--quota SPEC]
+//! serve [--addr HOST:PORT] [--jobs N] [--max-inflight M] [--quota SPEC]
 //! ```
 //!
 //! Jobs that name no backend run under `auto`, which lowers a cached
@@ -27,7 +26,6 @@ fn main() {
         "addr",
         "jobs",
         "max-inflight",
-        "linger-us",
         "threads",
         "batch",
         "backend",
@@ -44,7 +42,6 @@ fn main() {
     let pool = args.throughput_pool();
     let config = DaemonConfig {
         max_inflight: args.get_usize("max-inflight", 2 * pool.workers()),
-        linger: args.linger(),
         pool,
         quotas,
         ..DaemonConfig::default()
@@ -62,10 +59,9 @@ fn main() {
         .expect("a TCP daemon always has an address");
     println!("ecs service listening on {local}");
     println!(
-        "pool={} max-inflight={} linger={:?}",
+        "pool={} max-inflight={}",
         daemon.scheduler().pool().label(),
         args.get_usize("max-inflight", 2 * daemon.scheduler().pool().workers()),
-        args.linger(),
     );
     daemon.join();
     println!("ecs service stopped");

@@ -218,23 +218,6 @@ impl Args {
         ThroughputPool::from_jobs(jobs)
     }
 
-    /// The linger window selected by `--linger-us N` (microseconds a
-    /// [`ecs_model::BatchingOracle`] wave opener waits for peers before
-    /// flushing short), defaulting to
-    /// [`ecs_model::batching::DEFAULT_LINGER`]. `--linger-us 0` flushes every
-    /// wave immediately — useful to make coalescing-dependent runs
-    /// event-driven instead of timing-dependent.
-    pub fn linger(&self) -> std::time::Duration {
-        match self.get("linger-us") {
-            Some(value) => value
-                .trim()
-                .parse()
-                .map(std::time::Duration::from_micros)
-                .unwrap_or(ecs_model::batching::DEFAULT_LINGER),
-            None => ecs_model::batching::DEFAULT_LINGER,
-        }
-    }
-
     /// Warns (once, to stderr) about every parsed `--flag` that is not in
     /// the binary's `known` list, printing the known flags so typos like
     /// `--trails 5` surface instead of silently running the default grid.
@@ -398,21 +381,6 @@ mod tests {
         let c = args(&["--offset=-5"]);
         assert_eq!(c.get("offset"), Some("-5"));
         assert_eq!(c.get_f64("offset", 0.0), -5.0);
-    }
-
-    #[test]
-    fn linger_flag_parses_microseconds() {
-        use std::time::Duration;
-        assert_eq!(
-            args(&["--linger-us", "500"]).linger(),
-            Duration::from_micros(500)
-        );
-        assert_eq!(args(&["--linger-us", "0"]).linger(), Duration::ZERO);
-        // Absent, bare, and unparsable all select the model default.
-        let default = ecs_model::batching::DEFAULT_LINGER;
-        assert_eq!(args(&[]).linger(), default);
-        assert_eq!(args(&["--linger-us"]).linger(), default);
-        assert_eq!(args(&["--linger-us", "junk"]).linger(), default);
     }
 
     #[test]

@@ -27,8 +27,6 @@
 //!   ([`ExecutionBackend::Batched`]); [`ExecutionBackend::auto`] picks one
 //!   of these once from a cached startup probe (the [`calibrate`] module).
 //!   Answers are always collected in submission order.
-//! * [`BatchingOracle`] — an adapter coalescing concurrent scalar `same`
-//!   calls (e.g. from [`ThroughputPool`] job workers) into batch waves.
 //! * [`ComparisonSession`] — counts comparisons and rounds, enforces the ER /
 //!   CR disciplines and the processor budget, and evaluates large comparison
 //!   batches through the selected [`ExecutionBackend`].
@@ -61,7 +59,6 @@ pub mod throughput;
 pub mod transcript;
 
 pub use backend::ExecutionBackend;
-pub use batching::BatchingOracle;
 pub use calibrate::{CalibrationProbe, PinnedKnobs, TuningDecision};
 pub use cancellation::{CancellableOracle, CancellationToken, Cancelled};
 pub use instance::Instance;

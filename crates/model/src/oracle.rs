@@ -41,7 +41,7 @@ pub trait EquivalenceOracle: Sync {
 
     /// Answers a whole batch of equivalence tests, one answer per pair **in
     /// pair order** — the request-wave primitive behind
-    /// [`crate::ExecutionBackend::Batched`] and [`crate::BatchingOracle`].
+    /// [`crate::ExecutionBackend::Batched`].
     ///
     /// The default implementation is a scalar loop over [`Self::same`], so
     /// every oracle batches correctly out of the box. Implementations backed

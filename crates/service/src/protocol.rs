@@ -33,9 +33,10 @@ use ecs_core::{
     RepresentativeScan, RoundRobin,
 };
 use ecs_distributions::class_distribution::AnyDistribution;
+use ecs_model::backend::available_parallelism;
 use ecs_model::{
-    BatchingOracle, CancellableOracle, CancellationToken, EquivalenceOracle, ExecutionBackend,
-    Instance, InstanceOracle,
+    CancellableOracle, CancellationToken, EquivalenceOracle, ExecutionBackend, Instance,
+    InstanceOracle,
 };
 use ecs_rng::{SeedableEcsRng, Xoshiro256StarStar};
 use std::fmt;
@@ -202,10 +203,6 @@ pub enum BackendSpec {
     Threaded(usize),
     /// `batched:W` — rounds submitted as `same_batch` waves of `W`.
     Batched(usize),
-    /// `coalesced:W` — sequential evaluation through a [`BatchingOracle`]
-    /// with wave budget `W` and the daemon's `--linger-us` window, so a
-    /// parked caller helps drain other sessions' jobs while its wave forms.
-    Coalesced(usize),
     /// `auto` — [`ExecutionBackend::auto`]: the cached startup probe picks
     /// threaded (or sequential) parameters for the host. This is the
     /// daemon's default — results are backend-independent by construction,
@@ -214,7 +211,7 @@ pub enum BackendSpec {
 }
 
 impl BackendSpec {
-    /// Parses `seq`, `auto`, `threaded:4`, `batched:256`, `coalesced:8`.
+    /// Parses `seq`, `auto`, `threaded:4`, `batched:256`.
     pub fn parse(text: &str) -> Result<Self, String> {
         if text == "seq" {
             return Ok(Self::Seq);
@@ -231,8 +228,21 @@ impl BackendSpec {
         match kind {
             "threaded" => Ok(Self::Threaded(count)),
             "batched" => Ok(Self::Batched(count)),
-            "coalesced" => Ok(Self::Coalesced(count)),
             other => Err(format!("unknown backend `{other}`")),
+        }
+    }
+
+    /// The backend a job's rounds run on. A client's `threaded:N` is
+    /// clamped to `1..=available_parallelism()`: every distinct worker count
+    /// builds its own process-wide pool that is never freed, so an
+    /// unclamped `N` from the wire would leak `N` OS threads per value.
+    /// Results do not depend on the backend, so clamping changes no result.
+    fn lower(self) -> ExecutionBackend {
+        match self {
+            Self::Seq => ExecutionBackend::Sequential,
+            Self::Threaded(n) => ExecutionBackend::from_threads(n.min(available_parallelism())),
+            Self::Batched(w) => ExecutionBackend::batched(w),
+            Self::Auto => ExecutionBackend::auto(),
         }
     }
 }
@@ -243,7 +253,6 @@ impl fmt::Display for BackendSpec {
             Self::Seq => write!(f, "seq"),
             Self::Threaded(n) => write!(f, "threaded:{n}"),
             Self::Batched(w) => write!(f, "batched:{w}"),
-            Self::Coalesced(w) => write!(f, "coalesced:{w}"),
             Self::Auto => write!(f, "auto"),
         }
     }
@@ -805,46 +814,27 @@ pub(crate) fn write_line<W: Write + ?Sized>(writer: &mut W, mut line: String) ->
 
 /// Evaluates one job exactly as a serial reference loop would.
 ///
-/// The partition and [`ecs_model::Metrics`] depend only on the spec and the
-/// linger-independent model invariants — every backend (and the optional
-/// cancellation wrapper, while untripped) is observationally transparent, so
-/// the daemon and a serial caller produce bit-identical [`EcsRun`]s. Panics
-/// with [`ecs_model::Cancelled`] if `token` trips mid-run.
-pub fn run_job(spec: &JobSpec, linger: Duration, token: Option<&CancellationToken>) -> EcsRun {
+/// The partition and [`ecs_model::Metrics`] depend only on the spec — every
+/// backend (and the optional cancellation wrapper, while untripped) is
+/// observationally transparent, so the daemon and a serial caller produce
+/// bit-identical [`EcsRun`]s. Panics with [`ecs_model::Cancelled`] if
+/// `token` trips mid-run.
+///
+/// `_linger` is ignored; it is kept only for `perfbench/`'s call sites,
+/// until the next change to the benchmark removes it.
+pub fn run_job(spec: &JobSpec, _linger: Duration, token: Option<&CancellationToken>) -> EcsRun {
     let instance = spec.dist.instance(spec.n.max(1), spec.seed);
     let k = instance.ground_truth().num_classes().max(1);
     let oracle = InstanceOracle::new(&instance);
-    let backend = match spec.backend {
-        // A coalesced job evaluates sequentially; the batching happens in
-        // the oracle adapter below.
-        BackendSpec::Seq | BackendSpec::Coalesced(_) => ExecutionBackend::Sequential,
-        BackendSpec::Threaded(n) => ExecutionBackend::from_threads(n.max(1)),
-        BackendSpec::Batched(w) => ExecutionBackend::batched(w),
-        BackendSpec::Auto => ExecutionBackend::auto(),
-    };
-    match (spec.backend, token) {
-        (BackendSpec::Coalesced(wave), Some(token)) => spec.algo.sort(
-            spec.seed,
-            k,
-            &CancellableOracle::new(
-                BatchingOracle::with_linger(oracle, wave, linger),
-                token.clone(),
-            ),
-            backend,
-        ),
-        (BackendSpec::Coalesced(wave), None) => spec.algo.sort(
-            spec.seed,
-            k,
-            &BatchingOracle::with_linger(oracle, wave, linger),
-            backend,
-        ),
-        (_, Some(token)) => spec.algo.sort(
+    let backend = spec.backend.lower();
+    match token {
+        Some(token) => spec.algo.sort(
             spec.seed,
             k,
             &CancellableOracle::new(oracle, token.clone()),
             backend,
         ),
-        (_, None) => spec.algo.sort(spec.seed, k, &oracle, backend),
+        None => spec.algo.sort(spec.seed, k, &oracle, backend),
     }
 }
 
@@ -916,9 +906,13 @@ mod tests {
             "submit id=a dist=uniform n=5 seed=1 algo=naive",
             "submit id=a dist=uniform:4 n=5 seed=1 algo=quantum",
             "submit id=a dist=uniform:4 n=5 seed=1 algo=naive backend=warp:9",
+            "submit id=a dist=uniform:4 n=5 seed=1 algo=naive backend=coalesced:4",
             "cancel",
         ] {
-            assert!(Request::parse(line).is_err(), "`{line}` must not parse");
+            let reason = Request::parse(line).expect_err(&format!("`{line}` must not parse"));
+            if line.contains("backend=") {
+                assert!(reason.contains("unknown backend"), "`{line}`: {reason}");
+            }
         }
     }
 
@@ -1132,7 +1126,6 @@ mod tests {
         for backend in [
             BackendSpec::Threaded(2),
             BackendSpec::Batched(16),
-            BackendSpec::Coalesced(4),
             BackendSpec::Auto,
         ] {
             let mut other = base.clone();
@@ -1140,6 +1133,12 @@ mod tests {
             let line = render_result(&base, &run_job(&other, Duration::ZERO, None));
             assert_eq!(line, reference, "{backend} diverged from seq");
         }
+    }
+
+    #[test]
+    fn a_client_thread_count_is_clamped_to_the_machine() {
+        let threads = BackendSpec::Threaded(1 << 20).lower().threads();
+        assert!(threads <= available_parallelism(), "{threads} threads");
     }
 
     #[test]

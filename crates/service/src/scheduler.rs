@@ -264,7 +264,6 @@ struct SchedState {
 #[derive(Debug)]
 pub struct Scheduler {
     pool: ThroughputPool,
-    linger: Duration,
     max_inflight: usize,
     /// Per-tenant admission limits (default: unlimited).
     quotas: QuotaConfig,
@@ -274,11 +273,10 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// A scheduler dispatching onto `pool`, at most `max_inflight` jobs at a
-    /// time, with `linger` as the coalesced-backend wave window.
-    pub fn new(pool: ThroughputPool, max_inflight: usize, linger: Duration) -> Self {
+    /// time.
+    pub fn new(pool: ThroughputPool, max_inflight: usize) -> Self {
         Self {
             pool,
-            linger,
             max_inflight: max_inflight.max(1),
             quotas: QuotaConfig::default(),
             state: Mutex::new(SchedState::default()),
@@ -518,15 +516,15 @@ impl Scheduler {
             let key = Self::job_key(&job.session, &job.spec.id);
             state.inflight.insert(key.clone(), token.clone());
             let scheduler = Arc::clone(self);
-            let linger = self.linger;
             // `complete` cannot recover the fairness bucket from the job key
             // (ids are session-scoped), so the tenant name rides along.
             let billed_to = next;
             self.pool.spawn(move || {
                 let QueuedJob { spec, session } = job;
                 let dispatched = Instant::now();
-                let outcome =
-                    catch_unwind(AssertUnwindSafe(|| run_job(&spec, linger, Some(&token))));
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    run_job(&spec, Duration::ZERO, Some(&token))
+                }));
                 let elapsed = dispatched.elapsed();
                 let response = match outcome {
                     Ok(run) => Response::Result {
@@ -674,7 +672,7 @@ mod tests {
         // fully deterministic: tenant `b` (weight 3) drains its whole
         // backlog while `a` (weight 1, same arrival pass) gets one slot.
         let pool = ThroughputPool::from_jobs(1);
-        let scheduler = Arc::new(Scheduler::new(pool, 1, Duration::ZERO));
+        let scheduler = Arc::new(Scheduler::new(pool, 1));
         let session = Arc::new(SessionHandle::new(1));
         let parked = park_pool(scheduler.pool());
         scheduler.submit(spec("plug", "z", 1), &session);
@@ -695,11 +693,7 @@ mod tests {
 
     #[test]
     fn queued_jobs_cancel_immediately_and_inflight_slots_are_released() {
-        let scheduler = Arc::new(Scheduler::new(
-            ThroughputPool::from_jobs(1),
-            1,
-            Duration::ZERO,
-        ));
+        let scheduler = Arc::new(Scheduler::new(ThroughputPool::from_jobs(1), 1));
         let session = Arc::new(SessionHandle::new(7));
         // The parked pool keeps the head-of-line job from finishing, so the
         // cancels are guaranteed to land while `victim` is still queued.
@@ -743,11 +737,7 @@ mod tests {
 
     #[test]
     fn status_reports_per_tenant_queue_depth_and_completions() {
-        let scheduler = Arc::new(Scheduler::new(
-            ThroughputPool::from_jobs(1),
-            1,
-            Duration::ZERO,
-        ));
+        let scheduler = Arc::new(Scheduler::new(ThroughputPool::from_jobs(1), 1));
         let session = Arc::new(SessionHandle::new(9));
         // Parked pool: `a0` occupies the single in-flight slot, everything
         // else is still queued when status is read.
@@ -788,11 +778,7 @@ mod tests {
 
     #[test]
     fn status_reports_latency_and_rate() {
-        let scheduler = Arc::new(Scheduler::new(
-            ThroughputPool::from_jobs(1),
-            1,
-            Duration::ZERO,
-        ));
+        let scheduler = Arc::new(Scheduler::new(ThroughputPool::from_jobs(1), 1));
         let session = Arc::new(SessionHandle::new(11));
         let mut auto_job = spec("auto0", "a", 1);
         auto_job.backend = BackendSpec::Auto;
@@ -872,9 +858,8 @@ mod tests {
     #[test]
     fn over_quota_submits_are_rejected_and_queues_stay_bounded() {
         let quotas = QuotaConfig::parse("t=2:-:-").expect("quota parses");
-        let scheduler = Arc::new(
-            Scheduler::new(ThroughputPool::from_jobs(1), 1, Duration::ZERO).with_quotas(quotas),
-        );
+        let scheduler =
+            Arc::new(Scheduler::new(ThroughputPool::from_jobs(1), 1).with_quotas(quotas));
         let session = Arc::new(SessionHandle::new(20));
         // Parked pool: t0 occupies the single in-flight slot, t1/t2 fill the
         // queue to its max_queued of 2, t3 must bounce.
@@ -919,9 +904,8 @@ mod tests {
     #[test]
     fn an_inflight_quota_gates_dispatch_without_rejecting() {
         let quotas = QuotaConfig::parse("a=-:1:-").expect("quota parses");
-        let scheduler = Arc::new(
-            Scheduler::new(ThroughputPool::from_jobs(2), 2, Duration::ZERO).with_quotas(quotas),
-        );
+        let scheduler =
+            Arc::new(Scheduler::new(ThroughputPool::from_jobs(2), 2).with_quotas(quotas));
         let session = Arc::new(SessionHandle::new(21));
         let parked = park_pool(scheduler.pool());
         scheduler.submit(spec("a0", "a", 1), &session);
@@ -952,9 +936,8 @@ mod tests {
         // weight 1 and the quota pins it to 3 — the burst order must match
         // the weight-3 run exactly.
         let quotas = QuotaConfig::parse("b=-:-:3").expect("quota parses");
-        let scheduler = Arc::new(
-            Scheduler::new(ThroughputPool::from_jobs(1), 1, Duration::ZERO).with_quotas(quotas),
-        );
+        let scheduler =
+            Arc::new(Scheduler::new(ThroughputPool::from_jobs(1), 1).with_quotas(quotas));
         let session = Arc::new(SessionHandle::new(22));
         let parked = park_pool(scheduler.pool());
         scheduler.submit(spec("plug", "z", 1), &session);
@@ -975,11 +958,7 @@ mod tests {
 
     #[test]
     fn completion_rate_is_windowed_not_a_decaying_lifetime_average() {
-        let scheduler = Arc::new(Scheduler::new(
-            ThroughputPool::from_jobs(1),
-            1,
-            Duration::ZERO,
-        ));
+        let scheduler = Arc::new(Scheduler::new(ThroughputPool::from_jobs(1), 1));
         let session = Arc::new(SessionHandle::new(23));
         scheduler.submit(spec("r0", "t", 1), &session);
         scheduler.submit(spec("r1", "t", 1), &session);
@@ -1035,11 +1014,7 @@ mod tests {
 
     #[test]
     fn draining_rejects_new_submits() {
-        let scheduler = Arc::new(Scheduler::new(
-            ThroughputPool::from_jobs(1),
-            2,
-            Duration::ZERO,
-        ));
+        let scheduler = Arc::new(Scheduler::new(ThroughputPool::from_jobs(1), 2));
         let session = Arc::new(SessionHandle::new(2));
         scheduler.start_draining();
         scheduler.submit(spec("late", "t", 1), &session);

@@ -37,7 +37,6 @@ use crate::pipe::pipe;
 use crate::protocol::{write_line, Request, Response};
 use crate::scheduler::{QuotaConfig, Scheduler, SessionHandle};
 use ecs_model::backend::available_parallelism;
-use ecs_model::batching::DEFAULT_LINGER;
 use ecs_model::ThroughputPool;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -45,7 +44,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// The longest request line the daemon reads, in bytes, excluding the `\n`.
 /// Real requests are under 200 bytes; the cap stops one newline-free stream
@@ -59,8 +57,6 @@ pub struct DaemonConfig {
     pub pool: ThroughputPool,
     /// Fairness slots: jobs released to the pool at a time.
     pub max_inflight: usize,
-    /// Wave linger for `coalesced:W` jobs (the `--linger-us` knob).
-    pub linger: Duration,
     /// Result lines a session may have queued before its reader stops
     /// admitting new submits.
     pub outbox_limit: usize,
@@ -75,7 +71,6 @@ impl Default for DaemonConfig {
         Self {
             pool: ThroughputPool::from_jobs(workers),
             max_inflight: 2 * workers,
-            linger: DEFAULT_LINGER,
             outbox_limit: 64,
             quotas: QuotaConfig::default(),
         }
@@ -105,8 +100,7 @@ impl DaemonShared {
     fn new(config: DaemonConfig, listen_addr: Option<SocketAddr>) -> Arc<Self> {
         Arc::new(Self {
             scheduler: Arc::new(
-                Scheduler::new(config.pool, config.max_inflight, config.linger)
-                    .with_quotas(config.quotas),
+                Scheduler::new(config.pool, config.max_inflight).with_quotas(config.quotas),
             ),
             outbox_limit: config.outbox_limit,
             next_session: AtomicU64::new(0),

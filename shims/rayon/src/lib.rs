@@ -14,9 +14,6 @@
 //!   round-robin fairness across interleaved job sources;
 //! * [`ThreadPool::spawn`] / [`ThreadPool::spawn_fifo`] — detached `'static`
 //!   task spawning for long-lived daemons, with per-task panic containment;
-//! * [`try_help`] — cooperative non-blocking wave-park: a worker that must
-//!   wait (e.g. on an in-flight oracle wave) drains one pending pool task
-//!   instead of sleeping the OS thread;
 //! * `prelude::{par_iter, into_par_iter}` over slices and integer ranges,
 //!   with `map`, `with_min_len`, `for_each` and `collect`;
 //! * chunked dispatch with **deterministic in-order collection**: results are
@@ -35,8 +32,7 @@ pub mod iter;
 pub mod pool;
 
 pub use pool::{
-    current_num_threads, current_worker_index, scope, try_help, Scope, ThreadPool,
-    ThreadPoolBuildError, ThreadPoolBuilder, WorkerPlacement,
+    current_num_threads, scope, Scope, ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder,
 };
 
 /// The rayon prelude: traits that add `par_iter` / `into_par_iter` and the
@@ -458,40 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn try_help_is_a_noop_off_the_pool_and_drains_on_it() {
-        // Off a worker thread there is nothing to help with.
-        assert!(!super::try_help());
-        // On a worker: a task that parks itself can drain the other queued
-        // task via try_help instead of sleeping — observable on a 1-worker
-        // pool, where nothing else could possibly run it.
-        let p = pool(1);
-        let helped = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let (tx, rx) = std::sync::mpsc::channel();
-        let (ready_tx, ready_rx) = std::sync::mpsc::channel::<()>();
-        {
-            let helped = std::sync::Arc::clone(&helped);
-            let tx = tx.clone();
-            p.spawn_fifo(move || {
-                // Park until the sibling task is queued, then help it run.
-                ready_rx.recv().unwrap();
-                while super::try_help() {}
-                tx.send(helped.load(std::sync::atomic::Ordering::Relaxed))
-                    .unwrap();
-            });
-        }
-        {
-            let helped = std::sync::Arc::clone(&helped);
-            p.spawn_fifo(move || helped.store(true, std::sync::atomic::Ordering::Relaxed));
-        }
-        ready_tx.send(()).unwrap();
-        drop(tx);
-        assert!(
-            rx.recv_timeout(Duration::from_secs(30)).unwrap(),
-            "try_help did not run the queued sibling task"
-        );
-    }
-
-    #[test]
     fn scope_inside_parallel_iterator_runs_inline_without_deadlock() {
         // A worker that opens a scope must not block on work that only it
         // could execute; inline execution makes this safe even on pool(1).
@@ -515,85 +477,5 @@ mod tests {
         });
         let expected: Vec<u64> = (0..8u64).map(|i| 4 * (i * 10) + 6).collect();
         assert_eq!(total, expected);
-    }
-
-    #[test]
-    fn worker_start_hook_fires_once_per_worker_with_stable_indices() {
-        let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let hook_seen = std::sync::Arc::clone(&seen);
-        let p = ThreadPoolBuilder::new()
-            .num_threads(3)
-            .on_worker_start(move |index| hook_seen.lock().unwrap().push(index))
-            .build()
-            .expect("pool builds");
-        // The hook runs before any task is served, so by the time a batch
-        // completes on every worker the indices are all registered.
-        let out: Vec<usize> = p.install(|| (0..64usize).into_par_iter().map(|i| i).collect());
-        assert_eq!(out.len(), 64);
-        // Workers register asynchronously; wait for all three.
-        for _ in 0..200 {
-            if seen.lock().unwrap().len() == 3 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let mut indices = seen.lock().unwrap().clone();
-        indices.sort_unstable();
-        assert_eq!(indices, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn panicking_worker_start_hook_does_not_kill_the_pool() {
-        let p = ThreadPoolBuilder::new()
-            .num_threads(2)
-            .on_worker_start(|index| panic!("hook boom on worker {index}"))
-            .build()
-            .expect("pool builds");
-        let out: Vec<usize> = p.install(|| (0..100usize).into_par_iter().map(|i| i * 2).collect());
-        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn current_worker_index_is_none_off_pool_and_stable_on_it() {
-        assert_eq!(super::current_worker_index(), None);
-        let p = pool(2);
-        // `install` runs the closure on the calling thread — still no index.
-        p.install(|| assert_eq!(super::current_worker_index(), None));
-        // On a worker the index is in range; the same OS thread always
-        // reports the same index.
-        let (tx, rx) = std::sync::mpsc::channel();
-        for _ in 0..8 {
-            let tx = tx.clone();
-            p.spawn_fifo(move || {
-                let first = super::current_worker_index();
-                let second = super::current_worker_index();
-                tx.send((first, second)).unwrap();
-            });
-        }
-        drop(tx);
-        for (first, second) in rx.iter() {
-            let index = first.expect("worker must report an index");
-            assert!(index < 2);
-            assert_eq!(first, second);
-        }
-    }
-
-    #[test]
-    fn pinned_placement_is_bit_identical_to_rotating() {
-        let input: Vec<u64> = (0..50_000u64).collect();
-        let reference: Vec<u64> = input.iter().map(|&x| x.wrapping_mul(0x9E37)).collect();
-        for placement in [
-            super::WorkerPlacement::Rotating,
-            super::WorkerPlacement::Pinned,
-        ] {
-            let p = ThreadPoolBuilder::new()
-                .num_threads(4)
-                .placement(placement)
-                .build()
-                .expect("pool builds");
-            let out: Vec<u64> =
-                p.install(|| input.par_iter().map(|&x| x.wrapping_mul(0x9E37)).collect());
-            assert_eq!(out, reference, "placement {placement:?} changed results");
-        }
     }
 }

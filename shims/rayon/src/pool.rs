@@ -9,7 +9,7 @@
 //! * **Sleeping.** An idle worker re-checks every deque while holding the
 //!   pool's sleep mutex and then blocks on a condvar; submitters notify under
 //!   the same mutex, so wakeups cannot be lost.
-//! * **Batches.** [`PoolShared::run_indexed`] splits an index space into
+//! * **Batches.** `PoolShared::run_indexed` splits an index space into
 //!   chunks (several per worker so stealing can rebalance), submits one task
 //!   per chunk round-robin across the deques, and blocks on a completion
 //!   latch. Each chunk writes into its own slot, so the final result vector
@@ -27,7 +27,7 @@
 //!   stealing) — the fairness primitive behind the multi-session throughput
 //!   layer. The scope call blocks until every spawned task has completed.
 //!
-//! The one `unsafe` block in this crate lives in [`erase_lifetime`]: chunk
+//! The one `unsafe` block in this crate lives in `erase_lifetime`: chunk
 //! and scope tasks borrow the caller's closure and completion latch, and
 //! their lifetime is erased to `'static` so they can sit in the worker
 //! deques. This is sound because `run_indexed` and the scope entry points do
@@ -44,30 +44,6 @@ use std::thread::JoinHandle;
 /// A type-erased unit of work queued on the pool.
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// A hook invoked on each worker thread as it starts, before it runs any
-/// task. The argument is the worker's stable index in `0..num_threads`.
-type WorkerStartHook = Arc<dyn Fn(usize) + Send + Sync>;
-
-/// How `run_indexed` assigns chunks to worker deques.
-///
-/// Placement never affects results: chunks write into per-index slots that
-/// are assembled in submission order, and work stealing may move a chunk off
-/// its preferred deque anyway. It only biases *where* a chunk starts, which
-/// matters when [`ThreadPoolBuilder::on_worker_start`] has tied workers to
-/// placement domains (e.g. cores or NUMA nodes holding the oracle data).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WorkerPlacement {
-    /// Round-robin over a pool-global cursor (the historical behaviour):
-    /// consecutive batches start on different workers.
-    #[default]
-    Rotating,
-    /// Chunk `i` is queued on deque `i % num_threads`, so a given index range
-    /// always starts on the same worker across rounds — the policy to prefer
-    /// when workers are affinity-tied to the memory holding their share of
-    /// the data.
-    Pinned,
-}
-
 /// How many chunks `run_indexed` aims to create per worker; more than one so
 /// that work stealing can rebalance uneven chunk costs.
 const CHUNKS_PER_WORKER: usize = 4;
@@ -76,12 +52,11 @@ thread_local! {
     /// Stack of pools entered via [`ThreadPool::install`] on this thread.
     static CURRENT_POOL: std::cell::RefCell<Vec<Arc<PoolShared>>> =
         const { std::cell::RefCell::new(Vec::new()) };
-    /// The pool this thread is a worker of, if any, plus its worker index
-    /// (nested batches run inline; scopes targeting the *same* pool run
-    /// spawns inline, scopes targeting a different pool queue normally — its
-    /// workers are free to drain them while this one blocks; the index lets
-    /// [`try_help`] reuse the worker's own task-finding order).
-    static WORKER_POOL: std::cell::RefCell<Option<(std::sync::Weak<PoolShared>, usize)>> =
+    /// The pool this thread is a worker of, if any (nested batches run
+    /// inline; scopes targeting the *same* pool run spawns inline, scopes
+    /// targeting a different pool queue normally — its workers are free to
+    /// drain them while this one blocks).
+    static WORKER_POOL: std::cell::RefCell<Option<std::sync::Weak<PoolShared>>> =
         const { std::cell::RefCell::new(None) };
 }
 
@@ -89,55 +64,7 @@ thread_local! {
 /// upgrade always succeeds while the worker loop runs (the loop itself holds
 /// an `Arc` to its pool).
 fn current_worker_pool() -> Option<Arc<PoolShared>> {
-    WORKER_POOL.with(|w| {
-        w.borrow()
-            .as_ref()
-            .and_then(|(pool, _)| std::sync::Weak::upgrade(pool))
-    })
-}
-
-/// The current thread's pool *and* worker index, if it is a worker thread.
-fn current_worker() -> Option<(Arc<PoolShared>, usize)> {
-    WORKER_POOL.with(|w| {
-        w.borrow()
-            .as_ref()
-            .and_then(|(pool, index)| Some((std::sync::Weak::upgrade(pool)?, *index)))
-    })
-}
-
-/// The calling thread's stable worker index, if it is a pool worker thread.
-///
-/// The index is assigned at spawn time and never changes for the lifetime of
-/// the pool, so calibration and placement layers can use it as a key into
-/// per-worker state. Returns `None` on non-worker threads (including a
-/// thread that merely `install`ed a pool).
-pub fn current_worker_index() -> Option<usize> {
-    WORKER_POOL.with(|w| w.borrow().as_ref().map(|&(_, index)| index))
-}
-
-/// Cooperative help: if the current thread is a pool worker, pop or steal
-/// **one** pending task from its own pool and run it, returning whether a
-/// task was run. Returns `false` immediately on non-worker threads and when
-/// the pool has no pending work.
-///
-/// This is the non-blocking wave-park primitive behind the batching oracle's
-/// in-flight waves: a worker whose query is parked in a forming or in-flight
-/// wave drains other pool tasks instead of sleeping the OS thread, so slow
-/// oracles never stall a pool worker. The helped task runs under
-/// `catch_unwind` relative to nothing extra — scope and batch tasks carry
-/// their own panic capture, and `'static` spawns are wrapped at submission —
-/// so a panic inside it propagates exactly as it would on the worker loop.
-pub fn try_help() -> bool {
-    let Some((pool, worker)) = current_worker() else {
-        return false;
-    };
-    match pool.find_task(worker) {
-        Some(task) => {
-            task();
-            true
-        }
-        None => false,
-    }
+    WORKER_POOL.with(|w| w.borrow().as_ref().and_then(std::sync::Weak::upgrade))
 }
 
 /// Erases the lifetime of a queued task.
@@ -173,18 +100,10 @@ pub(crate) struct PoolShared {
     sleep: Mutex<()>,
     wakeup: Condvar,
     shutdown: AtomicBool,
-    /// How `run_indexed` chunks pick their starting deque.
-    placement: WorkerPlacement,
-    /// Invoked once per worker thread as it starts, before any task runs.
-    on_worker_start: Option<WorkerStartHook>,
 }
 
 impl PoolShared {
-    fn new(
-        threads: usize,
-        placement: WorkerPlacement,
-        on_worker_start: Option<WorkerStartHook>,
-    ) -> Self {
+    fn new(threads: usize) -> Self {
         // A zero-worker pool would have no deques to queue on (submission
         // round-robins modulo the deque count, so zero would divide by
         // zero). Callers clamp degenerate counts with a warning; this guard
@@ -198,8 +117,6 @@ impl PoolShared {
             sleep: Mutex::new(()),
             wakeup: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            placement,
-            on_worker_start,
         }
     }
 
@@ -266,26 +183,6 @@ impl PoolShared {
         self.wakeup.notify_all();
     }
 
-    /// Queues an indexed batch of chunks according to the pool's
-    /// [`WorkerPlacement`] and wakes every sleeper once. Under `Pinned`,
-    /// chunk `i` starts on deque `i % threads`; under `Rotating` this is
-    /// `submit_batch`.
-    fn submit_chunks(&self, tasks: Vec<Task>) {
-        match self.placement {
-            WorkerPlacement::Rotating => return self.submit_batch(tasks),
-            WorkerPlacement::Pinned => {
-                for (chunk, task) in tasks.into_iter().enumerate() {
-                    self.lock_queue(chunk % self.queues.len()).push_back(task);
-                }
-            }
-        }
-        let _guard = self
-            .sleep
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.wakeup.notify_all();
-    }
-
     /// Queues one task on the pool-wide FIFO injector and wakes the sleepers.
     fn submit_fifo(&self, task: Task) {
         {
@@ -301,13 +198,7 @@ impl PoolShared {
     }
 
     fn worker_loop(self: Arc<Self>, worker: usize) {
-        WORKER_POOL.with(|w| *w.borrow_mut() = Some((Arc::downgrade(&self), worker)));
-        if let Some(hook) = &self.on_worker_start {
-            // The affinity hook runs before any task; a panic inside it is
-            // contained so a misbehaving hook degrades placement, not the
-            // pool (the worker still serves tasks).
-            drop(panic::catch_unwind(AssertUnwindSafe(|| hook(worker))));
-        }
+        WORKER_POOL.with(|w| *w.borrow_mut() = Some(Arc::downgrade(&self)));
         loop {
             if let Some(task) = self.find_task(worker) {
                 task();
@@ -389,7 +280,7 @@ impl PoolShared {
             let task = unsafe { erase_lifetime(task) };
             tasks.push(task);
         }
-        self.submit_chunks(tasks);
+        self.submit_batch(tasks);
         latch.wait_and_collect(len)
     }
 }
@@ -642,21 +533,9 @@ impl std::fmt::Display for ThreadPoolBuildError {
 impl std::error::Error for ThreadPoolBuildError {}
 
 /// Configures and builds a [`ThreadPool`], mirroring rayon's builder.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct ThreadPoolBuilder {
     num_threads: usize,
-    placement: WorkerPlacement,
-    on_worker_start: Option<WorkerStartHook>,
-}
-
-impl std::fmt::Debug for ThreadPoolBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPoolBuilder")
-            .field("num_threads", &self.num_threads)
-            .field("placement", &self.placement)
-            .field("on_worker_start", &self.on_worker_start.is_some())
-            .finish()
-    }
 }
 
 impl ThreadPoolBuilder {
@@ -673,29 +552,6 @@ impl ThreadPoolBuilder {
         self
     }
 
-    /// Installs an affinity hook that runs on each worker thread as it
-    /// starts, before it serves any task, with the worker's stable index in
-    /// `0..num_threads`. This is where a caller pins workers to cores or
-    /// NUMA nodes; the shim itself has no OS-affinity dependency, so the
-    /// hook is the whole mechanism. A panic inside the hook is contained
-    /// (the worker keeps serving tasks without its placement).
-    pub fn on_worker_start<F>(mut self, hook: F) -> Self
-    where
-        F: Fn(usize) + Send + Sync + 'static,
-    {
-        self.on_worker_start = Some(Arc::new(hook));
-        self
-    }
-
-    /// Sets how indexed batches assign chunks to worker deques. Placement
-    /// biases only where a chunk *starts* (stealing may still move it);
-    /// results are assembled in index order either way, so this can never
-    /// change what a batch returns.
-    pub fn placement(mut self, placement: WorkerPlacement) -> Self {
-        self.placement = placement;
-        self
-    }
-
     /// Spawns the workers and returns the pool. The worker count is always
     /// at least one: `num_threads(0)` selects the environment default, which
     /// is itself clamped, so a degenerate zero-worker pool (queues nobody
@@ -707,11 +563,7 @@ impl ThreadPoolBuilder {
             self.num_threads
         }
         .max(1);
-        let shared = Arc::new(PoolShared::new(
-            threads,
-            self.placement,
-            self.on_worker_start,
-        ));
+        let shared = Arc::new(PoolShared::new(threads));
         let mut handles = Vec::with_capacity(threads);
         for worker in 0..threads {
             let shared = Arc::clone(&shared);

@@ -14,11 +14,7 @@
 //!    [`ecs_model::Metrics`]** as the sequential backend: charging happens
 //!    before evaluation and waves are cut in pair order, so batching is
 //!    observationally invisible.
-//! 3. **Coalescing transparency.** A [`BatchingOracle`] wrapping a
-//!    ground-truth oracle — including when queried concurrently from
-//!    [`ThroughputPool`] job workers — must answer every query exactly as
-//!    the unwrapped oracle would.
-//! 4. **Sequence transparency.** `ComparisonSession::compare_sequence` must
+//! 3. **Sequence transparency.** `ComparisonSession::compare_sequence` must
 //!    ask, answer and charge exactly what a loop of `compare` calls does —
 //!    also for the order-adaptive adversaries, which keep the default
 //!    `same_sequence` (a `same` loop) and so must force the same answers,
@@ -30,10 +26,9 @@ use ecs_core::{
     RepresentativeScan, RoundRobin,
 };
 use ecs_distributions::class_distribution::AnyDistribution;
-use ecs_model::throughput::Job;
 use ecs_model::{
-    BatchingOracle, ComparisonSession, EquivalenceOracle, ExecutionBackend, Instance,
-    InstanceOracle, LabelOracle, Partition, ReadMode, ThroughputPool,
+    ComparisonSession, EquivalenceOracle, ExecutionBackend, Instance, InstanceOracle, LabelOracle,
+    Partition, ReadMode,
 };
 use ecs_rng::{EcsRng, SeedableEcsRng, Xoshiro256StarStar};
 use proptest::prelude::*;
@@ -154,71 +149,6 @@ proptest! {
         assert_batched_invariant(&ErConstantRound::adaptive(seed), &instance);
         assert_batched_invariant(&CrCompoundMerge::new(k), &instance);
     }
-
-    /// Guarantee 3 (serial form): a coalescing wrapper answers exactly like
-    /// the oracle it wraps, for every wave size.
-    #[test]
-    fn batching_oracle_is_transparent_serially(
-        seed in 0u64..10_000,
-        n in 2usize..200,
-        wave in 0usize..9,
-        choice in 0u8..4,
-    ) {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let instance = Instance::from_distribution(&distribution(choice), n, &mut rng);
-        let plain = InstanceOracle::new(&instance);
-        // Zero linger: a serial caller should not pay a wait for peers that
-        // cannot exist.
-        let coalescing =
-            BatchingOracle::with_linger(InstanceOracle::new(&instance), wave, std::time::Duration::ZERO);
-        prop_assert_eq!(coalescing.n(), plain.n());
-        for (a, b) in query_pairs(instance.n(), 64, seed) {
-            prop_assert_eq!(coalescing.same(a, b), plain.same(a, b));
-        }
-    }
-}
-
-/// Guarantee 3 (concurrent form): ThroughputPool jobs querying one shared
-/// coalescing oracle get exactly the answers of the unwrapped oracle, and
-/// runs whose sessions use it are bit-identical to plain runs.
-#[test]
-fn throughput_jobs_through_a_batching_oracle_stay_bit_identical() {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(2016);
-    let instance = Instance::balanced(240, 6, &mut rng);
-    let plain = InstanceOracle::new(&instance);
-    let coalescing = BatchingOracle::with_linger(
-        InstanceOracle::new(&instance),
-        4,
-        std::time::Duration::from_micros(100),
-    );
-
-    // Whole algorithm runs through the adapter: partitions and metrics must
-    // match the plain oracle exactly (the adapter only changes how queries
-    // reach the ground truth, never what they answer).
-    let reference = RoundRobin::new().sort_with_backend(&plain, ExecutionBackend::Sequential);
-    let pool = ThroughputPool::from_jobs(4);
-    let runs: Vec<EcsRun> = {
-        let coalescing = &coalescing;
-        let jobs: Vec<Job<'_, EcsRun>> = (0..8)
-            .map(|_| {
-                Box::new(move || {
-                    RoundRobin::new().sort_with_backend(coalescing, ExecutionBackend::Sequential)
-                }) as Job<'_, EcsRun>
-            })
-            .collect();
-        pool.run(jobs)
-    };
-    for run in &runs {
-        assert_eq!(run.partition, reference.partition);
-        assert_eq!(run.metrics, reference.metrics);
-        assert_eq!(run.metrics.round_sizes(), reference.metrics.round_sizes());
-    }
-    assert_eq!(
-        coalescing.queries(),
-        8 * reference.metrics.comparisons(),
-        "every job's queries flow through the adapter"
-    );
-    assert!(coalescing.waves_flushed() <= coalescing.queries());
 }
 
 /// Runs `pairs` through one session as a sequence and through another as a

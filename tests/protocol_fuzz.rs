@@ -41,7 +41,6 @@ fn garbage_then_a_job(garbage: &[Vec<u8>]) -> Result<(), TestCaseError> {
     let config = DaemonConfig {
         pool: ThroughputPool::from_jobs(1),
         max_inflight: 2,
-        linger: Duration::ZERO,
         outbox_limit: 16,
         quotas: QuotaConfig::default(),
     };

@@ -25,8 +25,8 @@ const JOBS_PER_SESSION: usize = 2;
 
 /// The deterministic grid: spec `(session, j)` depends only on its
 /// coordinates, so the serial reference reconstructs it without any shared
-/// state. Cycles all six algorithms, several distributions, and all three
-/// backend families (including the coalescing adapter).
+/// state. Cycles all six algorithms, several distributions, and the `seq`,
+/// `batched` and `auto` backends.
 fn grid_spec(session: usize, j: usize) -> JobSpec {
     let algo = AlgoSpec::ALL[(session + j) % AlgoSpec::ALL.len()];
     let dist = match (session + 3 * j) % 4 {
@@ -35,10 +35,9 @@ fn grid_spec(session: usize, j: usize) -> JobSpec {
         2 => DistSpec::Zeta(2.5),
         _ => DistSpec::Balanced(5),
     };
-    let backend = match (session + j) % 4 {
+    let backend = match (session + j) % 3 {
         0 => BackendSpec::Seq,
         1 => BackendSpec::Batched(16),
-        2 => BackendSpec::Coalesced(4),
         _ => BackendSpec::Auto,
     };
     JobSpec {
@@ -57,7 +56,6 @@ fn daemon_config() -> DaemonConfig {
     DaemonConfig {
         pool: ThroughputPool::from_jobs(2),
         max_inflight: 4,
-        linger: Duration::ZERO,
         outbox_limit: 16,
         quotas: QuotaConfig::default(),
     }
