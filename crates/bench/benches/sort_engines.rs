@@ -8,10 +8,12 @@
 //! where its λ-halving restarts cost millions of comparisons.
 //!
 //! Before anything is timed, every run is gated on a correct partition
-//! ([`Instance::verify`]) and on identical [`ecs_model::Metrics`] and round
-//! trace on `Sequential` and `auto()`: the timings are only comparable if
-//! every backend asks for, and is charged, the same work. The timed runs use
-//! `auto()`, the slates' backend.
+//! ([`Instance::verify`]) and on the same partition, [`ecs_model::Metrics`]
+//! and round trace on `Sequential` as on a pooled (`Threaded { threads: 2,
+//! threshold: 1 }`) and a whole-round batched (`batched(0)`) backend: the
+//! timings are only comparable if every backend asks for, and is charged,
+//! the same work. The timed runs use `Sequential`, which is what the slates'
+//! `auto` evaluates on.
 //!
 //! Set `ECS_BENCH_SMOKE=1` to shrink the instances to n = 300 (used by CI to
 //! exercise the harness and the gates on every push).
@@ -29,6 +31,16 @@ const DISTS: [DistSpec; 5] = [
     DistSpec::Poisson(4.0),
     DistSpec::Zeta(2.5),
     DistSpec::Balanced(7),
+];
+
+/// The backends every timed run is gated against: every round on the pool,
+/// and every round as one `same_batch` wave.
+const GATED: [ExecutionBackend; 2] = [
+    ExecutionBackend::Threaded {
+        threads: 2,
+        threshold: 1,
+    },
+    ExecutionBackend::Batched { wave: 0 },
 ];
 
 fn sort_engines(c: &mut Criterion) {
@@ -49,21 +61,27 @@ fn sort_engines(c: &mut Criterion) {
                 continue;
             }
             let sequential = algo.sort(seed, k, &oracle, ExecutionBackend::Sequential);
-            let auto = algo.sort(seed, k, &oracle, ExecutionBackend::auto());
             assert!(
                 instance.verify(&sequential.partition),
                 "{algo} on {dist}: wrong partition"
             );
-            assert_eq!(auto.partition, sequential.partition, "{algo} on {dist}");
-            assert_eq!(auto.metrics, sequential.metrics, "{algo} on {dist}");
-            assert_eq!(
-                auto.metrics.round_sizes(),
-                sequential.metrics.round_sizes(),
-                "{algo} on {dist}: round trace"
-            );
+            for backend in GATED {
+                let run = algo.sort(seed, k, &oracle, backend);
+                let label = backend.label();
+                assert_eq!(
+                    run.partition, sequential.partition,
+                    "{algo} on {dist}: {label}"
+                );
+                assert_eq!(run.metrics, sequential.metrics, "{algo} on {dist}: {label}");
+                assert_eq!(
+                    run.metrics.round_sizes(),
+                    sequential.metrics.round_sizes(),
+                    "{algo} on {dist}: {label} round trace"
+                );
+            }
             group.bench_function(BenchmarkId::new(algo, dist), |b| {
                 b.iter(|| {
-                    let run = algo.sort(seed, k, &oracle, ExecutionBackend::auto());
+                    let run = algo.sort(seed, k, &oracle, ExecutionBackend::Sequential);
                     black_box(run.metrics.comparisons())
                 });
             });

@@ -111,7 +111,6 @@ fn main() {
         "max-inflight",
         "threads",
         "batch",
-        "backend",
     ]);
     let sessions = args.get_usize("sessions", if smoke() { 8 } else { 16 });
     let tenants = args.get_usize("tenants", 4).max(1);

@@ -29,7 +29,7 @@ use ecs_distributions::ClassDistribution;
 fn main() {
     let args = Args::from_env();
     args.warn_unknown(&[
-        "dist", "full", "scale", "trials", "seed", "out", "threads", "batch", "backend", "jobs",
+        "dist", "full", "scale", "trials", "seed", "out", "threads", "batch", "jobs",
     ]);
     let panel = args.get_or("dist", "all");
     // ECS_BENCH_SMOKE only shrinks the *defaults*; explicit flags always win.

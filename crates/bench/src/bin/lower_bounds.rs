@@ -32,9 +32,7 @@ use ecs_bench::{smoke, Args};
 
 fn main() {
     let args = Args::from_env();
-    args.warn_unknown(&[
-        "out", "full", "threads", "batch", "backend", "jobs", "search",
-    ]);
+    args.warn_unknown(&["out", "full", "threads", "batch", "jobs", "search"]);
     let out_dir = args.get_or("out", "results");
     let backend = args.execution_backend();
     let pool = args.throughput_pool();

@@ -24,7 +24,7 @@ use ecs_distributions::ClassDistribution;
 fn main() {
     let args = Args::from_env();
     args.warn_unknown(&[
-        "out", "full", "scale", "trials", "seed", "threads", "batch", "backend", "jobs",
+        "out", "full", "scale", "trials", "seed", "threads", "batch", "jobs",
     ]);
     let out_dir = args.get_or("out", "results");
     // ECS_BENCH_SMOKE only shrinks the *defaults*; explicit flags always win.

@@ -4,8 +4,8 @@
 //! serve [--addr HOST:PORT] [--jobs N] [--max-inflight M] [--quota SPEC]
 //! ```
 //!
-//! Jobs that name no backend run under `auto`, which lowers a cached
-//! startup probe once to a fixed backend for this host.
+//! Jobs that name no backend run under `auto`, which evaluates each round
+//! inline on the job's own pool worker.
 //!
 //! `--quota` takes comma-separated `tenant=queued:inflight:weight` entries
 //! (`*` names the default quota, `-` leaves a component unlimited), e.g.
@@ -22,15 +22,7 @@ use ecs_service::{Daemon, DaemonConfig, QuotaConfig};
 
 fn main() {
     let args = Args::from_env();
-    args.warn_unknown(&[
-        "addr",
-        "jobs",
-        "max-inflight",
-        "threads",
-        "batch",
-        "backend",
-        "quota",
-    ]);
+    args.warn_unknown(&["addr", "jobs", "max-inflight", "threads", "batch", "quota"]);
     let quotas = match args.get("quota").map(QuotaConfig::parse) {
         None => QuotaConfig::default(),
         Some(Ok(quotas)) => quotas,

@@ -11,7 +11,7 @@ use ecs_bench::Args;
 
 fn main() {
     let args = Args::from_env();
-    args.warn_unknown(&["seed", "out", "threads", "batch", "backend"]);
+    args.warn_unknown(&["seed", "out", "threads", "batch"]);
     let seed = args.get_u64("seed", 1);
     let out_dir = args.get_or("out", "results");
     let backend = args.execution_backend();

@@ -12,7 +12,7 @@ use ecs_bench::Args;
 
 fn main() {
     let args = Args::from_env();
-    args.warn_unknown(&["seed", "out", "full", "threads", "batch", "backend"]);
+    args.warn_unknown(&["seed", "out", "full", "threads", "batch"]);
     let seed = args.get_u64("seed", 4);
     let out_dir = args.get_or("out", "results");
     std::fs::create_dir_all(&out_dir).expect("cannot create output directory");

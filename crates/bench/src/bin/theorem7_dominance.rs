@@ -22,9 +22,7 @@ use ecs_distributions::class_distribution::AnyDistribution;
 
 fn main() {
     let args = Args::from_env();
-    args.warn_unknown(&[
-        "n", "trials", "seed", "out", "threads", "batch", "backend", "jobs",
-    ]);
+    args.warn_unknown(&["n", "trials", "seed", "out", "threads", "batch", "jobs"]);
     let n = args.get_usize("n", if smoke() { 500 } else { 5_000 });
     let trials = args.get_usize("trials", if smoke() { 2 } else { 8 });
     let seed = args.get_u64("seed", 7);

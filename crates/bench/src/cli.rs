@@ -16,7 +16,7 @@
 //! typos (`--trails 5`) instead of silently ignoring them.
 
 use ecs_model::backend::available_parallelism;
-use ecs_model::{ExecutionBackend, PinnedKnobs, ThroughputPool};
+use ecs_model::{ExecutionBackend, ThroughputPool};
 use std::collections::HashMap;
 
 /// Parsed command-line arguments: `--key value` / `--key=value` pairs and
@@ -103,20 +103,10 @@ impl Args {
         self.switches.iter().any(|s| s == name) || self.values.contains_key(name)
     }
 
-    /// The execution backend selected by `--backend auto|fixed` composed
-    /// with `--batch W` / `--threads N`, falling back to the `ECS_THREADS`
-    /// environment variable when all three flags are absent.
+    /// The execution backend selected by `--batch W` or `--threads N`,
+    /// falling back to the `ECS_THREADS` environment variable when both
+    /// flags are absent.
     ///
-    /// * `--backend auto` selects [`ExecutionBackend::auto`]: a cached
-    ///   startup probe of the machine is lowered once to a fixed backend —
-    ///   threaded on the available cores with a probe-derived comparison
-    ///   threshold, or sequential on one core. An explicit `--threads N` /
-    ///   `--batch W` *pins* that knob, with a warning saying what the pin
-    ///   does: `--threads` fixes the worker count, and `--batch` lowers
-    ///   every round to batched waves. A bare `--backend` and an
-    ///   unrecognized value both select auto (the flag's analogue of bare
-    ///   `--jobs`), the latter with a warning; `--backend fixed` (or `seq` /
-    ///   `sequential`) explicitly selects the fixed chain below.
     /// * `--batch W` selects [`ExecutionBackend::Batched`]: rounds are
     ///   submitted to the oracle as `same_batch` waves of up to `W` pairs
     ///   (`--batch 0` = the whole round as one wave; a bare `--batch` or an
@@ -128,67 +118,17 @@ impl Args {
     ///   count — it clamps to the machine's available parallelism with a
     ///   warning instead of silently building a degenerate pool.
     pub fn execution_backend(&self) -> ExecutionBackend {
-        if self.has("backend") {
-            match self.get("backend") {
-                // The fixed chain, by explicit request.
-                Some("fixed") | Some("seq") | Some("sequential") => {}
-                Some("auto") | None => return self.auto_backend(),
-                Some(other) => {
-                    warn_once(
-                        "--backend",
-                        &format!(
-                            "warning: --backend {other} is not a recognized backend \
-                             (auto, fixed); selecting auto"
-                        ),
-                    );
-                    return self.auto_backend();
-                }
-            }
-        }
         if self.has("batch") {
-            return ExecutionBackend::batched(self.batch_wave());
+            let wave = self
+                .get("batch")
+                .and_then(|value| value.parse().ok())
+                .unwrap_or(ExecutionBackend::DEFAULT_BATCH_WAVE);
+            return ExecutionBackend::batched(wave);
         }
         match self.get("threads") {
             Some(value) => ExecutionBackend::from_threads(worker_count("--threads", value, 1)),
             None => ExecutionBackend::from_env(),
         }
-    }
-
-    /// The wave size of a present `--batch` flag (bare and unparsable select
-    /// the default wave size).
-    fn batch_wave(&self) -> usize {
-        match self.get("batch") {
-            Some(value) => value
-                .parse()
-                .unwrap_or(ExecutionBackend::DEFAULT_BATCH_WAVE),
-            None => ExecutionBackend::DEFAULT_BATCH_WAVE,
-        }
-    }
-
-    /// The `--backend auto` lowering: explicit `--threads` / `--batch` pin
-    /// those knobs instead of selecting a fixed backend, with a warning
-    /// spelling out what the pin does.
-    fn auto_backend(&self) -> ExecutionBackend {
-        let mut pins = PinnedKnobs::default();
-        if self.has("batch") {
-            pins.wave = Some(self.batch_wave());
-            warn_once(
-                "--backend/--batch",
-                "warning: --backend auto with --batch pins the wave size: every \
-                 round runs as batched waves on the calling thread, so a \
-                 --threads value has no effect",
-            );
-        }
-        if let Some(value) = self.get("threads") {
-            pins.threads = Some(worker_count("--threads", value, 1));
-            warn_once(
-                "--backend/--threads",
-                "warning: --backend auto with --threads pins the worker count; \
-                 only the comparison threshold still comes from the startup \
-                 probe",
-            );
-        }
-        ExecutionBackend::auto_pinned(pins)
     }
 
     /// The throughput pool selected by `--jobs N` (`1` runs trials
@@ -464,50 +404,6 @@ mod tests {
                 .throughput_pool()
                 .label(),
             "pooled(4)"
-        );
-    }
-
-    #[test]
-    fn backend_flag_selects_auto() {
-        use ecs_model::ExecutionBackend;
-        let auto = ExecutionBackend::auto();
-        assert_eq!(args(&["--backend", "auto"]).execution_backend(), auto);
-        // A bare `--backend` (the analogue of bare `--jobs`) and an
-        // unrecognized value both still select auto instead of vanishing.
-        assert_eq!(args(&["--backend"]).execution_backend(), auto);
-        assert_eq!(args(&["--backend", "turbo"]).execution_backend(), auto);
-        // The fixed chain stays reachable by explicit request.
-        assert_eq!(
-            args(&["--backend", "fixed", "--threads", "4"]).execution_backend(),
-            ExecutionBackend::threaded(4)
-        );
-        assert_eq!(
-            args(&["--backend", "seq", "--threads", "1"]).execution_backend(),
-            ExecutionBackend::Sequential
-        );
-    }
-
-    #[test]
-    fn explicit_knobs_pin_auto() {
-        use ecs_model::{ExecutionBackend, PinnedKnobs};
-        let backend = |parts: &[&str]| args(parts).execution_backend();
-        let threads = backend(&["--backend", "auto", "--threads", "4"]);
-        assert_eq!(
-            threads,
-            ExecutionBackend::auto_pinned(PinnedKnobs {
-                threads: Some(4),
-                wave: None,
-            })
-        );
-        assert_eq!(threads.threads(), 4);
-        assert_eq!(
-            backend(&["--backend", "auto", "--batch", "32"]),
-            ExecutionBackend::batched(32)
-        );
-        assert_eq!(
-            backend(&["--backend=auto", "--threads", "2", "--batch", "0"]),
-            ExecutionBackend::batched(0),
-            "a pinned wave wins over pinned threads"
         );
     }
 

@@ -15,7 +15,6 @@
 //! effects are applied in one deterministic commit when the round closes, so
 //! they too are bit-identical across backends, wave sizes, and thread counts.
 
-use crate::calibrate::{policy, CalibrationProbe, PinnedKnobs, TuningDecision};
 use crate::oracle::EquivalenceOracle;
 use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
@@ -27,7 +26,6 @@ use std::sync::{Mutex, OnceLock};
 const MIN_CHUNK: usize = 1024;
 
 /// Where a [`crate::ComparisonSession`] evaluates each round's comparisons.
-/// [`ExecutionBackend::auto`] picks one of these from a startup probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionBackend {
     /// Evaluate every comparison on the calling thread.
@@ -89,29 +87,13 @@ impl ExecutionBackend {
         ExecutionBackend::Batched { wave }
     }
 
-    /// The self-tuning backend: [`ExecutionBackend::auto_pinned`] with no
-    /// knob pinned.
-    pub fn auto() -> Self {
-        Self::auto_pinned(PinnedKnobs::default())
-    }
-
-    /// Lowers the cached [`CalibrationProbe`] and `pins` once to a plain
-    /// backend: [`ExecutionBackend::Batched`] when a wave is pinned,
-    /// otherwise [`ExecutionBackend::Threaded`] on the pinned (or available)
-    /// thread count with the probe-derived threshold, or
-    /// [`ExecutionBackend::Sequential`] when that is one thread. Outputs are
-    /// identical to `Sequential` whatever it picks: charging precedes
-    /// evaluation and answers are collected in submission order.
-    pub fn auto_pinned(pins: PinnedKnobs) -> Self {
-        let decision = policy(CalibrationProbe::measure(), pins);
-        match decision.wave {
-            Some(wave) => ExecutionBackend::Batched { wave },
-            None if decision.threads > 1 => ExecutionBackend::Threaded {
-                threads: decision.threads,
-                threshold: decision.threshold,
-            },
-            None => ExecutionBackend::Sequential,
-        }
+    /// The default backend, which evaluates inline:
+    /// [`ExecutionBackend::Sequential`]. Measured on 2 vCPUs, an in-memory
+    /// round sharded across threads never beat inline evaluation up to
+    /// 65 536 pairs, and a job already running on a
+    /// [`crate::ThroughputPool`] worker has no spare core to shard onto.
+    pub const fn auto() -> Self {
+        ExecutionBackend::Sequential
     }
 
     /// Maps a thread-count knob (e.g. a `--threads` flag) onto a backend:
@@ -161,22 +143,10 @@ impl ExecutionBackend {
         }
     }
 
-    /// The [`TuningDecision`] this backend lowers to: what planning code
-    /// consumes instead of reading variant fields.
-    pub fn worker_decision(&self) -> TuningDecision {
-        match *self {
-            ExecutionBackend::Sequential => TuningDecision::sequential(),
-            ExecutionBackend::Threaded { threads, threshold } => TuningDecision {
-                threads: threads.max(1),
-                threshold: threshold.max(1),
-                wave: None,
-            },
-            ExecutionBackend::Batched { wave } => TuningDecision {
-                threads: 1,
-                threshold: usize::MAX,
-                wave: Some(wave),
-            },
-        }
+    /// This backend itself. Kept only because the repo benchmark's
+    /// `calibrate.preview_us` metric times `auto().worker_decision()`.
+    pub fn worker_decision(&self) -> ExecutionBackend {
+        *self
     }
 
     /// The number of OS threads this backend evaluates on.
@@ -258,7 +228,8 @@ impl ExecutionBackend {
 /// `ECS_THREADS=0`) are corrected to.
 ///
 /// The value is read once per process and cached: the standard library
-/// re-reads cgroup files on every call, and every `auto` backend asks.
+/// re-reads cgroup files on every call, and the daemon clamps every
+/// `threaded:N` job against it.
 pub fn available_parallelism() -> usize {
     static AVAILABLE: OnceLock<usize> = OnceLock::new();
     *AVAILABLE
@@ -393,69 +364,9 @@ mod tests {
             .is_empty());
     }
 
-    fn pinned(threads: Option<usize>, wave: Option<usize>) -> ExecutionBackend {
-        ExecutionBackend::auto_pinned(PinnedKnobs { threads, wave })
-    }
-
     #[test]
-    fn auto_matches_sequential() {
-        let labels: Vec<u32> = (0..6_000u32).map(|i| i % 11).collect();
-        let oracle = LabelOracle::new(labels);
-        let rounds: Vec<Vec<(usize, usize)>> = vec![
-            (0..3_000).map(|i| (i, i + 3_000)).collect(),
-            (0..10).map(|i| (i, i + 1)).collect(),
-            Vec::new(),
-            // `6i ≡ -1 (mod 6000)` has no solution, so no self-comparison.
-            (0..5_000).map(|i| (i, (i * 7 + 1) % 6_000)).collect(),
-        ];
-        for backend in [
-            ExecutionBackend::auto(),
-            pinned(Some(2), None),
-            pinned(None, Some(16)),
-        ] {
-            for round in &rounds {
-                assert_eq!(
-                    backend.evaluate(&oracle, round),
-                    ExecutionBackend::Sequential.evaluate(&oracle, round),
-                    "{} diverged from sequential",
-                    backend.label()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn auto_is_a_pure_value() {
-        let decision = policy(CalibrationProbe::measure(), PinnedKnobs::default());
-        let expected = if decision.threads > 1 {
-            ExecutionBackend::Threaded {
-                threads: decision.threads,
-                threshold: decision.threshold,
-            }
-        } else {
-            ExecutionBackend::Sequential
-        };
-        assert_eq!(ExecutionBackend::auto(), ExecutionBackend::auto());
-        assert_eq!(ExecutionBackend::auto(), expected);
-        assert_eq!(ExecutionBackend::auto().threads(), available_parallelism());
-        assert_eq!(pinned(Some(2), Some(16)), ExecutionBackend::batched(16));
-    }
-
-    #[test]
-    fn auto_pins_are_lowered_verbatim() {
-        let three = PinnedKnobs {
-            threads: Some(3),
-            wave: None,
-        };
-        assert_eq!(
-            ExecutionBackend::auto_pinned(three),
-            ExecutionBackend::Threaded {
-                threads: 3,
-                threshold: policy(CalibrationProbe::measure(), three).threshold,
-            }
-        );
-        assert_eq!(pinned(Some(1), None), ExecutionBackend::Sequential);
-        assert_eq!(pinned(None, Some(0)), ExecutionBackend::batched(0));
+    fn auto_is_sequential() {
+        assert_eq!(ExecutionBackend::auto(), ExecutionBackend::Sequential);
     }
 
     #[test]

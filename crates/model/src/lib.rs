@@ -24,9 +24,8 @@
 //! * [`ExecutionBackend`] — where comparisons physically run: sequentially
 //!   on the calling thread, sharded across a work-stealing pool of OS
 //!   threads, or submitted as `same_batch` waves
-//!   ([`ExecutionBackend::Batched`]); [`ExecutionBackend::auto`] picks one
-//!   of these once from a cached startup probe (the [`calibrate`] module).
-//!   Answers are always collected in submission order.
+//!   ([`ExecutionBackend::Batched`]); [`ExecutionBackend::auto`] is the
+//!   sequential one. Answers are always collected in submission order.
 //! * [`ComparisonSession`] — counts comparisons and rounds, enforces the ER /
 //!   CR disciplines and the processor budget, and evaluates large comparison
 //!   batches through the selected [`ExecutionBackend`].
@@ -47,7 +46,6 @@
 
 pub mod backend;
 pub mod batching;
-pub mod calibrate;
 pub mod cancellation;
 pub mod instance;
 pub mod metrics;
@@ -59,7 +57,6 @@ pub mod throughput;
 pub mod transcript;
 
 pub use backend::ExecutionBackend;
-pub use calibrate::{CalibrationProbe, PinnedKnobs, TuningDecision};
 pub use cancellation::{CancellableOracle, CancellationToken, Cancelled};
 pub use instance::Instance;
 pub use metrics::{Metrics, PlanStats, RoundSizeHistogram};

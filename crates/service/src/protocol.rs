@@ -58,21 +58,55 @@ pub enum DistSpec {
     Balanced(usize),
 }
 
+/// Largest Poisson mean a `poisson:L` job may ask for. Sampling costs about
+/// `L` random draws per element, so an unbounded mean holds a worker
+/// indefinitely.
+pub const MAX_POISSON_LAMBDA: f64 = 65_536.0;
+
+/// Largest zeta exponent a `zeta:S` job may ask for. The sampler's
+/// `2^(S−1)` overflows once `S − 1 ≥ 1024`, and its acceptance test never
+/// passes after that.
+pub const MAX_ZETA_S: f64 = 1024.0;
+
 impl DistSpec {
     /// Parses `uniform:6`, `geometric:0.25`, `poisson:4`, `zeta:2.5`,
-    /// `balanced:8`.
+    /// `balanced:8`. A float parameter outside the family's range — `p` in
+    /// `(0, 1)`, `L` in `(0, MAX_POISSON_LAMBDA]`, `S` in `(1, MAX_ZETA_S]`,
+    /// never NaN — is an error, because the instance sampler would panic or
+    /// never finish on it.
     pub fn parse(text: &str) -> Result<Self, String> {
         let (kind, param) = text
             .split_once(':')
             .ok_or_else(|| format!("distribution `{text}` is missing its `:param`"))?;
         let bad = |what: &str| format!("distribution `{text}` has an unparsable {what}");
+        // Every range test is written so that NaN fails it.
+        let float = |what: &str, valid: fn(f64) -> bool, range: String| {
+            let value: f64 = param.parse().map_err(|_| bad(what))?;
+            if valid(value) {
+                Ok(value)
+            } else {
+                Err(format!("distribution `{text}` needs {what} in {range}"))
+            }
+        };
         match kind {
             "uniform" => Ok(Self::Uniform(
                 param.parse().map_err(|_| bad("class count"))?,
             )),
-            "geometric" => Ok(Self::Geometric(param.parse().map_err(|_| bad("p"))?)),
-            "poisson" => Ok(Self::Poisson(param.parse().map_err(|_| bad("lambda"))?)),
-            "zeta" => Ok(Self::Zeta(param.parse().map_err(|_| bad("s"))?)),
+            "geometric" => Ok(Self::Geometric(float(
+                "p",
+                |p| p > 0.0 && p < 1.0,
+                "(0, 1)".to_string(),
+            )?)),
+            "poisson" => Ok(Self::Poisson(float(
+                "lambda",
+                |lambda| lambda > 0.0 && lambda <= MAX_POISSON_LAMBDA,
+                format!("(0, {MAX_POISSON_LAMBDA}]"),
+            )?)),
+            "zeta" => Ok(Self::Zeta(float(
+                "s",
+                |s| s > 1.0 && s <= MAX_ZETA_S,
+                format!("(1, {MAX_ZETA_S}]"),
+            )?)),
             "balanced" => Ok(Self::Balanced(
                 param.parse().map_err(|_| bad("class count"))?,
             )),
@@ -203,10 +237,10 @@ pub enum BackendSpec {
     Threaded(usize),
     /// `batched:W` — rounds submitted as `same_batch` waves of `W`.
     Batched(usize),
-    /// `auto` — [`ExecutionBackend::auto`]: the cached startup probe picks
-    /// threaded (or sequential) parameters for the host. This is the
-    /// daemon's default — results are backend-independent by construction,
-    /// so the choice is invisible to clients.
+    /// `auto` — [`ExecutionBackend::auto`]: every round inline on the job's
+    /// own worker. This is the daemon's default — results are
+    /// backend-independent by construction, so the choice is invisible to
+    /// clients.
     Auto,
 }
 
@@ -384,8 +418,8 @@ impl Request {
                         .parse()
                         .map_err(|_| "unparsable seed".to_string())?,
                     algo: AlgoSpec::parse(&required("algo")?)?,
-                    // The self-tuning backend is the daemon default; a
-                    // client that wants a fixed lowering says so explicitly.
+                    // `auto` is the daemon default; a client that wants
+                    // another backend says so explicitly.
                     backend: match lookup(&fields, "backend") {
                         Some(text) => BackendSpec::parse(&text)?,
                         None => BackendSpec::Auto,
@@ -892,7 +926,7 @@ mod tests {
         assert_eq!(
             spec.backend,
             BackendSpec::Auto,
-            "the daemon default is the self-tuning backend"
+            "the daemon default is `auto`"
         );
         assert_eq!(spec.dist, DistSpec::Zeta(2.5));
     }
@@ -907,12 +941,42 @@ mod tests {
             "submit id=a dist=uniform:4 n=5 seed=1 algo=quantum",
             "submit id=a dist=uniform:4 n=5 seed=1 algo=naive backend=warp:9",
             "submit id=a dist=uniform:4 n=5 seed=1 algo=naive backend=coalesced:4",
+            "submit id=a dist=geometric:0 n=20 seed=1 algo=naive",
+            "submit id=a dist=geometric:1 n=20 seed=1 algo=naive",
+            "submit id=a dist=zeta:1 n=20 seed=1 algo=naive",
+            "submit id=a dist=zeta:inf n=20 seed=1 algo=naive",
+            "submit id=a dist=zeta:1e300 n=20 seed=1 algo=naive",
+            "submit id=a dist=poisson:NaN n=20 seed=1 algo=naive",
+            "submit id=a dist=poisson:1e9 n=20 seed=1 algo=naive",
+            "submit id=a dist=poisson:-4 n=20 seed=1 algo=naive",
             "cancel",
         ] {
             let reason = Request::parse(line).expect_err(&format!("`{line}` must not parse"));
             if line.contains("backend=") {
                 assert!(reason.contains("unknown backend"), "`{line}`: {reason}");
             }
+            if ["geometric:", "poisson:", "zeta:"]
+                .iter()
+                .any(|d| line.contains(d))
+            {
+                assert!(reason.contains("needs"), "`{line}`: {reason}");
+            }
+        }
+    }
+
+    #[test]
+    fn distribution_parameters_at_their_bounds_build_instances() {
+        // The workloads' parameters still parse ...
+        for text in ["geometric:0.3", "poisson:4", "zeta:2.5"] {
+            DistSpec::parse(text).expect(text);
+        }
+        // ... and the largest accepted values still sample in finite time.
+        for text in [
+            format!("poisson:{MAX_POISSON_LAMBDA}"),
+            format!("zeta:{MAX_ZETA_S}"),
+        ] {
+            let dist = DistSpec::parse(&text).expect(&text);
+            assert_eq!(dist.instance(20, 1).n(), 20, "{text}");
         }
     }
 

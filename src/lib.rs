@@ -76,9 +76,9 @@ pub mod prelude {
     };
     pub use ecs_graph::{HamiltonianUnion, UnionFind};
     pub use ecs_model::{
-        CalibrationProbe, ComparisonSession, EquivalenceOracle, ExecutionBackend, Instance,
-        InstanceOracle, LabelOracle, Metrics, Partition, PinnedKnobs, PlanStats, ReadMode,
-        RecordingOracle, RoundSizeHistogram, ThroughputPool, Transcript,
+        ComparisonSession, EquivalenceOracle, ExecutionBackend, Instance, InstanceOracle,
+        LabelOracle, Metrics, Partition, PlanStats, ReadMode, RecordingOracle, RoundSizeHistogram,
+        ThroughputPool, Transcript,
     };
     pub use ecs_rng::{EcsRng, SeedableEcsRng, SplitMix64, StreamSplit, Xoshiro256StarStar};
     pub use ecs_service::{Client, Daemon, DaemonConfig, JobSpec, Request, Response};

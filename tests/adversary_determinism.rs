@@ -16,8 +16,8 @@
 use parallel_ecs::prelude::*;
 use proptest::prelude::*;
 
-/// The backends every adversarial run must agree across. `auto()` rides
-/// along as whichever fixed backend the startup probe picks on this host.
+/// The backends every adversarial run must agree across. The `threshold: 64`
+/// entry mixes inline and pooled rounds within one run.
 fn backends() -> [ExecutionBackend; 6] {
     [
         ExecutionBackend::Sequential,
@@ -31,7 +31,10 @@ fn backends() -> [ExecutionBackend; 6] {
         },
         ExecutionBackend::batched(0),
         ExecutionBackend::batched(64),
-        ExecutionBackend::auto(),
+        ExecutionBackend::Threaded {
+            threads: 2,
+            threshold: 64,
+        },
     ]
 }
 

@@ -20,9 +20,9 @@ use ecs_model::{ExecutionBackend, Instance, InstanceOracle};
 use ecs_rng::{SeedableEcsRng, Xoshiro256StarStar};
 use proptest::prelude::*;
 
-/// The backends every run must agree across. `auto()` is in the roster with
-/// its probe-derived threshold, which the `threshold: 1` entries do not
-/// cover.
+/// The backends every run must agree across. The `threshold: 64` entry
+/// mixes inline and pooled rounds within one run, which the `threshold: 1`
+/// entries do not cover.
 fn backends() -> [ExecutionBackend; 4] {
     [
         ExecutionBackend::Sequential,
@@ -34,7 +34,10 @@ fn backends() -> [ExecutionBackend; 4] {
             threads: 8,
             threshold: 1,
         },
-        ExecutionBackend::auto(),
+        ExecutionBackend::Threaded {
+            threads: 2,
+            threshold: 64,
+        },
     ]
 }
 

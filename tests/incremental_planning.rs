@@ -16,7 +16,8 @@ use parallel_ecs::prelude::*;
 use proptest::prelude::*;
 
 /// The backends both plan modes must agree across. `threshold: 1` forces
-/// even test-sized rounds through the work-stealing pool.
+/// even test-sized rounds through the work-stealing pool; `threshold: 64`
+/// mixes inline and pooled rounds within one run.
 fn backends() -> [ExecutionBackend; 4] {
     [
         ExecutionBackend::Sequential,
@@ -25,12 +26,10 @@ fn backends() -> [ExecutionBackend; 4] {
             threshold: 1,
         },
         ExecutionBackend::batched(64),
-        // Pinned to two workers so `auto` lowers to the threaded backend
-        // even on a single-core host.
-        ExecutionBackend::auto_pinned(PinnedKnobs {
-            threads: Some(2),
-            wave: None,
-        }),
+        ExecutionBackend::Threaded {
+            threads: 2,
+            threshold: 64,
+        },
     ]
 }
 

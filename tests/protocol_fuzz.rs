@@ -199,6 +199,14 @@ fn non_utf8_and_near_miss_lines_each_get_one_error() {
         b"cancel".to_vec(),
         b"ack seq=x".to_vec(),
         vec![0xc3],
+        // Distribution parameters the instance sampler would panic on ...
+        b"submit id=g dist=geometric:0 n=20 seed=1 algo=naive".to_vec(),
+        b"submit id=z dist=zeta:1 n=20 seed=1 algo=naive".to_vec(),
+        b"submit id=p dist=poisson:NaN n=20 seed=1 algo=naive".to_vec(),
+        // ... or never finish on.
+        b"submit id=zi dist=zeta:inf n=20 seed=1 algo=naive".to_vec(),
+        b"submit id=zh dist=zeta:1e300 n=20 seed=1 algo=naive".to_vec(),
+        b"submit id=pb dist=poisson:1e9 n=20 seed=1 algo=naive".to_vec(),
     ];
     assert!(garbage.iter().all(|line| is_garbage(line)));
     garbage_then_a_job(&garbage).expect("every line answered, then the job served");
