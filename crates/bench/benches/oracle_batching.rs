@@ -11,13 +11,22 @@
 //!   the measurement is scheduler-independent), evaluated under the
 //!   sequential backend and batched backends with several wave sizes.
 //!
+//! * **ground-truth rounds** — one round on the in-memory [`InstanceOracle`],
+//!   matching-shaped (an ER round: every pair its own run) and row-shaped
+//!   (naive's rows, `(a, a+1..)`), evaluated as the scalar `Sequential` loop
+//!   and as one whole-round `same_batch` wave. The wave must not lose to the
+//!   loop on either shape.
+//!
 //! Answers are asserted bit-identical across configurations before any
 //! timing starts. Set `ECS_BENCH_SMOKE=1` to shrink the workload (used by CI
 //! to exercise the harness on every push).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecs_bench::smoke;
-use ecs_model::{ComparisonSession, EquivalenceOracle, ExecutionBackend, LabelOracle, ReadMode};
+use ecs_model::{
+    ComparisonSession, EquivalenceOracle, ExecutionBackend, Instance, InstanceOracle, LabelOracle,
+    ReadMode,
+};
 use std::time::{Duration, Instant};
 
 /// Busy-waits for `duration` — `thread::sleep` has millisecond-scale
@@ -125,5 +134,47 @@ fn round_evaluation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, round_evaluation);
+/// Rows of 250 consecutive partners, `(a, a+1..=a+250)`, `n / 2` pairs in
+/// all.
+fn row_pairs(n: usize) -> Vec<(usize, usize)> {
+    (0..n / 2)
+        .map(|i| {
+            let a = i / 250;
+            (a, a + 1 + i % 250)
+        })
+        .collect()
+}
+
+fn ground_truth_rounds(c: &mut Criterion) {
+    let n = if smoke() { 2_000 } else { 20_000 };
+    // 16 classes, scattered over the elements by a multiplicative hash.
+    let labels: Vec<u64> = (0..n as u64)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60)
+        .collect();
+    let instance = Instance::from_labels(&labels);
+    let oracle = InstanceOracle::new(&instance);
+    let backends = [ExecutionBackend::Sequential, ExecutionBackend::batched(0)];
+
+    let mut group = c.benchmark_group(format!("ground_truth_round_n{n}"));
+    group.sample_size(if smoke() { 3 } else { 20 });
+    for (shape, pairs) in [("matching", matching_pairs(n)), ("rows", row_pairs(n))] {
+        let reference = ExecutionBackend::Sequential.evaluate(&oracle, &pairs);
+        for backend in backends {
+            assert_eq!(
+                backend.evaluate(&oracle, &pairs),
+                reference,
+                "{} diverged from scalar answers on {shape}",
+                backend.label()
+            );
+            group.bench_with_input(
+                BenchmarkId::new(shape, backend.label()),
+                &pairs,
+                |b, pairs| b.iter(|| std::hint::black_box(backend.evaluate(&oracle, pairs).len())),
+            );
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, round_evaluation, ground_truth_rounds);
 criterion_main!(benches);

@@ -6,189 +6,226 @@
 //! pairwise different. Two answers are merged by comparing one representative
 //! of every class of the first with one representative of every class of the
 //! second — at most `k²` comparisons — and unioning the classes that match.
+//!
+//! A merge reads nothing but the representatives, so [`Answers`] keeps one
+//! level of the merge tree as a flat buffer of representatives plus answer
+//! bounds, and builds the next level into a second buffer. A class that joins
+//! another leaves only a `link` from its representative to the one it joined;
+//! the per-element labels are resolved once, at the end.
 
-/// A solved sub-instance: a subset of elements partitioned into classes that
-/// are mutually known to be different.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Answer {
-    classes: Vec<Vec<usize>>,
+use ecs_model::Partition;
+use std::ops::Range;
+
+/// One level of answers over the elements `0..n`, stored flat, plus the
+/// forest recording which class joined which.
+#[derive(Debug)]
+pub(crate) struct Answers {
+    /// Every answer's class representatives, answer by answer, in class
+    /// order.
+    reps: Vec<u32>,
+    /// Answer `i` is `reps[bounds[i]..bounds[i + 1]]`.
+    bounds: Vec<u32>,
+    /// The level being built by the merges, swapped in by
+    /// [`Answers::finish_level`].
+    next_reps: Vec<u32>,
+    next_bounds: Vec<u32>,
+    /// `link[x]` is the representative whose class `x`'s class joined, or
+    /// `x` itself while `x` leads its class.
+    link: Vec<u32>,
+    /// Scratch union-find over the classes of one group, by position.
+    parent: Vec<u32>,
 }
 
-impl Answer {
-    /// An answer covering a single element.
-    pub fn singleton(element: usize) -> Self {
-        Self {
-            classes: vec![vec![element]],
-        }
-    }
-
-    /// Builds an answer from explicit classes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any class is empty or an element appears twice.
-    pub fn from_classes(classes: Vec<Vec<usize>>) -> Self {
-        let mut seen = std::collections::HashSet::new();
-        for class in &classes {
-            assert!(!class.is_empty(), "answers may not contain empty classes");
-            for &e in class {
-                assert!(seen.insert(e), "element {e} appears in two classes");
-            }
-        }
-        Self { classes }
-    }
-
-    /// The classes of this answer.
-    pub fn classes(&self) -> &[Vec<usize>] {
-        &self.classes
-    }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// Total number of elements covered.
-    pub fn num_elements(&self) -> usize {
-        self.classes.iter().map(|c| c.len()).sum()
-    }
-
-    /// The representative (first element) of class `i`.
-    pub fn representative(&self, i: usize) -> usize {
-        self.classes[i][0]
-    }
-
-    /// All representatives, in class order.
-    pub fn representatives(&self) -> Vec<usize> {
-        self.classes.iter().map(|c| c[0]).collect()
-    }
-
-    /// The comparison pairs needed to merge `self` with `other`: one
-    /// representative of every class of `self` against one representative of
-    /// every class of `other` (`num_classes × other.num_classes` pairs, the
-    /// `≤ k²` tests of the paper's merge step).
-    pub fn merge_comparisons(&self, other: &Answer) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::with_capacity(self.num_classes() * other.num_classes());
-        for a in 0..self.num_classes() {
-            for b in 0..other.num_classes() {
-                pairs.push((self.representative(a), other.representative(b)));
-            }
-        }
-        pairs
-    }
-
-    /// Combines `self` and `other` given the answers to
-    /// [`Answer::merge_comparisons`] (in the same order).
-    ///
-    /// Classes that matched are unioned; everything else is carried over. The
-    /// result is a valid answer for the union of the two element sets because
-    /// each class of `other` can match at most one class of `self` (classes
-    /// within an answer are pairwise different).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `results` has the wrong length or claims that one class of
-    /// `other` matches two different classes of `self` (an inconsistent
-    /// oracle).
-    pub fn merge_with(&self, other: &Answer, results: &[bool]) -> Answer {
-        assert_eq!(
-            results.len(),
-            self.num_classes() * other.num_classes(),
-            "merge results length mismatch"
+impl Answers {
+    /// One singleton answer per element.
+    pub(crate) fn singletons(n: usize) -> Self {
+        assert!(
+            n <= u32::MAX as usize,
+            "answers hold up to u32::MAX elements"
         );
-        let mut merged: Vec<Vec<usize>> = self.classes.clone();
-        // For each class of `other`, find which class of `self` it matched.
-        for b in 0..other.num_classes() {
-            let mut target: Option<usize> = None;
-            for a in 0..self.num_classes() {
-                if results[a * other.num_classes() + b] {
+        Self {
+            reps: (0..n as u32).collect(),
+            bounds: (0..=n as u32).collect(),
+            next_reps: Vec::with_capacity(n),
+            next_bounds: vec![0],
+            link: (0..n as u32).collect(),
+            parent: Vec::new(),
+        }
+    }
+
+    /// Number of answers on the current level.
+    pub(crate) fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// The representatives of answer `i`, in class order.
+    pub(crate) fn reps(&self, i: usize) -> &[u32] {
+        &self.reps[self.bounds[i] as usize..self.bounds[i + 1] as usize]
+    }
+
+    /// Merges answers `2m` and `2m + 1` for every `m` into the next level,
+    /// reading each merge's results in turn from `results` (laid out as
+    /// [`Answers::merge_pair`] reads them), carries an odd answer out up
+    /// unchanged, and makes the new level the current one.
+    pub(crate) fn merge_pairs(&mut self, results: &[bool]) {
+        let mut read = 0;
+        for m in 0..self.len() / 2 {
+            let len = self.reps(2 * m).len() * self.reps(2 * m + 1).len();
+            self.merge_pair(2 * m, &results[read..read + len]);
+            read += len;
+        }
+        if self.len() % 2 == 1 {
+            self.carry(self.len() - 1);
+        }
+        self.finish_level();
+    }
+
+    /// Merges answers `i` and `i + 1` into the next level, given the answers
+    /// to comparing every representative of `i` with every representative of
+    /// `i + 1`, indexed `left * right_len + right`.
+    ///
+    /// The merged answer keeps the left classes in order, then the right
+    /// classes that matched none of them; a right class that matched joins
+    /// the left class it matched. Each right class can match at most one
+    /// left class, because classes within an answer are pairwise different.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `results` claims that one right class matches two left
+    /// classes (an inconsistent oracle).
+    fn merge_pair(&mut self, i: usize, results: &[bool]) {
+        let (lo, mid, hi) = (
+            self.bounds[i] as usize,
+            self.bounds[i + 1] as usize,
+            self.bounds[i + 2] as usize,
+        );
+        let (left, right) = self.reps[lo..hi].split_at(mid - lo);
+        debug_assert_eq!(results.len(), left.len() * right.len());
+        self.next_reps.extend_from_slice(left);
+        for (b, &right_rep) in right.iter().enumerate() {
+            let mut target = None;
+            for (a, &left_rep) in left.iter().enumerate() {
+                if results[a * right.len() + b] {
                     assert!(
                         target.is_none(),
                         "oracle inconsistency: class matched two distinct classes"
                     );
-                    target = Some(a);
+                    target = Some(left_rep);
                 }
             }
             match target {
-                Some(a) => merged[a].extend_from_slice(&other.classes[b]),
-                None => merged.push(other.classes[b].clone()),
+                Some(left_rep) => self.link[right_rep as usize] = left_rep,
+                None => self.next_reps.push(right_rep),
             }
         }
-        Answer { classes: merged }
+        self.next_bounds.push(self.next_reps.len() as u32);
     }
 
-    /// Merges many answers at once given the full pairwise comparison results
-    /// between class representatives, provided as a closure
-    /// `same(answer_i, class_a, answer_j, class_b) -> bool` for `i < j`.
+    /// Merges the answers in `group` into one answer on the next level,
+    /// reading the answers to every cross comparison from the front of
+    /// `results` — for every `i < j` in `group`, every representative of `i`
+    /// against every representative of `j`, in that nested order — and
+    /// returns how many it read.
     ///
-    /// Used by the second phase of Theorem 1, where a group of `c` answers is
-    /// merged in a single round using `C(c, 2)·k²` comparisons.
-    pub fn merge_group<F>(group: &[Answer], same: F) -> Answer
-    where
-        F: Fn(usize, usize, usize, usize) -> bool,
-    {
-        if group.is_empty() {
-            return Answer {
-                classes: Vec::new(),
-            };
-        }
-        // Union-find over (answer index, class index) pairs, flattened.
-        let offsets: Vec<usize> = group
-            .iter()
-            .scan(0usize, |acc, a| {
-                let start = *acc;
-                *acc += a.num_classes();
-                Some(start)
-            })
-            .collect();
-        let total: usize = group.iter().map(|a| a.num_classes()).sum();
-        let mut uf = ecs_graph::UnionFind::new(total);
-        for i in 0..group.len() {
-            for j in (i + 1)..group.len() {
-                for a in 0..group[i].num_classes() {
-                    for b in 0..group[j].num_classes() {
-                        if same(i, a, j, b) {
-                            uf.union(offsets[i] + a, offsets[j] + b);
+    /// Matching classes are unioned transitively. Each merged class is led by
+    /// the representative of its first member class (in answer, then class
+    /// order), and the merged classes are ordered by representative.
+    pub(crate) fn merge_group(&mut self, group: Range<usize>, results: &[bool]) -> usize {
+        let base = self.bounds[group.start];
+        let classes = (self.bounds[group.end] - base) as usize;
+        self.parent.clear();
+        self.parent.extend(0..classes as u32);
+        let mut read = 0;
+        for i in group.clone() {
+            for j in (i + 1)..group.end {
+                let left = (self.bounds[i] - base)..(self.bounds[i + 1] - base);
+                let right = (self.bounds[j] - base)..(self.bounds[j + 1] - base);
+                for a in left {
+                    for b in right.clone() {
+                        if results[read] {
+                            union_toward_first(&mut self.parent, a, b);
                         }
+                        read += 1;
                     }
                 }
             }
         }
-        let mut classes_by_root: std::collections::HashMap<usize, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, answer) in group.iter().enumerate() {
-            for (c, class) in answer.classes.iter().enumerate() {
-                let root = uf.find(offsets[i] + c);
-                classes_by_root
-                    .entry(root)
-                    .or_default()
-                    .extend_from_slice(class);
+        let start = self.next_reps.len();
+        let reps = &self.reps[base as usize..][..classes];
+        for (t, &rep) in reps.iter().enumerate() {
+            let root = find(&mut self.parent, t as u32) as usize;
+            if root == t {
+                self.next_reps.push(rep);
+            } else {
+                self.link[rep as usize] = reps[root];
             }
         }
-        let mut classes: Vec<Vec<usize>> = classes_by_root.into_values().collect();
-        classes.sort_by_key(|c| c[0]);
-        Answer { classes }
+        self.next_reps[start..].sort_unstable();
+        self.next_bounds.push(self.next_reps.len() as u32);
+        read
     }
 
-    /// Converts a list of answers that jointly cover `0..n` into per-element
-    /// labels (class indices are arbitrary but distinct across answers).
-    pub fn to_labels(answers: &[Answer], n: usize) -> Vec<usize> {
-        let mut labels = vec![usize::MAX; n];
-        let mut next = 0usize;
-        for answer in answers {
-            for class in &answer.classes {
-                for &e in class {
-                    labels[e] = next;
-                }
-                next += 1;
-            }
-        }
-        assert!(
-            labels.iter().all(|&l| l != usize::MAX),
-            "answers do not cover every element"
-        );
-        labels
+    /// Carries answer `i` up to the next level unchanged.
+    pub(crate) fn carry(&mut self, i: usize) {
+        let (lo, hi) = (self.bounds[i] as usize, self.bounds[i + 1] as usize);
+        self.next_reps.extend_from_slice(&self.reps[lo..hi]);
+        self.next_bounds.push(self.next_reps.len() as u32);
     }
+
+    /// Makes the level built by the merges the current one.
+    pub(crate) fn finish_level(&mut self) {
+        std::mem::swap(&mut self.reps, &mut self.next_reps);
+        std::mem::swap(&mut self.bounds, &mut self.next_bounds);
+        self.next_reps.clear();
+        self.next_bounds.clear();
+        self.next_bounds.push(0);
+    }
+
+    /// The partition the merges have built: every element is labelled with
+    /// the representative at the root of its `link` chain.
+    pub(crate) fn into_partition(mut self) -> Partition {
+        for e in 0..self.link.len() as u32 {
+            let root = find(&mut self.link, e);
+            self.link[e as usize] = root;
+        }
+        Partition::from_labels(&self.link)
+    }
+
+    /// Builds a level from explicit answers, each a list of classes led by
+    /// their first element; elements listed nowhere lead their own class.
+    #[cfg(test)]
+    pub(crate) fn from_classes(n: usize, answers: &[Vec<Vec<u32>>]) -> Self {
+        let mut level = Self::singletons(n);
+        level.reps.clear();
+        level.bounds = vec![0];
+        for answer in answers {
+            for class in answer {
+                level.reps.push(class[0]);
+                for &e in &class[1..] {
+                    level.link[e as usize] = class[0];
+                }
+            }
+            level.bounds.push(level.reps.len() as u32);
+        }
+        level
+    }
+}
+
+/// The root of `x` in the forest `parent`, halving the path on the way.
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        let grandparent = parent[parent[x as usize] as usize];
+        parent[x as usize] = grandparent;
+        x = grandparent;
+    }
+    x
+}
+
+/// Unions the sets of `a` and `b` under the smaller root, so every set stays
+/// rooted at its first position.
+fn union_toward_first(parent: &mut [u32], a: u32, b: u32) {
+    let (ra, rb) = (find(parent, a), find(parent, b));
+    parent[ra.max(rb) as usize] = ra.min(rb);
 }
 
 #[cfg(test)]
@@ -196,121 +233,84 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[test]
-    fn singleton_answer() {
-        let a = Answer::singleton(7);
-        assert_eq!(a.num_classes(), 1);
-        assert_eq!(a.num_elements(), 1);
-        assert_eq!(a.representative(0), 7);
+    /// The representatives of every answer on the current level.
+    fn level(answers: &Answers) -> Vec<Vec<u32>> {
+        (0..answers.len())
+            .map(|i| answers.reps(i).to_vec())
+            .collect()
     }
 
     #[test]
-    #[should_panic(expected = "two classes")]
-    fn duplicate_elements_rejected() {
-        let _ = Answer::from_classes(vec![vec![0, 1], vec![1]]);
+    fn singletons_lead_themselves() {
+        let answers = Answers::singletons(3);
+        assert_eq!(level(&answers), vec![vec![0], vec![1], vec![2]]);
+        assert_eq!(answers.into_partition(), Partition::singletons(3));
     }
 
     #[test]
-    #[should_panic(expected = "empty classes")]
-    fn empty_class_rejected() {
-        let _ = Answer::from_classes(vec![vec![0], vec![]]);
+    fn merge_pair_keeps_left_classes_then_unmatched_right() {
+        // Ground truth: {0,1,4,5}, {2,3} and {6}.
+        let mut answers = Answers::from_classes(
+            7,
+            &[
+                vec![vec![0, 1], vec![2]],
+                vec![vec![3], vec![6], vec![4, 5]],
+            ],
+        );
+        // Results for (0,3), (0,6), (0,4), (2,3), (2,6), (2,4).
+        answers.merge_pair(0, &[false, false, true, true, false, false]);
+        answers.finish_level();
+        assert_eq!(level(&answers), vec![vec![0, 2, 6]]);
+        assert_eq!(
+            answers.into_partition(),
+            Partition::from_labels(&[0, 0, 1, 1, 0, 0, 2])
+        );
     }
 
     #[test]
-    fn merge_comparisons_is_cross_product_of_representatives() {
-        let a = Answer::from_classes(vec![vec![0, 1], vec![2]]);
-        let b = Answer::from_classes(vec![vec![3], vec![4, 5]]);
-        let pairs = a.merge_comparisons(&b);
-        assert_eq!(pairs, vec![(0, 3), (0, 4), (2, 3), (2, 4)]);
+    fn carry_moves_an_answer_up_unchanged() {
+        let mut answers = Answers::from_classes(4, &[vec![vec![0]], vec![vec![2], vec![1, 3]]]);
+        answers.carry(1);
+        answers.carry(0);
+        answers.finish_level();
+        assert_eq!(level(&answers), vec![vec![2, 1], vec![0]]);
     }
 
     #[test]
-    fn merge_with_unions_matching_classes() {
-        // Ground truth: {0,1,4,5} and {2,3}.
-        let a = Answer::from_classes(vec![vec![0, 1], vec![2]]);
-        let b = Answer::from_classes(vec![vec![3], vec![4, 5]]);
-        // results for pairs (0,3),(0,4),(2,3),(2,4)
-        let results = vec![false, true, true, false];
-        let merged = a.merge_with(&b, &results);
-        assert_eq!(merged.num_classes(), 2);
-        assert_eq!(merged.num_elements(), 6);
-        let classes = merged.classes();
-        assert!(classes.contains(&vec![0, 1, 4, 5]));
-        assert!(classes.contains(&vec![2, 3]));
-    }
-
-    #[test]
-    fn merge_with_all_different_concatenates() {
-        let a = Answer::from_classes(vec![vec![0]]);
-        let b = Answer::from_classes(vec![vec![1]]);
-        let merged = a.merge_with(&b, &[false]);
-        assert_eq!(merged.num_classes(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn merge_with_wrong_result_count_panics() {
-        let a = Answer::singleton(0);
-        let b = Answer::singleton(1);
-        let _ = a.merge_with(&b, &[true, false]);
-    }
-
-    #[test]
-    #[should_panic(expected = "inconsistency")]
-    fn merge_with_inconsistent_oracle_panics() {
-        let a = Answer::from_classes(vec![vec![0], vec![1]]);
-        let b = Answer::from_classes(vec![vec![2]]);
-        // Claims 2 equals both 0 and 1, which are known different.
-        let _ = a.merge_with(&b, &[true, true]);
-    }
-
-    #[test]
-    fn merge_group_with_truth_closure() {
+    fn merge_group_leads_with_the_first_member_and_sorts_by_representative() {
         // Truth labels for elements 0..6.
-        let truth = [0usize, 0, 1, 1, 2, 0];
-        let answers = vec![
-            Answer::from_classes(vec![vec![0, 1], vec![2]]),
-            Answer::from_classes(vec![vec![3], vec![4]]),
-            Answer::from_classes(vec![vec![5]]),
-        ];
-        let merged = Answer::merge_group(&answers, |i, a, j, b| {
-            let ra = answers[i].representative(a);
-            let rb = answers[j].representative(b);
-            truth[ra] == truth[rb]
-        });
-        assert_eq!(merged.num_elements(), 6);
-        assert_eq!(merged.num_classes(), 3);
-        let classes = merged.classes();
-        assert!(classes.contains(&vec![0, 1, 5]));
-        assert!(classes.contains(&vec![2, 3]));
-        assert!(classes.contains(&vec![4]));
+        let truth = [0u8, 0, 1, 1, 2, 0];
+        let mut answers = Answers::from_classes(
+            6,
+            &[
+                vec![vec![0, 1], vec![2]],
+                vec![vec![4], vec![3]],
+                vec![vec![5]],
+            ],
+        );
+        let mut results = Vec::new();
+        for (i, j) in [(0, 1), (0, 2), (1, 2)] {
+            for &a in answers.reps(i) {
+                for &b in answers.reps(j) {
+                    results.push(truth[a as usize] == truth[b as usize]);
+                }
+            }
+        }
+        assert_eq!(answers.merge_group(0..3, &results), results.len());
+        answers.finish_level();
+        assert_eq!(level(&answers), vec![vec![0, 2, 4]]);
+        assert_eq!(answers.into_partition(), Partition::from_labels(&truth));
     }
 
     #[test]
-    fn merge_group_of_nothing_is_empty() {
-        let merged = Answer::merge_group(&[], |_, _, _, _| false);
-        assert_eq!(merged.num_classes(), 0);
-        assert_eq!(merged.num_elements(), 0);
-    }
-
-    #[test]
-    fn to_labels_covers_everything() {
-        let answers = vec![
-            Answer::from_classes(vec![vec![0, 2], vec![4]]),
-            Answer::from_classes(vec![vec![1, 3]]),
-        ];
-        let labels = Answer::to_labels(&answers, 5);
-        assert_eq!(labels[0], labels[2]);
-        assert_eq!(labels[1], labels[3]);
-        assert_ne!(labels[0], labels[4]);
-        assert_ne!(labels[0], labels[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cover every element")]
-    fn to_labels_detects_missing_elements() {
-        let answers = vec![Answer::singleton(0)];
-        let _ = Answer::to_labels(&answers, 2);
+    fn merge_group_unions_transitively() {
+        // 0 ~ 1 and 1 ~ 2 are answered, 0 ~ 2 is not: one class, led by 0.
+        let mut answers = Answers::singletons(3);
+        // Results for (0,1), (0,2), (1,2).
+        assert_eq!(answers.merge_group(0..3, &[true, false, true]), 3);
+        answers.finish_level();
+        assert_eq!(level(&answers), vec![vec![0]]);
+        assert_eq!(answers.into_partition(), Partition::from_labels(&[0, 0, 0]));
     }
 
     proptest! {
@@ -324,27 +324,23 @@ mod tests {
             // the true partition of the union.
             let n = labels.len();
             let split = split % (n - 1) + 1;
-            let build = |range: std::ops::Range<usize>| {
-                let mut by_label: std::collections::BTreeMap<u8, Vec<usize>> = Default::default();
+            let build = |range: Range<usize>| {
+                let mut by_label: std::collections::BTreeMap<u8, Vec<u32>> = Default::default();
                 for e in range {
-                    by_label.entry(labels[e]).or_default().push(e);
+                    by_label.entry(labels[e]).or_default().push(e as u32);
                 }
-                Answer::from_classes(by_label.into_values().collect())
+                by_label.into_values().collect::<Vec<_>>()
             };
-            let a = build(0..split);
-            let b = build(split..n);
-            let pairs = a.merge_comparisons(&b);
-            let results: Vec<bool> = pairs.iter().map(|&(x, y)| labels[x] == labels[y]).collect();
-            let merged = a.merge_with(&b, &results);
-            prop_assert_eq!(merged.num_elements(), n);
-            // Verify: elements share a merged class iff they share a label.
-            let got = ecs_model::Partition::from_groups(&{
-                let mut gs = merged.classes().to_vec();
-                gs.sort_by_key(|c| c[0]);
-                gs
-            });
-            let want = ecs_model::Partition::from_labels(&labels);
-            prop_assert_eq!(got, want);
+            let mut answers = Answers::from_classes(n, &[build(0..split), build(split..n)]);
+            let mut results = Vec::new();
+            for &a in answers.reps(0) {
+                for &b in answers.reps(1) {
+                    results.push(labels[a as usize] == labels[b as usize]);
+                }
+            }
+            answers.merge_pair(0, &results);
+            answers.finish_level();
+            prop_assert_eq!(answers.into_partition(), Partition::from_labels(&labels));
         }
     }
 }

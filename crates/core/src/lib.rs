@@ -52,12 +52,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod answer;
+mod answer;
 pub mod parallel;
 pub mod run;
 pub mod sequential;
 
-pub use answer::Answer;
 pub use parallel::constant_round::ErConstantRound;
 pub use parallel::cr_compound::CrCompoundMerge;
 pub use parallel::er_merge::ErMergeSort;

@@ -1,8 +1,8 @@
 //! Theorem 1: concurrent-read ECS in `O(k + log log n)` rounds.
 //!
-//! The algorithm maintains a list of *answers* (solved sub-instances, see
-//! [`crate::Answer`]) and merges them with the paper's two-phased
-//! compounding-comparison technique:
+//! The algorithm maintains a list of *answers* (solved sub-instances, each
+//! partitioned into classes known to be pairwise different) and merges them
+//! with the paper's two-phased compounding-comparison technique:
 //!
 //! 1. start with `n` singleton answers;
 //! 2. **first phase** — while the number of processors per answer is less
@@ -17,7 +17,7 @@
 //! comparisons as one concurrent-read batch, and a batch of `m` comparisons on
 //! `n` processors is charged `⌈m/n⌉` rounds.
 
-use crate::answer::Answer;
+use crate::answer::Answers;
 use crate::run::{EcsAlgorithm, EcsRun};
 use ecs_model::{ComparisonSession, EquivalenceOracle, ExecutionBackend, Partition, ReadMode};
 
@@ -51,89 +51,55 @@ impl CrCompoundMerge {
     /// Merges consecutive pairs of answers (first phase step). All pair
     /// comparisons are submitted as a single concurrent-read batch.
     fn merge_pairs<O: EquivalenceOracle>(
-        answers: Vec<Answer>,
+        answers: &mut Answers,
         session: &mut ComparisonSession<'_, O>,
-    ) -> Vec<Answer> {
-        if answers.len() < 2 {
-            return answers;
-        }
+    ) {
         let mut batch: Vec<(usize, usize)> = Vec::new();
-        let mut spans: Vec<(usize, usize)> = Vec::new(); // (offset, len) per pair
-        for chunk in answers.chunks(2) {
-            if chunk.len() == 2 {
-                let pairs = chunk[0].merge_comparisons(&chunk[1]);
-                spans.push((batch.len(), pairs.len()));
-                batch.extend(pairs);
+        for m in 0..answers.len() / 2 {
+            let (left, right) = (answers.reps(2 * m), answers.reps(2 * m + 1));
+            for &a in left {
+                batch.extend(right.iter().map(|&b| (a as usize, b as usize)));
             }
         }
-        let results = session.execute_round(&batch);
-        let mut merged = Vec::with_capacity(answers.len().div_ceil(2));
-        let mut pair_index = 0;
-        for chunk in answers.chunks(2) {
-            if chunk.len() == 2 {
-                let (offset, len) = spans[pair_index];
-                pair_index += 1;
-                merged.push(chunk[0].merge_with(&chunk[1], &results[offset..offset + len]));
-            } else {
-                merged.push(chunk[0].clone());
-            }
-        }
-        merged
+        answers.merge_pairs(&session.execute_round(&batch));
     }
 
     /// Merges groups of `group_size` answers at once (second phase step).
+    /// All cross comparisons of every group are submitted as a single
+    /// concurrent-read batch, and each group reads its answers back in the
+    /// order it asked them.
     fn merge_groups<O: EquivalenceOracle>(
-        answers: Vec<Answer>,
+        answers: &mut Answers,
         group_size: usize,
         session: &mut ComparisonSession<'_, O>,
-    ) -> Vec<Answer> {
+    ) {
         debug_assert!(group_size >= 2);
+        let count = answers.len();
+        let groups = || {
+            (0..count)
+                .step_by(group_size)
+                .map(|first| first..(first + group_size).min(count))
+        };
         let mut batch: Vec<(usize, usize)> = Vec::new();
-        // For every group, record for each (i, j, a, b) cross comparison where
-        // its answer lands in the batch.
-        struct GroupPlan {
-            first_answer: usize,
-            len: usize,
-            offsets: std::collections::HashMap<(usize, usize, usize, usize), usize>,
-        }
-        let mut plans: Vec<GroupPlan> = Vec::new();
-        for (group_index, group) in answers.chunks(group_size).enumerate() {
-            let first_answer = group_index * group_size;
-            let mut offsets = std::collections::HashMap::new();
-            if group.len() >= 2 {
-                for i in 0..group.len() {
-                    for j in (i + 1)..group.len() {
-                        for a in 0..group[i].num_classes() {
-                            for b in 0..group[j].num_classes() {
-                                offsets.insert((i, j, a, b), batch.len());
-                                batch
-                                    .push((group[i].representative(a), group[j].representative(b)));
-                            }
-                        }
+        for group in groups() {
+            for i in group.clone() {
+                for j in (i + 1)..group.end {
+                    for &a in answers.reps(i) {
+                        batch.extend(answers.reps(j).iter().map(|&b| (a as usize, b as usize)));
                     }
                 }
             }
-            plans.push(GroupPlan {
-                first_answer,
-                len: group.len(),
-                offsets,
-            });
         }
         let results = session.execute_round(&batch);
-        let mut merged = Vec::with_capacity(answers.len().div_ceil(group_size));
-        for plan in plans {
-            let group = &answers[plan.first_answer..plan.first_answer + plan.len];
+        let mut read = 0;
+        for group in groups() {
             if group.len() == 1 {
-                merged.push(group[0].clone());
-                continue;
+                answers.carry(group.start);
+            } else {
+                read += answers.merge_group(group, &results[read..]);
             }
-            let combined = Answer::merge_group(group, |i, a, j, b| {
-                let key = if i < j { (i, j, a, b) } else { (j, i, b, a) };
-                results[plan.offsets[&key]]
-            });
-            merged.push(combined);
         }
-        merged
+        answers.finish_level();
     }
 }
 
@@ -158,23 +124,22 @@ impl EcsAlgorithm for CrCompoundMerge {
         }
 
         // Step 1: one singleton answer per element.
-        let mut answers: Vec<Answer> = (0..n).map(Answer::singleton).collect();
+        let mut answers = Answers::singletons(n);
         let k_sq = self.k.saturating_mul(self.k).max(1);
 
         // First phase: pairwise merging while processors per answer < 4k².
         while answers.len() > 1 && n / answers.len() < 4 * k_sq {
-            answers = Self::merge_pairs(answers, &mut session);
+            Self::merge_pairs(&mut answers, &mut session);
         }
 
         // Second phase: compound merging with group size c = ⌊p_per_answer / k²⌋.
         while answers.len() > 1 {
             let per_answer = n / answers.len();
             let c = (per_answer / k_sq).max(2).min(answers.len());
-            answers = Self::merge_groups(answers, c, &mut session);
+            Self::merge_groups(&mut answers, c, &mut session);
         }
 
-        let labels = Answer::to_labels(&answers, n);
-        EcsRun::new(Partition::from_labels(&labels), session.into_metrics())
+        EcsRun::new(answers.into_partition(), session.into_metrics())
     }
 }
 

@@ -11,7 +11,7 @@
 //! rounds, and merges of *different* answer pairs at the same tree level touch
 //! disjoint elements, so they share rounds. Total: `O(k log n)` rounds.
 
-use crate::answer::Answer;
+use crate::answer::Answers;
 use crate::run::{EcsAlgorithm, EcsRun};
 use ecs_model::schedule::bipartite_round;
 use ecs_model::{ComparisonSession, EquivalenceOracle, ExecutionBackend, Partition, ReadMode};
@@ -29,67 +29,43 @@ impl ErMergeSort {
     /// Merges consecutive pairs of answers at one tree level. The bipartite
     /// schedules of all pairs are interleaved: global round `r` executes round
     /// `r` of every pair's schedule (element-disjoint, hence a legal ER
-    /// round). Each answer is written straight into its merge's result
-    /// vector, at the position [`Answer::merge_with`] reads it from.
+    /// round). Each answer is written straight into the level's result
+    /// buffer, at the position [`Answers::merge_pairs`] reads it from.
     fn merge_level<O: EquivalenceOracle>(
-        answers: Vec<Answer>,
+        answers: &mut Answers,
         session: &mut ComparisonSession<'_, O>,
-    ) -> Vec<Answer> {
-        if answers.len() < 2 {
-            return answers;
+    ) {
+        let merges = answers.len() / 2;
+        // Merge `m`'s results are `results[offsets[m]..offsets[m + 1]]`,
+        // indexed `left * right_len + right`.
+        let mut offsets = Vec::with_capacity(merges + 1);
+        offsets.push(0);
+        let mut max_rounds = 0;
+        for m in 0..merges {
+            let (left, right) = (answers.reps(2 * m).len(), answers.reps(2 * m + 1).len());
+            offsets.push(offsets[m] + left * right);
+            max_rounds = max_rounds.max(left.max(right));
         }
-        /// One merge of the level: the two sides' representatives and the
-        /// merge's results, indexed `left * right.len() + right`.
-        struct Merge {
-            left: Vec<usize>,
-            right: Vec<usize>,
-            results: Vec<bool>,
-        }
-        let mut merges: Vec<Merge> = answers
-            .chunks_exact(2)
-            .map(|pair| {
-                let (left, right) = (pair[0].representatives(), pair[1].representatives());
-                let results = vec![false; left.len() * right.len()];
-                Merge {
-                    left,
-                    right,
-                    results,
-                }
-            })
-            .collect();
-        let max_rounds = merges
-            .iter()
-            .map(|m| m.left.len().max(m.right.len()))
-            .max()
-            .unwrap_or(0);
+        let mut results = vec![false; offsets[merges]];
 
         let mut round: Vec<(usize, usize)> = Vec::new();
-        let mut slots: Vec<(usize, usize)> = Vec::new();
+        let mut slots: Vec<usize> = Vec::new();
         for r in 0..max_rounds {
             round.clear();
             slots.clear();
-            for (m, merge) in merges.iter().enumerate() {
-                let kb = merge.right.len();
-                for (a, b) in bipartite_round(merge.left.len(), kb, r) {
-                    round.push((merge.left[a], merge.right[b]));
-                    slots.push((m, a * kb + b));
+            for (m, &offset) in offsets[..merges].iter().enumerate() {
+                let (left, right) = (answers.reps(2 * m), answers.reps(2 * m + 1));
+                for (a, b) in bipartite_round(left.len(), right.len(), r) {
+                    round.push((left[a] as usize, right[b] as usize));
+                    slots.push(offset + a * right.len() + b);
                 }
             }
-            let results = session.execute_round(&round);
-            for (&(m, at), same) in slots.iter().zip(results) {
-                merges[m].results[at] = same;
+            for (&slot, same) in slots.iter().zip(session.execute_round(&round)) {
+                results[slot] = same;
             }
         }
 
-        // Apply the merges; an odd answer out is carried up unchanged.
-        let pairs = answers.chunks_exact(2);
-        let odd = pairs.remainder().iter().cloned();
-        let mut merged: Vec<Answer> = pairs
-            .zip(&merges)
-            .map(|(pair, merge)| pair[0].merge_with(&pair[1], &merge.results))
-            .collect();
-        merged.extend(odd);
-        merged
+        answers.merge_pairs(&results);
     }
 }
 
@@ -112,12 +88,11 @@ impl EcsAlgorithm for ErMergeSort {
         if n == 0 {
             return EcsRun::new(Partition::from_labels::<u32>(&[]), session.into_metrics());
         }
-        let mut answers: Vec<Answer> = (0..n).map(Answer::singleton).collect();
+        let mut answers = Answers::singletons(n);
         while answers.len() > 1 {
-            answers = Self::merge_level(answers, &mut session);
+            Self::merge_level(&mut answers, &mut session);
         }
-        let labels = Answer::to_labels(&answers, n);
-        EcsRun::new(Partition::from_labels(&labels), session.into_metrics())
+        EcsRun::new(answers.into_partition(), session.into_metrics())
     }
 }
 
@@ -231,23 +206,32 @@ mod tests {
         // merge order, and the odd answer is carried up.
         use ecs_model::schedule::bipartite_rounds;
         use ecs_model::{LabelOracle, RecordingOracle};
-        let answers = vec![
-            Answer::from_classes(vec![vec![0], vec![1], vec![2]]),
-            Answer::from_classes(vec![vec![3]]),
-            Answer::from_classes(vec![vec![4], vec![5]]),
-            Answer::from_classes(vec![vec![6], vec![7]]),
-            Answer::from_classes(vec![vec![8], vec![9], vec![10], vec![11]]),
-        ];
+        let classes = |reps: &[u32]| reps.iter().map(|&r| vec![r]).collect::<Vec<_>>();
+        let mut answers = Answers::from_classes(
+            12,
+            &[
+                classes(&[0, 1, 2]),
+                classes(&[3]),
+                classes(&[4, 5]),
+                classes(&[6, 7]),
+                classes(&[8, 9, 10, 11]),
+            ],
+        );
         let oracle = RecordingOracle::new(LabelOracle::new((0..12).collect()));
         let mut session = ComparisonSession::new(&oracle, ReadMode::Exclusive);
-        let merged = ErMergeSort::merge_level(answers.clone(), &mut session);
-        assert_eq!(merged.len(), 3);
-        assert_eq!(merged[2], answers[4], "the odd answer is carried up");
-        assert_eq!(merged[0].num_classes(), 4);
+        ErMergeSort::merge_level(&mut answers, &mut session);
+        assert_eq!(answers.len(), 3);
+        assert_eq!(answers.reps(0), [0, 1, 2, 3]);
+        assert_eq!(answers.reps(1), [4, 5, 6, 7]);
+        assert_eq!(
+            answers.reps(2),
+            [8, 9, 10, 11],
+            "the odd answer is carried up"
+        );
 
         let schedules = [
-            bipartite_rounds(&answers[0].representatives(), &answers[1].representatives()),
-            bipartite_rounds(&answers[2].representatives(), &answers[3].representatives()),
+            bipartite_rounds(&[0, 1, 2], &[3]),
+            bipartite_rounds(&[4, 5], &[6, 7]),
         ];
         let mut expected = Vec::new();
         for r in 0..3 {
@@ -260,6 +244,22 @@ mod tests {
         let asked: Vec<_> = oracle.transcript().iter().collect();
         assert_eq!(asked, expected);
         assert_eq!(session.metrics().rounds(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "class matched two distinct classes")]
+    fn inconsistent_oracle_panics() {
+        /// Says 0 and 1 differ, yet that 2 equals both of them.
+        struct Liar;
+        impl EquivalenceOracle for Liar {
+            fn n(&self) -> usize {
+                4
+            }
+            fn same(&self, a: usize, b: usize) -> bool {
+                a.max(b) >= 2
+            }
+        }
+        let _ = ErMergeSort::new().sort(&Liar);
     }
 
     proptest! {

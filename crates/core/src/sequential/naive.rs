@@ -1,6 +1,7 @@
 //! The brute-force baseline: compare every pair.
 
 use crate::run::{EcsAlgorithm, EcsRun};
+use ecs_graph::BitRow;
 use ecs_model::{ComparisonSession, EquivalenceOracle, ExecutionBackend, Partition, ReadMode};
 
 /// Compares all `C(n, 2)` pairs of elements and groups the equal ones.
@@ -35,22 +36,29 @@ impl EcsAlgorithm for NaiveAllPairs {
     ) -> EcsRun {
         let n = oracle.n();
         let mut session = ComparisonSession::with_backend(oracle, ReadMode::Exclusive, backend);
-        // Row `a` asks `(a, a+1), ..., (a, n-1)` as one sequence of single
-        // comparisons: the same queries in the same order as a pair loop.
-        // Each element takes the label of its first equal partner (labels
-        // only point down, so `label[b] == b` means not yet matched); for a
-        // consistent oracle that labels the whole class alike.
-        let mut label: Vec<usize> = (0..n).collect();
-        let mut row: Vec<(usize, usize)> = Vec::with_capacity(n);
+        // Row `a` asks `(a, a+1), ..., (a, n-1)` as one row of single
+        // comparisons: the same queries in the same order as a pair loop,
+        // answered 64 partners to a word. Each element takes the label of
+        // the first earlier element found equal to it; `unmatched` marks the
+        // elements not labelled yet, so a word touches only its equal
+        // partners that are still unmatched. For a consistent oracle that
+        // labels the whole class alike.
+        let mut label: Vec<u32> = (0..n as u32).collect();
+        let mut unmatched = BitRow::new(n);
+        for b in 0..n {
+            unmatched.set(b);
+        }
+        let mut row = Vec::with_capacity(n.div_ceil(64));
         for a in 0..n {
-            row.clear();
-            row.extend(((a + 1)..n).map(|b| (a, b)));
-            let answers = session.compare_sequence(&row);
-            for (&(_, b), same) in row.iter().zip(answers) {
-                // Test the label first: once most elements are matched it is
-                // almost always false, which keeps the branch predictable.
-                if label[b] == b && same {
+            session.compare_row(a, (a + 1)..n, &mut row);
+            for (w, &same) in row.iter().enumerate() {
+                let start = a + 1 + 64 * w;
+                let mut hits = same & unmatched.extract_word(start);
+                while hits != 0 {
+                    let b = start + hits.trailing_zeros() as usize;
+                    hits &= hits - 1;
                     label[b] = label[a];
+                    unmatched.clear(b);
                 }
             }
         }

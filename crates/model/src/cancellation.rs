@@ -18,6 +18,7 @@
 //! the unwrapped oracle.
 
 use crate::oracle::EquivalenceOracle;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -122,9 +123,9 @@ impl<O: EquivalenceOracle> EquivalenceOracle for CancellableOracle<O> {
         self.inner.same_batch(pairs)
     }
 
-    fn same_sequence(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
+    fn same_row(&self, a: usize, others: Range<usize>, out: &mut Vec<u64>) {
         self.check();
-        self.inner.same_sequence(pairs)
+        self.inner.same_row(a, others, out);
     }
 
     fn round_opened(&self, pairs: &[(usize, usize)]) {
@@ -168,7 +169,10 @@ mod tests {
         }
         let pairs = [(0usize, 1usize), (1, 2), (2, 3)];
         assert_eq!(wrapped.same_batch(&pairs), inner.same_batch(&pairs));
-        assert_eq!(wrapped.same_sequence(&pairs), inner.same_sequence(&pairs));
+        let (mut wrapped_row, mut inner_row) = (Vec::new(), Vec::new());
+        wrapped.same_row(0, 1..4, &mut wrapped_row);
+        inner.same_row(0, 1..4, &mut inner_row);
+        assert_eq!(wrapped_row, inner_row);
     }
 
     #[test]
@@ -184,7 +188,7 @@ mod tests {
                 let _ = oracle.same_batch(&[(0, 1)]);
             })),
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = oracle.same_sequence(&[(0, 1)]);
+                oracle.same_row(0, 1..2, &mut Vec::new());
             })),
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 oracle.round_opened(&[(0, 1)]);

@@ -11,6 +11,7 @@
 use crate::instance::Instance;
 use crate::partition::Partition;
 use ecs_graph::BitRow;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Answers pairwise equivalence tests.
@@ -64,24 +65,26 @@ pub trait EquivalenceOracle: Sync {
         answers
     }
 
-    /// Answers `pairs` as consecutive *sequential* queries, one answer per
-    /// pair in pair order — the bulk form of calling [`Self::same`] on each
-    /// pair in turn, behind [`crate::ComparisonSession::compare_sequence`].
-    /// Every pair is its own single-pair round, exactly as a scalar `same`
-    /// outside a round is: no round hooks are involved.
+    /// Answers the row of consecutive *sequential* queries `(a, b)`, one
+    /// for every `b` in `others` in ascending order, as packed words: bit `i`
+    /// of the row (bit `i % 64` of `out[i / 64]`) answers
+    /// `(a, others.start + i)`. `out` is cleared first and ends with
+    /// `⌈others.len() / 64⌉` words; bits past the row's end are zero. This
+    /// is the bulk form of calling [`Self::same`] on each pair in turn,
+    /// behind [`crate::ComparisonSession::compare_row`]: every pair is its
+    /// own single-pair round, exactly as a scalar `same` outside a round is,
+    /// and no round hooks are involved.
     ///
-    /// The default is that scalar loop, so order-adaptive oracles (the
-    /// lower-bound adversaries answer each query against the state the
+    /// The default is that in-order scalar loop, so order-adaptive oracles
+    /// (the lower-bound adversaries answer each query against the state the
     /// previous one left) and instrumenting wrappers behave exactly as they
     /// would under a `same` loop. Only an oracle whose answers do not depend
-    /// on query order may override it — e.g. with its [`Self::same_batch`],
-    /// as the ground-truth oracles do. Pass-through wrappers
+    /// on query order may override it — as the ground-truth oracles do, one
+    /// class-row word per 64 pairs. Pass-through wrappers
     /// ([`crate::CancellableOracle`], [`crate::RecordingOracle`]) forward it
     /// to the wrapped oracle so such an override is not defeated.
-    fn same_sequence(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
-        let mut answers = Vec::with_capacity(pairs.len());
-        answers.extend(pairs.iter().map(|&(a, b)| self.same(a, b)));
-        answers
+    fn same_row(&self, a: usize, others: Range<usize>, out: &mut Vec<u64>) {
+        pack_row(others, out, |b| self.same(a, b));
     }
 
     /// Round-boundary hook: a [`crate::ComparisonSession`] calls this with
@@ -130,6 +133,16 @@ fn validate_pairs(n: usize, pairs: &[(usize, usize)]) {
     }
 }
 
+/// Packs `answer(b)` for every `b` in `others`, asked in ascending order,
+/// into `out` in the [`EquivalenceOracle::same_row`] layout.
+fn pack_row(others: Range<usize>, out: &mut Vec<u64>, mut answer: impl FnMut(usize) -> bool) {
+    out.clear();
+    out.resize(others.len().div_ceil(64), 0);
+    for (i, b) in others.enumerate() {
+        out[i / 64] |= u64::from(answer(b)) << (i % 64);
+    }
+}
+
 /// Ceiling on `num_classes * n` bits (16 MiB) for the packed class-row view;
 /// partitions denser than this answer batches with the scalar label loop.
 const CLASS_ROW_MAX_BITS: usize = 1 << 27;
@@ -163,15 +176,31 @@ impl ClassRows {
     /// Answers a wave into `out`, validating inline in the same single pass
     /// (the pair list is the dominant memory traffic of a large wave, so it
     /// is walked exactly once). Pairs are grouped into runs that share a
-    /// left endpoint; within a run, maximal stretches of consecutive right
-    /// endpoints are answered from single 64-bit windows of the left
-    /// endpoint's class row — a whole-stretch bounds check stands in for the
-    /// per-pair one. Answers are exactly `labels[a] == labels[b]` pair for
-    /// pair, and out-of-range pairs panic with the same diagnostic as the
-    /// scalar loop.
+    /// left endpoint; within a run, maximal stretches of at least 8
+    /// consecutive right endpoints are answered from single 64-bit windows
+    /// of the left endpoint's class row — a whole-stretch bounds check
+    /// stands in for the per-pair one. Everything shorter (a matching's
+    /// one-pair runs, scattered partners) is a label compare, which costs
+    /// no more than the scalar loop. Answers are exactly
+    /// `labels[a] == labels[b]` pair for pair, and out-of-range pairs panic
+    /// with the same diagnostic as the scalar loop.
     fn answer_wave(&self, n: usize, pairs: &[(usize, usize)], out: &mut Vec<bool>) {
         let mut i = 0;
         while i < pairs.len() {
+            // A stretch of one-pair runs (a matching's shape): one label
+            // compare per pair, in a single pass.
+            let mut m = i;
+            while m < pairs.len() && pairs.get(m + 1).is_none_or(|p| p.0 != pairs[m].0) {
+                m += 1;
+            }
+            if m > i {
+                out.extend(pairs[i..m].iter().map(|&(a, b)| {
+                    validate_pair(n, a, b);
+                    self.label_of[a] == self.label_of[b]
+                }));
+                i = m;
+                continue;
+            }
             let a = pairs[i].0;
             let mut j = i + 1;
             while j < pairs.len() && pairs[j].0 == a {
@@ -180,7 +209,8 @@ impl ClassRows {
             // Validate the run's left endpoint against its first partner, so
             // an out-of-range `a` reports the pair the scalar loop would.
             validate_pair(n, a, pairs[i].1);
-            let row = &self.rows[self.label_of[a] as usize];
+            let label = self.label_of[a];
+            let row = &self.rows[label as usize];
             let mut k = i;
             while k < j {
                 let b0 = pairs[k].1;
@@ -220,12 +250,44 @@ impl ClassRows {
                 } else {
                     for &(_, b) in &pairs[k..m] {
                         validate_pair(n, a, b);
-                        out.push(row.test(b));
+                        out.push(label == self.label_of[b]);
                     }
                 }
                 k = m;
             }
             i = j;
+        }
+    }
+
+    /// Answers the row `(a, b)`, `b` in `others`, into `out` in the
+    /// [`EquivalenceOracle::same_row`] layout: one bounds check for the
+    /// whole row, then one 64-bit window of `a`'s class row per word.
+    fn answer_row(&self, n: usize, a: usize, others: Range<usize>, out: &mut Vec<u64>) {
+        out.clear();
+        if others.is_empty() {
+            return;
+        }
+        if a >= n || others.end > n {
+            // Report the first pair the scalar loop would reject.
+            let b = if a < n {
+                others.start.max(n)
+            } else {
+                others.start
+            };
+            validate_pair(n, a, b);
+        }
+        debug_assert!(!others.contains(&a), "self-comparison requested");
+        let row = &self.rows[self.label_of[a] as usize];
+        out.extend(
+            others
+                .clone()
+                .step_by(64)
+                .map(|start| row.extract_word(start)),
+        );
+        let tail = others.len() % 64;
+        if tail != 0 {
+            // The row runs on past `others.end`; clear the bits beyond it.
+            *out.last_mut().expect("a non-empty row has a word") &= (1u64 << tail) - 1;
         }
     }
 }
@@ -287,9 +349,12 @@ impl EquivalenceOracle for InstanceOracle<'_> {
         answers
     }
 
-    fn same_sequence(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
+    fn same_row(&self, a: usize, others: Range<usize>, out: &mut Vec<u64>) {
         // Answers from fixed ground truth do not depend on query order.
-        self.same_batch(pairs)
+        match self.class_rows() {
+            Some(rows) => rows.answer_row(self.instance.n(), a, others, out),
+            None => pack_row(others, out, |b| self.same(a, b)),
+        }
     }
 }
 
@@ -348,9 +413,12 @@ impl EquivalenceOracle for LabelOracle {
         answers
     }
 
-    fn same_sequence(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
+    fn same_row(&self, a: usize, others: Range<usize>, out: &mut Vec<u64>) {
         // Answers from fixed labels do not depend on query order.
-        self.same_batch(pairs)
+        match self.class_rows() {
+            Some(rows) => rows.answer_row(self.labels.len(), a, others, out),
+            None => pack_row(others, out, |b| self.same(a, b)),
+        }
     }
 }
 
@@ -450,17 +518,16 @@ mod tests {
             Parity.same_batch(&[(0, 2), (0, 1), (3, 5)]),
             vec![true, false, true]
         );
-        assert_eq!(
-            Parity.same_sequence(&[(0, 2), (0, 1), (3, 5)]),
-            vec![true, false, true]
-        );
+        let mut row = Vec::new();
+        Parity.same_row(3, 4..10, &mut row);
+        assert_eq!(row, vec![0b10_1010]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn same_sequence_rejects_out_of_range_pairs() {
+    fn same_row_rejects_out_of_range_rows() {
         let inst = Instance::from_labels(&[1, 1, 2]);
-        let _ = InstanceOracle::new(&inst).same_sequence(&[(0, 1), (0, 2), (0, 3)]);
+        InstanceOracle::new(&inst).same_row(0, 1..4, &mut Vec::new());
     }
 
     #[test]
@@ -518,5 +585,8 @@ mod tests {
         assert!(oracle.class_rows().is_none());
         let pairs = [(0usize, 1usize), (5, 5000), (19_998, 19_999)];
         assert_eq!(oracle.same_batch(&pairs), vec![false, false, false]);
+        let mut row = Vec::new();
+        oracle.same_row(19_990, 19_991..n, &mut row);
+        assert_eq!(row, vec![0]);
     }
 }

@@ -3,6 +3,7 @@
 use crate::backend::ExecutionBackend;
 use crate::metrics::Metrics;
 use crate::oracle::EquivalenceOracle;
+use std::ops::Range;
 
 /// Which read discipline a session enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,15 +145,17 @@ impl<'a, O: EquivalenceOracle> ComparisonSession<'a, O> {
         self.oracle.same(a, b)
     }
 
-    /// Performs consecutive single comparisons, one per pair in order, and
-    /// returns their answers: exactly the charges and queries of calling
-    /// [`Self::compare`] on each pair in turn (every pair is its own round,
-    /// and no round hooks are called), in one call. Oracles whose answers do
-    /// not depend on query order answer the whole sequence at once through
-    /// [`EquivalenceOracle::same_sequence`].
-    pub fn compare_sequence(&mut self, pairs: &[(usize, usize)]) -> Vec<bool> {
-        self.metrics.record_singles(pairs.len());
-        self.oracle.same_sequence(pairs)
+    /// Performs the row of single comparisons `(a, b)`, one for every `b` in
+    /// `others` in ascending order, and packs the answers into `out` (bit
+    /// `i % 64` of `out[i / 64]` answers `(a, others.start + i)`; see
+    /// [`EquivalenceOracle::same_row`]): exactly the charges and queries of
+    /// calling [`Self::compare`] on each pair in turn (every pair is its own
+    /// round, and no round hooks are called), in one call. Oracles whose
+    /// answers do not depend on query order answer the whole row a word at a
+    /// time.
+    pub fn compare_row(&mut self, a: usize, others: Range<usize>, out: &mut Vec<u64>) {
+        self.metrics.record_singles(others.len());
+        self.oracle.same_row(a, others, out);
     }
 
     /// Executes one parallel round of comparisons and returns one answer per
@@ -296,60 +299,91 @@ mod tests {
         let _ = s.execute_round(&[(0, 1), (2, 7)]);
     }
 
+    /// Packs answers in the [`EquivalenceOracle::same_row`] layout.
+    fn pack(answers: &[bool]) -> Vec<u64> {
+        let mut words = vec![0u64; answers.len().div_ceil(64)];
+        for (i, &same) in answers.iter().enumerate() {
+            words[i / 64] |= u64::from(same) << (i % 64);
+        }
+        words
+    }
+
+    /// Rows of length 0, 1, 63, 64, 65 and 129, with aligned and unaligned
+    /// starts, rows left and right of `a`, and `a = n − 1`.
+    fn rows(n: usize) -> Vec<(usize, Range<usize>)> {
+        vec![
+            (0, 1..1),
+            (0, 1..2),
+            (0, 1..64),
+            (5, 64..128),
+            (3, 7..72),
+            (200, 0..129),
+            (n - 1, n..n),
+            (n - 1, n - 130..n - 1),
+            (17, 18..n),
+        ]
+    }
+
+    /// Runs every row through `compare_row` on one session and through a
+    /// `compare` loop on another, checking answers, word layout and charges.
+    fn row_and_loop<O: EquivalenceOracle>(
+        bulk: &O,
+        looped: &O,
+        rows: &[(usize, Range<usize>)],
+    ) -> Vec<Vec<u64>> {
+        let mut s = ComparisonSession::new(bulk, ReadMode::Exclusive);
+        let mut t = ComparisonSession::new(looped, ReadMode::Exclusive);
+        s.compare(1, 2);
+        t.compare(1, 2);
+        // Stale words must be cleared, not extended.
+        let mut words = vec![u64::MAX; 9];
+        let mut answered = Vec::new();
+        for (a, others) in rows {
+            s.compare_row(*a, others.clone(), &mut words);
+            let expected: Vec<bool> = others.clone().map(|b| t.compare(*a, b)).collect();
+            assert_eq!(words, pack(&expected), "row ({a}, {others:?})");
+            answered.push(words.clone());
+        }
+        assert_eq!(s.metrics(), t.metrics());
+        assert_eq!(s.metrics().round_sizes(), t.metrics().round_sizes());
+        answered
+    }
+
     #[test]
-    fn compare_sequence_matches_the_compare_loop() {
+    fn compare_row_matches_the_compare_loop() {
         let mut r = rng(5);
         let inst = Instance::balanced(300, 6, &mut r);
         let labels = inst.ground_truth().labels().to_vec();
-        // Rows of the all-pairs shape (long consecutive runs) plus a few
-        // scattered pairs.
-        let mut pairs: Vec<(usize, usize)> = (0..300)
-            .step_by(37)
-            .flat_map(|a| ((a + 1)..300).map(move |b| (a, b)))
-            .collect();
-        pairs.extend([(5, 2), (299, 0), (17, 160)]);
+        let rows = rows(300);
 
-        fn check<O: EquivalenceOracle>(oracle: &O, pairs: &[(usize, usize)]) -> Vec<bool> {
-            let mut bulk = ComparisonSession::new(oracle, ReadMode::Exclusive);
-            bulk.compare(1, 2);
-            let answers = bulk.compare_sequence(pairs);
-            assert!(bulk.compare_sequence(&[]).is_empty());
-            let mut looped = ComparisonSession::new(oracle, ReadMode::Exclusive);
-            looped.compare(1, 2);
-            let expected: Vec<bool> = pairs.iter().map(|&(a, b)| looped.compare(a, b)).collect();
-            assert_eq!(answers, expected);
-            assert_eq!(bulk.metrics(), looped.metrics());
-            assert_eq!(bulk.metrics().round_sizes(), looped.metrics().round_sizes());
-            answers
-        }
-
-        let by_instance = check(&InstanceOracle::new(&inst), &pairs);
-        let by_labels = check(&LabelOracle::new(labels), &pairs);
+        let instance_oracle = InstanceOracle::new(&inst);
+        let label_oracle = LabelOracle::new(labels);
+        let by_instance = row_and_loop(&instance_oracle, &instance_oracle, &rows);
+        let by_labels = row_and_loop(&label_oracle, &label_oracle, &rows);
         assert_eq!(by_instance, by_labels);
 
         let bulk = RecordingOracle::new(InstanceOracle::new(&inst));
         let looped = RecordingOracle::new(InstanceOracle::new(&inst));
-        let _ = ComparisonSession::new(&bulk, ReadMode::Exclusive).compare_sequence(&pairs);
-        let mut s = ComparisonSession::new(&looped, ReadMode::Exclusive);
-        for &(a, b) in &pairs {
-            let _ = s.compare(a, b);
-        }
+        let _ = row_and_loop(&bulk, &looped, &rows);
         let bulk: Vec<_> = bulk.transcript().iter().collect();
         let looped: Vec<_> = looped.transcript().iter().collect();
-        assert_eq!(bulk.len(), pairs.len());
+        let asked: usize = rows.iter().map(|(_, others)| others.len()).sum();
+        assert_eq!(bulk.len(), asked + 1);
         assert_eq!(bulk, looped, "same transcript, pair for pair");
     }
 
     #[test]
-    fn compare_sequence_on_a_tripped_token_unwinds_with_cancelled() {
+    fn compare_row_on_a_tripped_token_unwinds_with_cancelled() {
         use crate::cancellation::{is_cancellation, CancellableOracle, CancellationToken};
         let token = CancellationToken::new();
         let oracle = CancellableOracle::new(LabelOracle::new(vec![0, 0, 1]), token.clone());
         let mut s = ComparisonSession::new(&oracle, ReadMode::Exclusive);
-        assert_eq!(s.compare_sequence(&[(0, 1), (0, 2)]), vec![true, false]);
+        let mut words = Vec::new();
+        s.compare_row(0, 1..3, &mut words);
+        assert_eq!(words, vec![0b01]);
         token.cancel();
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            s.compare_sequence(&[(0, 1), (0, 2)])
+            s.compare_row(0, 1..3, &mut words)
         }));
         assert!(is_cancellation(
             &*unwound.expect_err("a tripped token must abort")
@@ -358,10 +392,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn compare_sequence_rejects_out_of_range_pairs() {
+    fn compare_row_rejects_out_of_range_rows() {
         let oracle = LabelOracle::new(vec![0, 0, 1]);
         let mut s = ComparisonSession::new(&oracle, ReadMode::Exclusive);
-        let _ = s.compare_sequence(&[(0, 1), (1, 3)]);
+        s.compare_row(1, 2..4, &mut Vec::new());
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::oracle::EquivalenceOracle;
 use crate::partition::Partition;
 use ecs_graph::UnionFind;
 use parking_lot::Mutex;
+use std::ops::Range;
 
 /// A record of answered equivalence tests.
 #[derive(Debug, Clone, Default)]
@@ -170,8 +171,12 @@ impl<O: EquivalenceOracle> EquivalenceOracle for RecordingOracle<O> {
         self.record_all(pairs, self.inner.same_batch(pairs))
     }
 
-    fn same_sequence(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
-        self.record_all(pairs, self.inner.same_sequence(pairs))
+    fn same_row(&self, a: usize, others: Range<usize>, out: &mut Vec<u64>) {
+        self.inner.same_row(a, others.clone(), out);
+        let mut transcript = self.transcript.lock();
+        for (i, b) in others.enumerate() {
+            transcript.record(a, b, out[i / 64] >> (i % 64) & 1 == 1);
+        }
     }
 
     fn round_opened(&self, pairs: &[(usize, usize)]) {

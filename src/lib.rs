@@ -67,7 +67,7 @@ pub mod prelude {
         Table,
     };
     pub use ecs_core::{
-        Answer, CrCompoundMerge, EcsAlgorithm, EcsRun, ErConstantRound, ErMergeSort, NaiveAllPairs,
+        CrCompoundMerge, EcsAlgorithm, EcsRun, ErConstantRound, ErMergeSort, NaiveAllPairs,
         RepresentativeScan, RoundRobin,
     };
     pub use ecs_distributions::{

@@ -14,11 +14,11 @@
 //!    [`ecs_model::Metrics`]** as the sequential backend: charging happens
 //!    before evaluation and waves are cut in pair order, so batching is
 //!    observationally invisible.
-//! 3. **Sequence transparency.** `ComparisonSession::compare_sequence` must
-//!    ask, answer and charge exactly what a loop of `compare` calls does —
-//!    also for the order-adaptive adversaries, which keep the default
-//!    `same_sequence` (a `same` loop) and so must force the same answers,
-//!    partition and marks.
+//! 3. **Row transparency.** `ComparisonSession::compare_row` must ask,
+//!    answer and charge exactly what a loop of `compare` calls does — also
+//!    for the order-adaptive adversaries, which keep the default `same_row`
+//!    (a `same` loop) and so must force the same answers, partition and
+//!    marks.
 
 use ecs_adversary::{EqualSizeAdversary, SmallestClassAdversary};
 use ecs_core::{
@@ -32,6 +32,7 @@ use ecs_model::{
 };
 use ecs_rng::{EcsRng, SeedableEcsRng, Xoshiro256StarStar};
 use proptest::prelude::*;
+use std::ops::Range;
 
 fn distribution(choice: u8) -> AnyDistribution {
     match choice % 4 {
@@ -51,6 +52,26 @@ fn query_pairs(n: usize, count: usize, seed: u64) -> Vec<(usize, usize)> {
             let a = rng.next_u64() as usize % n;
             let b = rng.next_u64() as usize % n;
             (a != b).then_some((a, b))
+        })
+        .collect()
+}
+
+/// Deterministic pseudo-random rows `(a, others)` with `a` outside
+/// `others`, of lengths 0 to 199 at arbitrary (mostly unaligned) starts.
+fn query_rows(n: usize, count: usize, seed: u64) -> Vec<(usize, Range<usize>)> {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(seed ^ 0x51_7CC1_B727);
+    (0..count)
+        .map(|_| {
+            let a = rng.next_u64() as usize % n;
+            // Half the rows lie right of `a`, half left of it.
+            let (lo, hi) = if rng.next_u64() % 2 == 0 {
+                (a + 1, n)
+            } else {
+                (0, a)
+            };
+            let start = lo + rng.next_u64() as usize % (hi - lo + 1);
+            let len = (rng.next_u64() as usize % 200).min(hi - start);
+            (a, start..start + len)
         })
         .collect()
 }
@@ -151,36 +172,38 @@ proptest! {
     }
 }
 
-/// Runs `pairs` through one session as a sequence and through another as a
-/// `compare` loop, and returns both answer lists after checking the charges
-/// agree.
-fn sequence_and_loop<O: EquivalenceOracle>(
+/// Runs `rows` through one session as `compare_row` calls and through
+/// another as a `compare` loop, and returns both answer lists after checking
+/// the charges agree.
+fn row_and_loop<O: EquivalenceOracle>(
     bulk: &O,
     looped: &O,
-    pairs: &[(usize, usize)],
+    rows: &[(usize, Range<usize>)],
 ) -> (Vec<bool>, Vec<bool>) {
     let mut s = ComparisonSession::new(bulk, ReadMode::Exclusive);
-    let sequence = s.compare_sequence(pairs);
     let mut t = ComparisonSession::new(looped, ReadMode::Exclusive);
-    let compared: Vec<bool> = pairs.iter().map(|&(a, b)| t.compare(a, b)).collect();
+    let (mut words, mut by_row, mut compared) = (Vec::new(), Vec::new(), Vec::new());
+    for (a, others) in rows {
+        s.compare_row(*a, others.clone(), &mut words);
+        by_row.extend((0..others.len()).map(|i| words[i / 64] >> (i % 64) & 1 == 1));
+        compared.extend(others.clone().map(|b| t.compare(*a, b)));
+    }
     assert_eq!(s.metrics(), t.metrics());
     assert_eq!(s.metrics().round_sizes(), t.metrics().round_sizes());
-    (sequence, compared)
+    (by_row, compared)
 }
 
 #[test]
-fn adversaries_answer_a_sequence_exactly_as_a_compare_loop() {
+fn adversaries_answer_a_row_exactly_as_a_compare_loop() {
     let n = 96;
     // All-pairs rows, the shape naive all-pairs submits, then a few
-    // repeated and reversed pairs.
-    let mut pairs: Vec<(usize, usize)> = (0..n)
-        .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
-        .collect();
-    pairs.extend([(5, 1), (90, 3), (5, 1)]);
+    // repeated rows and rows left of their `a`.
+    let mut rows: Vec<(usize, Range<usize>)> = (0..n).map(|a| (a, (a + 1)..n)).collect();
+    rows.extend([(5, 0..5), (90, 3..70), (5, 0..5)]);
 
     let (bulk, looped) = (EqualSizeAdversary::new(n, 4), EqualSizeAdversary::new(n, 4));
-    let (sequence, compared) = sequence_and_loop(&bulk, &looped, &pairs);
-    assert_eq!(sequence, compared);
+    let (by_row, compared) = row_and_loop(&bulk, &looped, &rows);
+    assert_eq!(by_row, compared);
     assert_eq!(bulk.comparisons(), looped.comparisons());
     assert_eq!(bulk.marked_elements(), looped.marked_elements());
     assert_eq!(bulk.swaps(), looped.swaps());
@@ -190,8 +213,8 @@ fn adversaries_answer_a_sequence_exactly_as_a_compare_loop() {
         SmallestClassAdversary::new(n, 6),
         SmallestClassAdversary::new(n, 6),
     );
-    let (sequence, compared) = sequence_and_loop(&bulk, &looped, &pairs);
-    assert_eq!(sequence, compared);
+    let (by_row, compared) = row_and_loop(&bulk, &looped, &rows);
+    assert_eq!(by_row, compared);
     assert_eq!(bulk.comparisons(), looped.comparisons());
     assert_eq!(bulk.marked_elements(), looped.marked_elements());
     assert_eq!(bulk.swaps(), looped.swaps());
@@ -199,19 +222,19 @@ fn adversaries_answer_a_sequence_exactly_as_a_compare_loop() {
 }
 
 #[test]
-fn ground_truth_sequences_match_the_compare_loop_on_every_distribution() {
+fn ground_truth_rows_match_the_compare_loop_on_every_distribution() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(41);
     for choice in 0..4 {
         let instance = Instance::from_distribution(&distribution(choice), 300, &mut rng);
         let labels = instance.ground_truth().labels().to_vec();
-        let pairs = query_pairs(300, 2_000, u64::from(choice));
+        let rows = query_rows(300, 100, u64::from(choice));
         let oracle = InstanceOracle::new(&instance);
-        let (sequence, compared) = sequence_and_loop(&oracle, &oracle, &pairs);
-        assert_eq!(sequence, compared);
+        let (by_row, compared) = row_and_loop(&oracle, &oracle, &rows);
+        assert_eq!(by_row, compared);
         let oracle = LabelOracle::new(labels);
-        let (sequence, compared) = sequence_and_loop(&oracle, &oracle, &pairs);
-        assert_eq!(sequence, compared);
-        // Naive all-pairs, built on sequences, still finds the truth.
+        let (by_row, compared) = row_and_loop(&oracle, &oracle, &rows);
+        assert_eq!(by_row, compared);
+        // Naive all-pairs, built on rows, still finds the truth.
         let run = NaiveAllPairs::new().sort(&InstanceOracle::new(&instance));
         assert_eq!(
             run.partition,
