@@ -154,7 +154,7 @@ fn union_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
 }
 
 /// Group-level knowledge in flat arrays, with no hashing: O(n + known pairs)
-/// memory, and O(1) work per skipped cursor step.
+/// memory, and each cursor scan one or two slice searches over `group_of`.
 ///
 /// A group's id is one of its members, so ids live in `0..n` and every
 /// per-group array is indexed by element. Contracting two groups relabels
@@ -172,12 +172,8 @@ struct Knowledge {
     groups: usize,
     /// Number of unordered known-different group pairs.
     known_pairs: usize,
-    /// The group of the element scanning this turn.
-    scanner: usize,
-    /// Whether this turn's scanner was stamped (its set is a list).
-    stamped: bool,
-    /// Once stamped, `stamp[g] == turn` marks the scanner's group and the
-    /// groups it is known to differ from (see [`Knowledge::knows`]).
+    /// `stamp[g] == turn` marks the groups a list scanner knows (see
+    /// [`Knowledge::next_unknown`]).
     stamp: Vec<u32>,
     turn: u32,
 }
@@ -192,8 +188,6 @@ impl Knowledge {
             diff: (0..n).map(|_| KnownSet::List(Vec::new())).collect(),
             groups: n,
             known_pairs: 0,
-            scanner: 0,
-            stamped: false,
             stamp: vec![0; n],
             turn: 0,
         }
@@ -217,48 +211,41 @@ impl Knowledge {
         self.diff[self.group(x)].len() == self.groups - 1
     }
 
-    /// Opens `x`'s cursor scan. Knowledge does not change until the scan
-    /// ends in a comparison, so what the scan sets up here holds for all of
-    /// it: a scanner whose set is a list stamps its group and every group in
-    /// the list, so each step is one array read; a scanner whose set is a
-    /// row answers each step with one bit test instead of stamping its many
-    /// groups on every turn.
-    fn begin_scan(&mut self, x: usize) {
-        self.scanner = self.group(x);
-        self.stamped = matches!(self.diff[self.scanner], KnownSet::List(_));
-        if self.stamped {
-            self.stamp_scanner();
+    /// The first offset in `from..n` whose element `(x + offset) mod n` has
+    /// an unknown relationship to `x`, or `None` if every one is known.
+    ///
+    /// The cyclic range is at most two contiguous pieces of `group_of`, and
+    /// the test is picked once per scan: a scanner whose set is a list stamps
+    /// its group and every group in the list, so the test is one array read;
+    /// a scanner whose set is a row tests one bit instead of stamping its
+    /// many groups on every turn.
+    fn next_unknown(&mut self, x: usize, from: usize) -> Option<usize> {
+        let scanner = self.group(x);
+        match &self.diff[scanner] {
+            KnownSet::List(_) => {
+                self.stamp_group(scanner);
+                let (stamp, turn) = (&self.stamp, self.turn);
+                search(&self.group_of, x, from, |g| stamp[g as usize] != turn)
+            }
+            KnownSet::Row { row, .. } => search(&self.group_of, x, from, |g| {
+                g as usize != scanner && !row.test(g as usize)
+            }),
         }
     }
 
-    /// Whether the relationship between `y` and the element scanning this
-    /// turn is known.
-    #[inline]
-    fn knows(&self, y: usize) -> bool {
-        let g = self.group(y);
-        if self.stamped {
-            return self.stamp[g] == self.turn;
-        }
-        g == self.scanner || self.diff[self.scanner].contains(g as u32)
-    }
-
-    /// Stamps the scanner's group and every group it is known to differ
-    /// from with a fresh turn.
-    fn stamp_scanner(&mut self) {
+    /// Stamps `scanner` and every group it is known to differ from with a
+    /// fresh turn.
+    fn stamp_group(&mut self, scanner: usize) {
         self.turn = self.turn.wrapping_add(1);
         if self.turn == 0 {
             self.stamp.fill(0);
             self.turn = 1;
         }
         let Self {
-            diff,
-            stamp,
-            turn,
-            scanner,
-            ..
+            diff, stamp, turn, ..
         } = self;
-        stamp[*scanner] = *turn;
-        diff[*scanner].for_each(|h| stamp[h as usize] = *turn);
+        stamp[scanner] = *turn;
+        diff[scanner].for_each(|h| stamp[h as usize] = *turn);
     }
 
     /// Records a "different" answer between the groups of `a` and `b`.
@@ -320,6 +307,21 @@ impl Knowledge {
     }
 }
 
+/// The first offset in `from..n` (`from ≤ n = group_of.len()`) whose element
+/// `(x + offset) mod n` is in a group that is `unknown`.
+fn search(group_of: &[u32], x: usize, from: usize, unknown: impl Fn(u32) -> bool) -> Option<usize> {
+    let n = group_of.len();
+    // Positions tail..n sit at offsets p - x; past the wrap, positions
+    // head..x sit at offsets p + n - x.
+    let tail = (x + from).min(n);
+    let head = (x + from).saturating_sub(n);
+    if let Some(i) = group_of[tail..].iter().position(|&g| unknown(g)) {
+        return Some(tail + i - x);
+    }
+    let hit = group_of[head..x].iter().position(|&g| unknown(g));
+    hit.map(|i| head + i + n - x)
+}
+
 impl EcsAlgorithm for RoundRobin {
     fn name(&self) -> String {
         "round-robin".to_string()
@@ -340,46 +342,39 @@ impl EcsAlgorithm for RoundRobin {
             return EcsRun::new(Partition::from_labels::<u32>(&[]), session.into_metrics());
         }
         let mut knowledge = Knowledge::new(n);
-        // cursor[x] is the next *offset* (1-based, cyclic) x will examine.
-        let mut cursor: Vec<usize> = vec![1; n];
-        let mut active: Vec<bool> = vec![true; n];
+        // cursors[x] is the next *offset* (1-based, cyclic) x will examine;
+        // x is inactive once it reaches n.
+        let mut cursors: Vec<usize> = vec![1; n];
 
         while !knowledge.complete() {
             let mut progressed = false;
-            for x in 0..n {
+            for (x, cursor) in cursors.iter_mut().enumerate() {
                 if knowledge.complete() {
                     break;
                 }
-                if !active[x] {
+                if *cursor >= n {
                     continue;
                 }
                 if knowledge.fully_informed(x) {
                     // The group of x already knows every other group; it can
                     // learn nothing more, so x stops initiating tests.
-                    active[x] = false;
+                    *cursor = n;
                     continue;
                 }
                 // Advance the cursor to the next element with an unknown
                 // relationship and test it.
-                knowledge.begin_scan(x);
-                loop {
-                    if cursor[x] >= n {
-                        active[x] = false;
-                        break;
-                    }
-                    let y = x + cursor[x];
-                    let y = if y >= n { y - n } else { y };
-                    cursor[x] += 1;
-                    if knowledge.knows(y) {
-                        continue;
-                    }
-                    progressed = true;
-                    if session.compare(x, y) {
-                        knowledge.record_equal(x, y);
-                    } else {
-                        knowledge.record_different(x, y);
-                    }
-                    break;
+                let Some(offset) = knowledge.next_unknown(x, *cursor) else {
+                    *cursor = n;
+                    continue;
+                };
+                *cursor = offset + 1;
+                progressed = true;
+                let y = x + offset;
+                let y = if y >= n { y - n } else { y };
+                if session.compare(x, y) {
+                    knowledge.record_equal(x, y);
+                } else {
+                    knowledge.record_different(x, y);
                 }
             }
             assert!(
@@ -451,12 +446,14 @@ mod tests {
         assert_eq!(k.size[k.group(0)], 3);
         assert_eq!(k.diff[k.group(0)].len(), 1);
         assert!(matches!(k.diff[k.group(0)], KnownSet::List(_)));
+        // From element 2, offsets 1 (element 3) and 198 (element 0) are its
+        // own group, and offset 199 (element 1) a known-different one.
         k.turn = u32::MAX; // the next stamp wraps the counter
-        k.begin_scan(2);
+        assert_eq!(k.next_unknown(2, 1), Some(2), "element 4");
         assert_eq!(k.turn, 1);
-        assert!(k.knows(0) && k.knows(3), "the scanner's own group");
-        assert!(k.knows(1));
-        assert!(!k.knows(4) && !k.knows(5));
+        assert_eq!(k.next_unknown(2, 197), Some(197), "element 199");
+        assert_eq!(k.next_unknown(2, 198), None);
+        assert_eq!(k.next_unknown(2, 200), None, "an exhausted cursor");
         assert!(!k.fully_informed(2));
         let mut labels: Vec<usize> = (0..200).collect();
         labels[2] = 0;
@@ -467,21 +464,35 @@ mod tests {
         );
     }
 
+    /// The per-step scan `next_unknown` replaces: one membership test per
+    /// offset, straight from the known sets.
+    fn reference_scan(k: &Knowledge, x: usize, from: usize) -> Option<usize> {
+        let n = k.n();
+        let gx = k.group(x);
+        (from..n).find(|&offset| {
+            let g = k.group((x + offset) % n);
+            g != gx && !k.diff[gx].contains(g as u32)
+        })
+    }
+
     #[test]
     fn scans_answer_alike_from_lists_and_rows() {
-        // Group 0 knows 59 groups: a list at n = 4000, which the scan
-        // stamps, and a row at n = 100, which it bit-tests.
+        // Group {0, n - 1} knows 59 groups: a list at n = 4000, which the
+        // scan stamps, and a row at n = 100, which it bit-tests.
         for n in [4000, 100] {
             let mut k = Knowledge::new(n);
+            k.record_equal(0, n - 1);
             for y in 1..60 {
                 k.record_different(0, y);
             }
-            k.begin_scan(0);
-            assert_eq!(k.stamped, n == 4000);
             assert_eq!(matches!(k.diff[0], KnownSet::List(_)), n == 4000);
-            for y in 0..100 {
-                assert_eq!(k.knows(y), y < 60, "n = {n}, y = {y}");
+            for from in 1..n {
+                let expected = from.max(60);
+                let expected = (expected < n - 1).then_some(expected);
+                assert_eq!(k.next_unknown(0, from), expected, "n = {n}, from = {from}");
             }
+            // From element n - 1 the scan wraps onto its group's known run.
+            assert_eq!(k.next_unknown(n - 1, 1), Some(61), "n = {n}");
         }
     }
 
@@ -658,6 +669,35 @@ mod tests {
             let oracle = InstanceOracle::new(&inst);
             let run = RoundRobin::new().sort(&oracle);
             prop_assert!(inst.verify(&run.partition));
+        }
+
+        /// Random knowledge states, built from consistent answers so that
+        /// both list and row scanners occur: every `x` and `from` scans to
+        /// the same offset as the per-step reference.
+        #[test]
+        fn next_unknown_matches_the_per_step_scan(
+            n in 1usize..90,
+            classes in 1usize..40,
+            seed in 0u64..1000,
+            answers in 0usize..400,
+        ) {
+            let mut r = rng(seed);
+            let class: Vec<usize> = (0..n).map(|_| r.below(classes)).collect();
+            let mut k = Knowledge::new(n);
+            for _ in 0..answers {
+                let (a, b) = (r.below(n), r.below(n));
+                if class[a] == class[b] {
+                    k.record_equal(a, b);
+                } else {
+                    k.record_different(a, b);
+                }
+            }
+            for x in 0..n {
+                for from in 1..=n {
+                    let expected = reference_scan(&k, x, from);
+                    prop_assert_eq!(k.next_unknown(x, from), expected, "x = {}, from = {}", x, from);
+                }
+            }
         }
 
         #[test]

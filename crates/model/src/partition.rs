@@ -1,6 +1,8 @@
 //! Canonical partitions of `0..n` into equivalence classes.
 
 use ecs_graph::BitRow;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A partition of the elements `0..n` into equivalence classes, stored as a
 /// dense label per element and canonicalised so that labels are numbered by
@@ -17,8 +19,11 @@ pub struct Partition {
 
 impl Partition {
     /// Builds a partition from arbitrary per-element labels (canonicalising).
-    pub fn from_labels<L: Copy + Eq + std::hash::Hash>(labels: &[L]) -> Self {
-        let mut canon: std::collections::HashMap<L, u32> = std::collections::HashMap::new();
+    ///
+    /// The labels are hashed without a key (see `FoldHasher`), so labels an
+    /// adversary picks to collide make this quadratic.
+    pub fn from_labels<L: Copy + Eq + Hash>(labels: &[L]) -> Self {
+        let mut canon: HashMap<L, u32, BuildHasherDefault<FoldHasher>> = HashMap::default();
         let mut out = Vec::with_capacity(labels.len());
         for &l in labels {
             let next = canon.len() as u32;
@@ -135,6 +140,45 @@ impl Partition {
     }
 }
 
+/// The hasher `from_labels` canonicalises with: each word is xored into the
+/// state, which is then multiplied by an odd constant, and the 128-bit
+/// product's high half is folded into its low half. The fold matters: a plain
+/// multiply leaves the low bits of keys like `i << 32` all zero, and the
+/// table picks buckets by low bits. (The constant is an odd one that spreads
+/// 4096 keys `i << s` over at least 2300 low-12-bit values for every shift.)
+/// It is unkeyed and far cheaper than SipHash on small keys: fine for labels
+/// the process generates itself, not for keys an adversary chooses.
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * 0x3a18_90c7_8092_b4d5;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(word.into());
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,6 +257,67 @@ mod tests {
         }
         let total: usize = rows.iter().map(|r| r.count_ones()).sum();
         assert_eq!(total, p.len());
+    }
+
+    #[test]
+    fn fold_hasher_spreads_shifted_keys_over_the_low_bits() {
+        // The table picks buckets by low bits; a plain multiply maps every
+        // `i << shift` key here to one low-12-bit value.
+        for shift in [16, 32, 40, 48] {
+            let low: std::collections::HashSet<u64> = (0..4096u64)
+                .map(|i| {
+                    let mut hasher = FoldHasher::default();
+                    (i << shift).hash(&mut hasher);
+                    hasher.finish() & 0xfff
+                })
+                .collect();
+            assert!(low.len() >= 2048, "shift {shift}: {} values", low.len());
+        }
+    }
+
+    /// First-appearance ids, computed without hashing.
+    fn reference_ids<L: Copy + Ord>(labels: &[L]) -> Vec<u32> {
+        let mut ids = std::collections::BTreeMap::new();
+        labels
+            .iter()
+            .map(|&l| {
+                let next = ids.len() as u32;
+                *ids.entry(l).or_insert(next)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn first_appearance_ids_hold_for_every_label_width() {
+        use ecs_rng::{EcsRng, SeedableEcsRng, Xoshiro256StarStar};
+        let mut r = Xoshiro256StarStar::seed_from_u64(17);
+        let raw: Vec<u64> = (0..3000).map(|_| r.next_u64()).collect();
+        let bytes: Vec<u8> = raw.iter().map(|&x| x as u8).collect();
+        let words: Vec<u32> = raw.iter().map(|&x| (x % 500) as u32 * 65_537).collect();
+        let shifted: Vec<usize> = raw.iter().map(|&x| ((x % 700) << 32) as usize).collect();
+        // Raw zeta class indices for s near 1 reach 10^18 and beyond.
+        let zeta: Vec<u64> = raw
+            .iter()
+            .map(|&x| 1_000_000_000_000_000_000 + x % 900)
+            .collect();
+        assert_eq!(
+            Partition::from_labels(&bytes).labels(),
+            reference_ids(&bytes)
+        );
+        assert_eq!(
+            Partition::from_labels(&words).labels(),
+            reference_ids(&words)
+        );
+        assert_eq!(
+            Partition::from_labels(&shifted).labels(),
+            reference_ids(&shifted)
+        );
+        assert_eq!(Partition::from_labels(&zeta).labels(), reference_ids(&zeta));
+        let classes = Partition::from_labels(&zeta).num_classes();
+        assert_eq!(
+            classes,
+            reference_ids(&zeta).into_iter().max().unwrap() as usize + 1
+        );
     }
 
     proptest! {

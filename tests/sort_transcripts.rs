@@ -4,9 +4,11 @@
 //! charges; it cannot see *which* pairs were asked or in what order. These
 //! goldens pin the full query transcript — every `(a, b, answer)` in the
 //! order the oracle saw it — as an FNV-1a digest, for the six algorithms on
-//! the five `sort-large` distributions at n = 1000, plus the forced count and
-//! transcript of naive all-pairs and round-robin against the Theorem 5
-//! equal-size adversary. A change to an engine's bookkeeping that keeps the
+//! the five `sort-large` distributions at n = 1000, round-robin on inputs
+//! where its scans skip long runs of known elements (many classes at
+//! n = 2000, all-distinct labels), plus the forced count and transcript of
+//! naive all-pairs and round-robin against the Theorem 5 equal-size
+//! adversary. A change to an engine's bookkeeping that keeps the
 //! counts but reorders or swaps a single query fails here.
 //!
 //! If a change is *meant* to alter a transcript, regenerate every pinned value
@@ -68,20 +70,26 @@ fn pin(run: &EcsRun, transcript: &Transcript) -> Pin {
     }
 }
 
+/// Runs one algorithm on `instance`, checks its partition and pins what the
+/// oracle saw.
+fn record(algo: AlgoSpec, seed: u64, instance: &Instance) -> Pin {
+    let k = instance.ground_truth().num_classes().max(1);
+    let oracle = RecordingOracle::new(InstanceOracle::new(instance));
+    let run = algo.sort(seed, k, &oracle, ExecutionBackend::Sequential);
+    assert!(instance.verify(&run.partition), "{algo}: wrong partition");
+    pin(&run, &oracle.into_transcript())
+}
+
 /// Runs every algorithm on one distribution and compares against `golden`
 /// (one pin per algorithm, in `AlgoSpec::ALL` order).
 fn check_distribution(d: usize, golden: &[Pin]) {
     let dist = DISTS[d];
     let seed = 0x5eed_0000 + d as u64;
     let instance = dist.instance(N, seed);
-    let k = instance.ground_truth().num_classes().max(1);
-    let mut actual = Vec::new();
-    for algo in AlgoSpec::ALL {
-        let oracle = RecordingOracle::new(InstanceOracle::new(&instance));
-        let run = algo.sort(seed, k, &oracle, ExecutionBackend::Sequential);
-        assert!(instance.verify(&run.partition), "{algo} on {dist}");
-        actual.push(pin(&run, &oracle.into_transcript()));
-    }
+    let actual: Vec<Pin> = AlgoSpec::ALL
+        .into_iter()
+        .map(|algo| record(algo, seed, &instance))
+        .collect();
     assert_eq!(
         actual,
         golden,
@@ -180,6 +188,39 @@ fn balanced_transcripts() {
             (0x2e1b7779304064ec, 24997, 65, 500),
             (0xaadbe451010811fd, 7082, 12, 1000),
         ],
+    );
+}
+
+/// Round-robin where row scanners and long skips dominate: uniform:100 and
+/// zeta:1.5 at n = 2000 (many classes, so many groups' known sets are bit
+/// rows), and n = 300 all-distinct labels (every scan skips every element it
+/// already compared).
+#[test]
+fn round_robin_long_skip_transcripts() {
+    let mut actual: Vec<Pin> = [DistSpec::Uniform(100), DistSpec::Zeta(1.5)]
+        .into_iter()
+        .enumerate()
+        .map(|(d, dist)| {
+            let seed = 0x5eed_1000 + d as u64;
+            record(AlgoSpec::RoundRobin, seed, &dist.instance(2000, seed))
+        })
+        .collect();
+    let distinct: Vec<u32> = (0..300).collect();
+    actual.push(record(
+        AlgoSpec::RoundRobin,
+        0,
+        &Instance::from_labels(&distinct),
+    ));
+    let golden: &[Pin] = &pins![
+        (0x639d10fd211315ce, 98761, 98761, 1),
+        (0xc86ede410dfb4541, 48723, 48723, 1),
+        (0x89b25807e4fd4e1d, 44850, 44850, 1),
+    ];
+    assert_eq!(
+        actual,
+        golden,
+        "round-robin transcripts changed; actual pins:\n{}",
+        table(&actual)
     );
 }
 
