@@ -1,5 +1,5 @@
-//! Criterion benchmarks for the substrates: union-find, SCC, Hamiltonian
-//! unions, ER scheduling, the PRNG, and the packed bitset substrate against
+//! Criterion benchmarks for the substrates: union-find, Hamiltonian unions,
+//! ER scheduling, the PRNG, and the packed bitset substrate against
 //! its pointer-based counterparts (hash-set pair graphs, scalar `same_batch`
 //! loops, `Vec<Vec<usize>>` class exports).
 //!
@@ -8,9 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecs_bench::smoke;
-use ecs_graph::{
-    scc_as_bitrows, tarjan_scc, DiGraph, EquitableColoring, HamiltonianUnion, PairBitset, UnionFind,
-};
+use ecs_graph::{HamiltonianUnion, PairBitset, UnionFind};
 use ecs_model::schedule::schedule_er;
 use ecs_model::{EquivalenceOracle, LabelOracle};
 use ecs_rng::{EcsRng, SeedableEcsRng, Xoshiro256StarStar};
@@ -30,22 +28,6 @@ fn union_find(c: &mut Criterion) {
                 }
                 black_box(uf.num_sets())
             });
-        });
-    }
-    group.finish();
-}
-
-fn scc(c: &mut Criterion) {
-    let mut group = c.benchmark_group("substrate_scc");
-    group.sample_size(20);
-    group.warm_up_time(std::time::Duration::from_millis(400));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    for &n in &[10_000usize, 50_000] {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(2);
-        let edges: Vec<(usize, usize)> = (0..3 * n).map(|_| (rng.below(n), rng.below(n))).collect();
-        let graph = DiGraph::from_edges(n, &edges);
-        group.bench_with_input(BenchmarkId::new("tarjan", n), &graph, |b, graph| {
-            b.iter(|| black_box(tarjan_scc(graph).len()));
         });
     }
     group.finish();
@@ -213,7 +195,7 @@ fn word_parallel_same_batch(c: &mut Criterion) {
 /// Packed class export ([`UnionFind::classes_as_bitrows`]) vs the
 /// `Vec<Vec<usize>>` group export, on a forest merged down to the small
 /// class count the row view is built for (`k` equivalence classes, the
-/// regime the coloring/SCC/batch consumers operate in). The row view is a
+/// regime the batch consumers operate in). The row view is a
 /// `k x n` bit matrix, so it is only sensible — and only benchmarked — at
 /// small `k`.
 fn class_export(c: &mut Criterion) {
@@ -244,41 +226,6 @@ fn class_export(c: &mut Criterion) {
                 black_box(uf.groups().len())
             });
         });
-
-        // The coloring and SCC substrates gained the same packed row view;
-        // compare each against its `Vec`-based export in the same `k`-class
-        // regime (k residue-class cycles → exactly k components).
-        let coloring = EquitableColoring::balanced(n, k);
-        assert_eq!(coloring.classes_as_bitrows().len(), k);
-        group.bench_with_input(
-            BenchmarkId::new("coloring_bitrows", n),
-            &coloring,
-            |bench, coloring| {
-                bench.iter(|| black_box(coloring.classes_as_bitrows().len()));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("coloring_sizes", n),
-            &coloring,
-            |bench, coloring| {
-                bench.iter(|| black_box(coloring.class_sizes().len()));
-            },
-        );
-        let edges: Vec<(usize, usize)> = (0..n)
-            .map(|v| (v, if v + k < n { v + k } else { v % k }))
-            .collect();
-        let graph = DiGraph::from_edges(n, &edges);
-        assert_eq!(scc_as_bitrows(&graph).len(), k);
-        group.bench_with_input(
-            BenchmarkId::new("scc_bitrows", n),
-            &graph,
-            |bench, graph| {
-                bench.iter(|| black_box(scc_as_bitrows(graph).len()));
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("scc_groups", n), &graph, |bench, graph| {
-            bench.iter(|| black_box(tarjan_scc(graph).len()));
-        });
     }
     group.finish();
 }
@@ -286,7 +233,6 @@ fn class_export(c: &mut Criterion) {
 criterion_group!(
     benches,
     union_find,
-    scc,
     hamiltonian,
     er_scheduling,
     rng_throughput,

@@ -13,12 +13,12 @@
 //!   bits for its greater partners `j > i`; its smaller partners `k < i` live
 //!   strided through earlier rows at `idx(k, i)`.
 //! * [`BitRow`] is a plain `n`-bit set — class rows, marks, visited flags —
-//!   with word-parallel intersection, difference, and extraction.
+//!   with word-parallel intersection and difference tests, and extraction.
 //!
-//! Membership tests are a shift and a mask, bulk relations (union,
-//! intersection, population count, "does this row meet that set?") run 64
-//! pairs per instruction, and iteration walks words with `trailing_zeros`
-//! instead of chasing heap pointers.
+//! Membership tests are a shift and a mask, bulk queries (population count,
+//! "does this row meet that set?") run 64 pairs per instruction, and
+//! iteration walks words with `trailing_zeros` instead of chasing heap
+//! pointers.
 //!
 //! ```text
 //! n = 5        j=1 j=2 j=3 j=4
@@ -118,15 +118,6 @@ impl PairBitset {
         was
     }
 
-    /// Best-effort prefetch hint for the word holding pair `(i, j)`: touches
-    /// the word with a read the optimizer must keep, pulling its cache line
-    /// in before the caller's dependent access. (The workspace forbids
-    /// `unsafe`, so this is a plain warming read rather than a `prefetcht0`.)
-    #[inline]
-    pub fn prefetch(&self, i: usize, j: usize) {
-        std::hint::black_box(self.words[self.word_index(i, j)]);
-    }
-
     /// Number of set pairs, counted 64 at a time.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -142,30 +133,6 @@ impl PairBitset {
     #[inline]
     pub fn clear_word(&mut self, word: usize) {
         self.words[word] = 0;
-    }
-
-    /// In-place union, whole words at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two sets range over different `n`.
-    pub fn union_with(&mut self, other: &PairBitset) {
-        assert_eq!(self.n, other.n, "PairBitset size mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// In-place intersection, whole words at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two sets range over different `n`.
-    pub fn intersect_with(&mut self, other: &PairBitset) {
-        assert_eq!(self.n, other.n, "PairBitset size mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
     }
 
     /// The backing words.
@@ -321,30 +288,6 @@ impl BitRow {
     /// Clears every bit.
     pub fn clear_all(&mut self) {
         self.words.fill(0);
-    }
-
-    /// In-place union, whole words at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn union_with(&mut self, other: &BitRow) {
-        assert_eq!(self.len, other.len, "BitRow length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// In-place intersection, whole words at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn intersect_with(&mut self, other: &BitRow) {
-        assert_eq!(self.len, other.len, "BitRow length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
     }
 
     /// Whether the two sets share any element (word-parallel; no allocation).
@@ -548,23 +491,6 @@ mod tests {
         assert!(!s.test(0, 1));
         assert!(!s.test(0, 2));
         assert!(s.test(30, 35), "other words untouched");
-        s.prefetch(30, 35); // smoke: must not panic
-    }
-
-    #[test]
-    fn union_and_intersection_are_wordwise() {
-        let mut a = PairBitset::new(12);
-        let mut b = PairBitset::new(12);
-        a.set(0, 1);
-        a.set(2, 5);
-        b.set(2, 5);
-        b.set(9, 11);
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.count_ones(), 3);
-        a.intersect_with(&b);
-        assert_eq!(a.count_ones(), 1);
-        assert!(a.test(2, 5));
     }
 
     #[test]
@@ -617,13 +543,8 @@ mod tests {
         b.set(99);
         assert!(a.intersects(&b));
         assert!(a.any_and_not(&b), "1 is in a but not b");
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.ones(), vec![1, 64, 99]);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.ones(), vec![64]);
-        assert!(!i.any_and_not(&u));
+        b.clear(99);
+        assert!(!b.any_and_not(&a), "b holds only 64, which a holds too");
     }
 
     #[test]

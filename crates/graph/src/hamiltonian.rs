@@ -14,7 +14,7 @@
 //! exclusive-read comparison rounds (each round a perfect or near-perfect
 //! matching).
 
-use crate::{BitRow, DiGraph, UnionFind};
+use crate::{BitRow, UnionFind};
 use ecs_rng::EcsRng;
 
 /// The natural logarithm of 2, used by the probability bound.
@@ -104,13 +104,6 @@ impl HamiltonianUnion {
         pairs.sort_unstable();
         pairs.dedup();
         pairs
-    }
-
-    /// Converts `H_d` into a [`DiGraph`] (with parallel edges removed).
-    pub fn to_digraph(&self) -> DiGraph {
-        let mut g = DiGraph::from_edges(self.n, &self.directed_edges());
-        g.dedup_edges();
-        g
     }
 
     /// Decomposes all comparisons of `H_d` into exclusive-read rounds: each
@@ -296,23 +289,11 @@ impl Fragments {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::connected::largest_component_size;
     use ecs_rng::{SeedableEcsRng, Xoshiro256StarStar};
     use proptest::prelude::*;
 
     fn rng(seed: u64) -> Xoshiro256StarStar {
         Xoshiro256StarStar::seed_from_u64(seed)
-    }
-
-    #[test]
-    fn random_cycles_are_permutations() {
-        let h = HamiltonianUnion::random(50, 3, &mut rng(1));
-        assert_eq!(h.num_cycles(), 3);
-        for cycle in h.cycles() {
-            let mut sorted = cycle.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
-        }
     }
 
     #[test]
@@ -488,24 +469,15 @@ mod tests {
                 }
                 map
             };
-            let sub_edges: Vec<(usize, usize)> = h
-                .comparison_pairs()
-                .into_iter()
-                .filter_map(|(u, v)| match (in_w[u], in_w[v]) {
-                    (Some(a), Some(b)) => Some((a, b)),
-                    _ => None,
-                })
-                .collect();
-            let largest = largest_component_size(w_size, &sub_edges);
-            // `largest_component_size` now runs on the packed bitrow
-            // substrate; cross-validate it against the legacy group-list
-            // path on every trial before trusting the bound below.
-            let legacy = crate::connected_components(w_size, &sub_edges)
-                .iter()
-                .map(Vec::len)
-                .max()
-                .unwrap_or(0);
-            assert_eq!(largest, legacy, "packed and legacy paths must agree");
+            // The subset's components, found with the union-find the
+            // constant-round algorithm itself merges answers with.
+            let mut uf = UnionFind::new(w_size);
+            for (u, v) in h.comparison_pairs() {
+                if let (Some(a), Some(b)) = (in_w[u], in_w[v]) {
+                    uf.union(a, b);
+                }
+            }
+            let largest = uf.groups().iter().map(Vec::len).max().unwrap_or(0);
             assert!(
                 largest * 8 > w_size,
                 "trial {trial}: largest component {largest} of subset {w_size} too small"
@@ -539,16 +511,37 @@ mod tests {
         }
 
         #[test]
-        fn digraph_is_strongly_connected(
+        fn random_cycles_are_permutations(
             n in 2usize..60,
             d in 1usize..4,
             seed in 0u64..1000,
         ) {
-            // A Hamiltonian cycle alone makes the digraph strongly connected.
             let h = HamiltonianUnion::random(n, d, &mut rng(seed));
-            let g = h.to_digraph();
-            let sccs = crate::tarjan_scc(&g);
-            prop_assert_eq!(sccs.len(), 1);
+            prop_assert_eq!(h.num_cycles(), d);
+            let edges = h.directed_edges();
+            prop_assert_eq!(edges.len(), d * n);
+            for (cycle, cycle_edges) in h.cycles().iter().zip(edges.chunks(n)) {
+                let mut sorted = cycle.clone();
+                sorted.sort_unstable();
+                prop_assert_eq!(sorted, (0..n as u32).collect::<Vec<u32>>());
+                // Each cycle alone is one directed ring through every
+                // vertex, so `H_d` is strongly connected: walking the
+                // successor map from 0 visits all n vertices, then returns.
+                let mut succ = vec![usize::MAX; n];
+                for &(u, v) in cycle_edges {
+                    prop_assert_eq!(succ[u], usize::MAX, "vertex {} has two successors", u);
+                    succ[u] = v;
+                }
+                let mut seen = vec![false; n];
+                let (mut v, mut visited) = (0usize, 0usize);
+                while !seen[v] {
+                    seen[v] = true;
+                    visited += 1;
+                    v = succ[v];
+                }
+                prop_assert_eq!(v, 0, "the walk closed on a vertex other than 0");
+                prop_assert_eq!(visited, n);
+            }
         }
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! The constant-round ER algorithm of the paper (Theorem 4) tests the edges of
 //! `H_d`, a union of `d` random Hamiltonian cycles, and then works with the
-//! strongly connected components induced by same-class edges; the lower-bound
-//! adversary of Section 3 maintains weighted equitable colorings of a
-//! "known-different" graph. This crate provides those building blocks:
+//! strongly connected components induced by same-class edges. Same-class
+//! answers are symmetric, so those components are the classes of a
+//! [`UnionFind`] over the equal edges, and no directed-graph code is needed.
+//! This crate provides those building blocks:
 //!
 //! * [`UnionFind`] — disjoint sets with union by size and path compression,
 //!   the bookkeeping structure used to aggregate discovered equivalences.
@@ -13,30 +14,17 @@
 //!   a flat per-element bit set. The adversary knowledge graph, the
 //!   union-find class views, and the word-parallel `same_batch` oracle path
 //!   are all built on these.
-//! * [`DiGraph`] — a compact adjacency-list directed graph.
-//! * [`scc`] — Tarjan's and Kosaraju's strongly connected component
-//!   algorithms (both, so they can cross-validate each other in tests).
-//! * [`connected`] — connected components of undirected edge sets.
 //! * [`HamiltonianUnion`] — the `H_d` construction together with its
-//!   decomposition into exclusive-read comparison rounds.
-//! * [`coloring`] — equitable and weighted equitable colorings and their
-//!   validity checks.
+//!   decomposition into exclusive-read comparison rounds, and [`Fragments`],
+//!   the packed view of the components a tested `H_d` induces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitset;
-pub mod coloring;
-pub mod connected;
-pub mod digraph;
 pub mod hamiltonian;
-pub mod scc;
 pub mod union_find;
 
 pub use bitset::{coord_to_idx, BitRow, PairBitset};
-pub use coloring::{EquitableColoring, WeightedEquitableColoring};
-pub use connected::{components_as_bitrows, connected_components};
-pub use digraph::DiGraph;
 pub use hamiltonian::{Fragments, HamiltonianUnion};
-pub use scc::{component_labels, kosaraju_scc, scc_as_bitrows, tarjan_scc};
 pub use union_find::UnionFind;

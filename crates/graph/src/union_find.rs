@@ -160,11 +160,10 @@ impl UnionFind {
     /// The partition as one [`BitRow`] per set: row `l` has bit `x` set iff
     /// element `x` carries label `l` (labels as in [`UnionFind::labels`]).
     ///
-    /// This is the packed view shared by the graph consumers — a class
-    /// membership test is a word load, and whole-class filters (coloring
-    /// candidate masks, SCC seed sets, Hamiltonian occupancy) intersect
-    /// against a row 64 elements per instruction instead of walking a
-    /// `Vec<usize>` member list.
+    /// This is the packed view [`Fragments`](crate::Fragments) reads for
+    /// Theorem 4's pivots: a class membership test is a word load, a class
+    /// size is a popcount, and a member sweep scans a row 64 elements per
+    /// word instead of walking a `Vec<usize>` member list.
     pub fn classes_as_bitrows(&mut self) -> Vec<BitRow> {
         let labels = self.labels();
         let mut rows = vec![BitRow::new(self.len()); self.num_sets];

@@ -305,7 +305,7 @@ pub struct JobSpec {
     pub weight: u32,
     /// The instance distribution.
     pub dist: DistSpec,
-    /// Number of elements.
+    /// Number of elements; [`Request::parse`] rejects `n=0`.
     pub n: usize,
     /// Seed deriving the instance (and any algorithm randomness).
     pub seed: u64,
@@ -411,9 +411,13 @@ impl Request {
                         .unwrap_or(1)
                         .max(1),
                     dist: DistSpec::parse(&required("dist")?)?,
-                    n: required("n")?
-                        .parse()
-                        .map_err(|_| "unparsable n".to_string())?,
+                    // `run_job` would sort one element for `n=0` and report
+                    // a result whose `n` contradicts its labels.
+                    n: match required("n")?.parse() {
+                        Ok(0) => return Err("n needs at least one element".to_string()),
+                        Ok(n) => n,
+                        Err(_) => return Err("unparsable n".to_string()),
+                    },
                     seed: required("seed")?
                         .parse()
                         .map_err(|_| "unparsable seed".to_string())?,
@@ -949,13 +953,14 @@ mod tests {
             "submit id=a dist=poisson:NaN n=20 seed=1 algo=naive",
             "submit id=a dist=poisson:1e9 n=20 seed=1 algo=naive",
             "submit id=a dist=poisson:-4 n=20 seed=1 algo=naive",
+            "submit id=a dist=uniform:4 n=0 seed=1 algo=naive",
             "cancel",
         ] {
             let reason = Request::parse(line).expect_err(&format!("`{line}` must not parse"));
             if line.contains("backend=") {
                 assert!(reason.contains("unknown backend"), "`{line}`: {reason}");
             }
-            if ["geometric:", "poisson:", "zeta:"]
+            if ["geometric:", "poisson:", "zeta:", "n=0"]
                 .iter()
                 .any(|d| line.contains(d))
             {

@@ -14,7 +14,7 @@
 //! a single dependency:
 //!
 //! * [`rng`] — deterministic PRNG substrate ([`ecs_rng`]).
-//! * [`graph`] — union-find, SCC, Hamiltonian-cycle unions, colorings
+//! * [`graph`] — union-find, packed bitsets, Hamiltonian-cycle unions
 //!   ([`ecs_graph`]).
 //! * [`distributions`] — the class-size distributions of Section 4
 //!   ([`ecs_distributions`]).
