@@ -5,7 +5,7 @@
 //! protocol in [`crate::round_commit`] drives it: all pairs of one comparison
 //! round are answered by replaying them in **pair order** against the state
 //! at round start, so the answers an algorithm observes never depend on
-//! which OS thread asked first or how the round was cut into batch waves.
+//! which OS thread asked first or whether the round arrived as one batch.
 //!
 //! The knowledge graph lives on the packed substrates of
 //! [`ecs_graph::bitset`]: the known-unequal relation is a [`PairBitset`]

@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 ///
 /// The adversary participates in the session's round-boundary hooks (the
 /// [`crate::round_commit`] protocol), so it answers bit-identically on every
-/// [`ecs_model::ExecutionBackend`] — sequential, threaded, or batched — and
+/// [`ecs_model::ExecutionBackend`] — sequential or threaded — and
 /// under [`ecs_model::ThroughputPool`] throughput mode.
 #[derive(Debug)]
 pub struct EqualSizeAdversary {

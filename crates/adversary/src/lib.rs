@@ -24,12 +24,13 @@
 //! when a comparison round opens, its pairs are replayed in canonical pair
 //! order against the committed round-start state, merging their swap/mark
 //! intents into one deterministic commit and pinning every pair's answer in
-//! a plan; queries during the round are served from the plan. Answers
-//! therefore do not depend on which OS thread asked first or how a round was
-//! cut into batch waves, so the adversaries are bit-identical across
-//! [`ecs_model::ExecutionBackend::Sequential`],
-//! [`ecs_model::ExecutionBackend::Threaded`], and
-//! [`ecs_model::ExecutionBackend::Batched`], and inside
+//! a plan; queries during the round are served from the plan. On the calling
+//! thread a round arrives as one `same_batch` call, served from the plan
+//! under one lock; on the pool its pairs arrive as scalar `same` calls in
+//! any order. Answers do not depend on which, or on which OS thread asked
+//! first, so the adversaries are bit-identical across
+//! [`ecs_model::ExecutionBackend::Sequential`] and
+//! [`ecs_model::ExecutionBackend::Threaded`], and inside
 //! [`ecs_model::ThroughputPool`] jobs.
 //!
 //! This crate implements the adversaries as [`ecs_model::EquivalenceOracle`]s

@@ -3,8 +3,8 @@
 //!
 //! The sequential adversary of Section 3 mutates its coloring after every
 //! query, so its answers depend on the *temporal order* of queries — which a
-//! work-stealing pool does not preserve, and which a batched backend reshapes
-//! into waves. [`RoundCommit`] removes that dependency at round granularity:
+//! work-stealing pool does not preserve. [`RoundCommit`] removes that
+//! dependency at round granularity:
 //!
 //! 1. **Snapshot & plan.** When the session opens a round
 //!    ([`ecs_model::EquivalenceOracle::round_opened`] hands the round's pairs
@@ -13,9 +13,9 @@
 //!    the committed round-start state is **lazy**: a query only forces the
 //!    canonical-order prefix up to its own pair through the sequential case
 //!    analysis, so early-exiting algorithms never pay for unqueried tails.
-//! 2. **Serve.** Every query between the hooks — scalar `same` calls from
-//!    any pool thread, in any arrival order, or `same_batch` waves of any
-//!    cut — is answered from the plan. Repeats are served (and charged) as
+//! 2. **Serve.** Every query between the hooks — the round's one
+//!    `same_batch` call on the calling thread, or scalar `same` calls from
+//!    any pool thread in any arrival order — is answered from the plan. Repeats are served (and charged) as
 //!    often as they are asked, with the answer the plan pinned.
 //! 3. **Commit.** [`ecs_model::EquivalenceOracle::round_closed`] publishes
 //!    the merged state advance and bumps the knowledge epoch
@@ -26,8 +26,8 @@
 //! Scalar queries arriving *outside* an open round (sequential algorithms'
 //! single comparisons) run as their own single-pair round, which makes the
 //! protocol **bit-identical to the classic sequential adversary** for every
-//! sequential algorithm, and bit-identical across `Sequential`, `Threaded`,
-//! and `Batched` backends for round-based algorithms: the set of pairs the
+//! sequential algorithm, and bit-identical across the `Sequential` and
+//! `Threaded` backends for round-based algorithms: the set of pairs the
 //! replay advances through is a pure function of (committed state, round
 //! pairs, set of queried pairs), and all three are backend-independent.
 //!
@@ -290,8 +290,9 @@ impl<S: AdversaryState> RoundCommit<S> {
         answer
     }
 
-    /// Answers a wave of queries in pair order. Inside an open round the
-    /// wave is served from the plan; outside, the whole wave forms one round.
+    /// Answers a batch of queries in pair order. Inside an open round the
+    /// batch is served from the plan; outside, the whole batch forms one
+    /// round.
     pub fn query_batch(&mut self, pairs: &[(usize, usize)]) -> Vec<bool> {
         if self.round_open {
             return pairs.iter().map(|&(a, b)| self.query(a, b)).collect();

@@ -301,7 +301,6 @@ mod tests {
                 threads: 2,
                 threshold: 1,
             },
-            ExecutionBackend::Batched { wave: 64 },
         ];
         let reference: Option<(Partition, u64, Metrics)> = None;
         let mut reference = reference;

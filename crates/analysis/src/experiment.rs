@@ -191,7 +191,7 @@ pub fn figure5_series(config: &Figure5Config) -> Figure5Series {
 }
 
 /// [`figure5_series`] with every trial session evaluating on an explicit
-/// [`ExecutionBackend`] (e.g. the `--batch` / `--threads` CLI selection).
+/// [`ExecutionBackend`] (e.g. the `--threads` CLI selection).
 /// The backend never changes any measurement — partitions and metrics are
 /// bit-identical across backends — only where and how oracle queries run.
 pub fn figure5_series_with_backend(
@@ -224,7 +224,7 @@ pub fn figure5_grid(configs: &[Figure5Config], pool: &ThroughputPool) -> Vec<Fig
 }
 
 /// [`figure5_grid`] with every trial job's session evaluating on an explicit
-/// [`ExecutionBackend`] — this is how the `--batch` flag reaches pooled
+/// [`ExecutionBackend`] — this is how the `--threads` flag reaches pooled
 /// trials. Bit-identical to [`figure5_series_with_backend`] per config on
 /// any backend.
 pub fn figure5_grid_with_backend(
@@ -463,7 +463,7 @@ pub fn dominance_grid(configs: &[DominanceConfig], pool: &ThroughputPool) -> Vec
 }
 
 /// [`dominance_grid`] with every trial job's session evaluating on an
-/// explicit [`ExecutionBackend`] — how the `--batch` flag reaches pooled
+/// explicit [`ExecutionBackend`] — how the `--threads` flag reaches pooled
 /// dominance trials. Bit-identical to
 /// [`dominance_experiment_with_backend`] per config on any backend.
 pub fn dominance_grid_with_backend(
@@ -668,11 +668,11 @@ mod tests {
             seed: 3,
         };
         let reference = figure5_series_with_backend(&config, ExecutionBackend::Sequential);
-        for backend in [
-            ExecutionBackend::batched(64),
-            ExecutionBackend::batched(0),
-            ExecutionBackend::threaded(2),
-        ] {
+        let threaded = ExecutionBackend::Threaded {
+            threads: 2,
+            threshold: 1,
+        };
+        for backend in [ExecutionBackend::threaded(2), threaded] {
             let series = figure5_series_with_backend(&config, backend);
             for (a, b) in series.points.iter().zip(&reference.points) {
                 assert_eq!(
@@ -685,11 +685,7 @@ mod tests {
         }
         // The pooled grid takes the same explicit backend per trial job.
         let pool = ThroughputPool::from_jobs(2);
-        let grid = figure5_grid_with_backend(
-            std::slice::from_ref(&config),
-            &pool,
-            ExecutionBackend::batched(16),
-        );
+        let grid = figure5_grid_with_backend(std::slice::from_ref(&config), &pool, threaded);
         for (a, b) in grid[0].points.iter().zip(&reference.points) {
             assert_eq!(a.comparisons, b.comparisons);
         }
@@ -701,12 +697,10 @@ mod tests {
         };
         let dom_reference =
             dominance_experiment_with_backend(&dom_config, ExecutionBackend::Sequential);
-        let dom_batched =
-            dominance_experiment_with_backend(&dom_config, ExecutionBackend::batched(32));
-        assert_eq!(dom_batched.measured_total, dom_reference.measured_total);
-        assert_eq!(dom_batched.measured_cross, dom_reference.measured_cross);
-        let dom_grid =
-            dominance_grid_with_backend(&[dom_config], &pool, ExecutionBackend::batched(32));
+        let dom_threaded = dominance_experiment_with_backend(&dom_config, threaded);
+        assert_eq!(dom_threaded.measured_total, dom_reference.measured_total);
+        assert_eq!(dom_threaded.measured_cross, dom_reference.measured_cross);
+        let dom_grid = dominance_grid_with_backend(&[dom_config], &pool, threaded);
         assert_eq!(dom_grid[0].measured_total, dom_reference.measured_total);
     }
 

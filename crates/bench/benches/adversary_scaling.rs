@@ -1,5 +1,5 @@
 //! Measures adversarial lower-bound rounds under the round-commit protocol:
-//! sequential vs pooled vs batched evaluation of the same run, plus the whole
+//! sequential vs pooled evaluation of the same run, plus the whole
 //! Theorem 5 grid drained serially vs through the throughput pool.
 //!
 //! Every group first asserts bit-identity (forced comparisons and committed
@@ -20,15 +20,13 @@ use std::hint::black_box;
 
 /// The backends one adversarial run is timed on. The threaded backend uses
 /// `threshold: 1` so even test-sized rounds cross the pool.
-fn backends() -> [ExecutionBackend; 4] {
+fn backends() -> [ExecutionBackend; 2] {
     [
         ExecutionBackend::Sequential,
         ExecutionBackend::Threaded {
             threads: 2,
             threshold: 1,
         },
-        ExecutionBackend::batched(64),
-        ExecutionBackend::batched(0),
     ]
 }
 

@@ -10,9 +10,8 @@
 //! Before anything is timed, every run is gated on a correct partition
 //! ([`Instance::verify`]) and on the same partition, [`ecs_model::Metrics`]
 //! and round trace on `Sequential` as on a pooled (`Threaded { threads: 2,
-//! threshold: 1 }`) and a whole-round batched (`batched(0)`) backend: the
-//! timings are only comparable if every backend asks for, and is charged,
-//! the same work. The timed runs use `Sequential`, which is what the slates'
+//! threshold: 1 }`) backend: the timings are only comparable if every
+//! backend asks for, and is charged, the same work. The timed runs use `Sequential`, which is what the slates'
 //! `auto` evaluates on.
 //!
 //! Set `ECS_BENCH_SMOKE=1` to shrink the instances to n = 300 (used by CI to
@@ -33,15 +32,11 @@ const DISTS: [DistSpec; 5] = [
     DistSpec::Balanced(7),
 ];
 
-/// The backends every timed run is gated against: every round on the pool,
-/// and every round as one `same_batch` wave.
-const GATED: [ExecutionBackend; 2] = [
-    ExecutionBackend::Threaded {
-        threads: 2,
-        threshold: 1,
-    },
-    ExecutionBackend::Batched { wave: 0 },
-];
+/// The backend every timed run is gated against: every round on the pool.
+const POOLED: ExecutionBackend = ExecutionBackend::Threaded {
+    threads: 2,
+    threshold: 1,
+};
 
 fn sort_engines(c: &mut Criterion) {
     let n = if smoke() { 300 } else { 2000 };
@@ -65,20 +60,14 @@ fn sort_engines(c: &mut Criterion) {
                 instance.verify(&sequential.partition),
                 "{algo} on {dist}: wrong partition"
             );
-            for backend in GATED {
-                let run = algo.sort(seed, k, &oracle, backend);
-                let label = backend.label();
-                assert_eq!(
-                    run.partition, sequential.partition,
-                    "{algo} on {dist}: {label}"
-                );
-                assert_eq!(run.metrics, sequential.metrics, "{algo} on {dist}: {label}");
-                assert_eq!(
-                    run.metrics.round_sizes(),
-                    sequential.metrics.round_sizes(),
-                    "{algo} on {dist}: {label} round trace"
-                );
-            }
+            let pooled = algo.sort(seed, k, &oracle, POOLED);
+            assert_eq!(pooled.partition, sequential.partition, "{algo} on {dist}");
+            assert_eq!(pooled.metrics, sequential.metrics, "{algo} on {dist}");
+            assert_eq!(
+                pooled.metrics.round_sizes(),
+                sequential.metrics.round_sizes(),
+                "{algo} on {dist}: round trace"
+            );
             group.bench_function(BenchmarkId::new(algo, dist), |b| {
                 b.iter(|| {
                     let run = algo.sort(seed, k, &oracle, ExecutionBackend::Sequential);

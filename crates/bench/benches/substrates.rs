@@ -1,7 +1,7 @@
 //! Criterion benchmarks for the substrates: union-find, Hamiltonian unions,
 //! ER scheduling, the PRNG, and the packed bitset substrate against
-//! its pointer-based counterparts (hash-set pair graphs, scalar `same_batch`
-//! loops, `Vec<Vec<usize>>` class exports).
+//! its pointer-based counterparts (hash-set pair graphs, `Vec<Vec<usize>>`
+//! class exports).
 //!
 //! Set `ECS_BENCH_SMOKE=1` to shrink the workloads (used by CI on every
 //! push).
@@ -10,7 +10,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecs_bench::smoke;
 use ecs_graph::{HamiltonianUnion, PairBitset, UnionFind};
 use ecs_model::schedule::schedule_er;
-use ecs_model::{EquivalenceOracle, LabelOracle};
 use ecs_rng::{EcsRng, SeedableEcsRng, Xoshiro256StarStar};
 use std::collections::{HashMap, HashSet};
 use std::hint::black_box;
@@ -89,20 +88,6 @@ fn rng_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// An oracle deliberately restricted to scalar `same`, so `same_batch` runs
-/// the trait's default per-pair loop — the pointer baseline that the packed
-/// word-parallel path is measured against.
-struct ScalarOnlyOracle(LabelOracle);
-
-impl EquivalenceOracle for ScalarOnlyOracle {
-    fn n(&self) -> usize {
-        self.0.n()
-    }
-    fn same(&self, a: usize, b: usize) -> bool {
-        self.0.same(a, b)
-    }
-}
-
 /// Packed pair triangle vs hash-set adjacency: build the known-unequal graph
 /// of an adversary-sized universe edge by edge, then probe every edge in
 /// both orientations (the `adjacent`/`degree` hot path of the case
@@ -157,45 +142,10 @@ fn pair_graph(c: &mut Criterion) {
     group.finish();
 }
 
-/// Word-parallel `same_batch` vs the scalar per-pair loop, on the
-/// representative-scan wave shape (one left endpoint against consecutive
-/// partners) at adversary-grid through paper-scale universes.
-fn word_parallel_same_batch(c: &mut Criterion) {
-    let sizes: &[usize] = if smoke() {
-        &[10_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
-    };
-    let mut group = c.benchmark_group("substrate_same_batch");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_secs(if smoke() { 1 } else { 2 }));
-    for &n in sizes {
-        let k = 100u32;
-        let mut rng = Xoshiro256StarStar::seed_from_u64(7);
-        let labels: Vec<u32> = (0..n).map(|_| rng.below(k as usize) as u32).collect();
-        let wave: Vec<(usize, usize)> = (1..n).map(|b| (0, b)).collect();
-        let packed = LabelOracle::new(labels.clone());
-        let scalar = ScalarOnlyOracle(LabelOracle::new(labels));
-
-        // Identity gate before timing: the two paths must answer the wave
-        // identically, or the comparison is meaningless.
-        assert_eq!(packed.same_batch(&wave), scalar.same_batch(&wave));
-
-        group.bench_with_input(BenchmarkId::new("packed_wave", n), &wave, |bench, wave| {
-            bench.iter(|| black_box(packed.same_batch(wave).len()));
-        });
-        group.bench_with_input(BenchmarkId::new("scalar_wave", n), &wave, |bench, wave| {
-            bench.iter(|| black_box(scalar.same_batch(wave).len()));
-        });
-    }
-    group.finish();
-}
-
 /// Packed class export ([`UnionFind::classes_as_bitrows`]) vs the
 /// `Vec<Vec<usize>>` group export, on a forest merged down to the small
-/// class count the row view is built for (`k` equivalence classes, the
-/// regime the batch consumers operate in). The row view is a
+/// class count the row view is built for (`k` equivalence classes). The row
+/// view is a
 /// `k x n` bit matrix, so it is only sensible — and only benchmarked — at
 /// small `k`.
 fn class_export(c: &mut Criterion) {
@@ -237,7 +187,6 @@ criterion_group!(
     er_scheduling,
     rng_throughput,
     pair_graph,
-    word_parallel_same_batch,
     class_export
 );
 criterion_main!(benches);

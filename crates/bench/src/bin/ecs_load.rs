@@ -60,7 +60,7 @@ fn job_spec(session: usize, j: usize, base_seed: u64, tenants: usize, n: usize) 
     // still reach every backend, including the daemon's default `auto`.
     let backend = match (session + j) % 3 {
         0 => BackendSpec::Seq,
-        1 => BackendSpec::Batched(32),
+        1 => BackendSpec::Threaded(2),
         _ => BackendSpec::Auto,
     };
     JobSpec {
@@ -110,7 +110,6 @@ fn main() {
         "jobs",
         "max-inflight",
         "threads",
-        "batch",
     ]);
     let sessions = args.get_usize("sessions", if smoke() { 8 } else { 16 });
     let tenants = args.get_usize("tenants", 4).max(1);

@@ -4,17 +4,14 @@
 //! ```text
 //! cargo run -p ecs_bench --release --bin figure5 -- [--dist uniform|geometric|poisson|zeta|all]
 //!     [--full] [--scale D] [--trials T] [--seed S] [--out results] [--threads N] [--jobs J]
-//!     [--batch W]
 //!
 //! `--jobs J` runs every trial of the whole grid through one shared J-worker
 //! throughput pool (round-robin fairness across distributions); without
 //! `--jobs`, `--threads N` / `ECS_THREADS` select the trial pool instead
 //! (round evaluation inside a trial follows `ECS_THREADS`, but these trials'
-//! rounds are single comparisons). `--batch W` makes every trial session
-//! submit its rounds as oracle `same_batch` waves of up to W pairs —
-//! round-robin is sequential, so this changes nothing here, which is the
-//! point: CSVs are byte-identical with and without `--batch` (CI diffs
-//! them). Results are bit-identical to a serial run either way.
+//! rounds are single comparisons). Results are bit-identical to a serial
+//! run either way (CI diffs them). A zero `--scale` or `--trials` is
+//! rejected with exit status 2.
 //! ```
 //!
 //! By default the paper's size grids are divided by 10 so the whole figure
@@ -29,8 +26,9 @@ use ecs_distributions::ClassDistribution;
 fn main() {
     let args = Args::from_env();
     args.warn_unknown(&[
-        "dist", "full", "scale", "trials", "seed", "out", "threads", "batch", "jobs",
+        "dist", "full", "scale", "trials", "seed", "out", "threads", "jobs",
     ]);
+    args.require_nonzero(&["scale", "trials"]);
     let panel = args.get_or("dist", "all");
     // ECS_BENCH_SMOKE only shrinks the *defaults*; explicit flags always win.
     let scale = if args.has("full") {

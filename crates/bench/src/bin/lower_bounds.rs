@@ -5,15 +5,14 @@
 //!
 //! ```text
 //! cargo run -p ecs_bench --release --bin lower_bounds -- [--out results]
-//!     [--threads N] [--batch W] [--jobs J] [--search]
+//!     [--threads N] [--jobs J] [--search]
 //! ```
 //!
-//! The adversaries run the round-commit protocol, so `--threads` and
-//! `--batch` genuinely route adversarial rounds through the work-stealing
-//! pool / `same_batch` waves, and `--jobs J` drains the whole
-//! `(grid point, algorithm)` matrix through the shared throughput pool —
-//! all with byte-identical CSV output (CI diffs a pooled+batched run against
-//! the serial one). `ECS_BENCH_SMOKE=1` shrinks the grids; `--full` restores
+//! The adversaries run the round-commit protocol, so `--threads` genuinely
+//! routes large adversarial rounds through the work-stealing pool, and
+//! `--jobs J` drains the whole `(grid point, algorithm)` matrix through the
+//! shared throughput pool — both with byte-identical CSV output (CI diffs a
+//! pooled run against the serial one). `ECS_BENCH_SMOKE=1` shrinks the grids; `--full` restores
 //! them.
 //!
 //! `--search` additionally runs the Theorem 6 *adaptive search* table: the
@@ -32,7 +31,7 @@ use ecs_bench::{smoke, Args};
 
 fn main() {
     let args = Args::from_env();
-    args.warn_unknown(&["out", "full", "threads", "batch", "jobs", "search"]);
+    args.warn_unknown(&["out", "full", "threads", "jobs", "search"]);
     let out_dir = args.get_or("out", "results");
     let backend = args.execution_backend();
     let pool = args.throughput_pool();

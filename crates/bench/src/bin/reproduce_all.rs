@@ -3,14 +3,14 @@
 //!
 //! ```text
 //! cargo run -p ecs_bench --release --bin reproduce_all -- [--out results] [--scale D]
-//!     [--threads N] [--jobs J] [--batch W]
+//!     [--trials T] [--threads N] [--jobs J]
 //! ```
 //!
 //! Pass `--full` to use the paper's exact grids (slow). `--jobs J` runs all
-//! Figure 5 and Theorem 7 trials through one shared throughput pool;
-//! `--batch W` evaluates every session's rounds as oracle `same_batch` waves
-//! of up to W pairs (all reported numbers are bit-identical with and without
-//! it); `ECS_BENCH_SMOKE=1` shrinks every grid to a CI-sized smoke run.
+//! Figure 5 and Theorem 7 trials through one shared throughput pool (all
+//! reported numbers are bit-identical with and without it);
+//! `ECS_BENCH_SMOKE=1` shrinks every grid to a CI-sized smoke run. A zero
+//! `--scale` or `--trials` is rejected with exit status 2.
 
 use ecs_bench::runners::{
     algorithm_comparison_table, dominance_sweep, dominance_table, figure5_panel_series,
@@ -23,9 +23,8 @@ use ecs_distributions::ClassDistribution;
 
 fn main() {
     let args = Args::from_env();
-    args.warn_unknown(&[
-        "out", "full", "scale", "trials", "seed", "threads", "batch", "jobs",
-    ]);
+    args.warn_unknown(&["out", "full", "scale", "trials", "seed", "threads", "jobs"]);
+    args.require_nonzero(&["scale", "trials"]);
     let out_dir = args.get_or("out", "results");
     // ECS_BENCH_SMOKE only shrinks the *defaults*; explicit flags always win.
     let scale = if args.has("full") {
@@ -73,7 +72,7 @@ fn main() {
     println!("running Theorem 1/2/4 round-count experiments...");
     let small_grid: Vec<(usize, usize)> = paper::round_count_grid()
         .into_iter()
-        .map(|(n, k)| (n / scale.max(1), k))
+        .map(|(n, k)| (n / scale, k))
         .filter(|&(n, k)| n >= 10 * k)
         .collect();
     for (table, path) in [
@@ -120,7 +119,7 @@ fn main() {
     // Experiment E9: Theorem 7 dominance, all distributions × trials through
     // the same shared pool.
     println!("running Theorem 7 dominance experiment...");
-    let n = 50_000 / scale.max(1);
+    let n = 50_000 / scale;
     let results = dominance_sweep(
         vec![
             AnyDistribution::uniform(10),

@@ -22,7 +22,7 @@ use ecs_service::{Daemon, DaemonConfig, QuotaConfig};
 
 fn main() {
     let args = Args::from_env();
-    args.warn_unknown(&["addr", "jobs", "max-inflight", "threads", "batch", "quota"]);
+    args.warn_unknown(&["addr", "jobs", "max-inflight", "threads", "quota"]);
     let quotas = match args.get("quota").map(QuotaConfig::parse) {
         None => QuotaConfig::default(),
         Some(Ok(quotas)) => quotas,

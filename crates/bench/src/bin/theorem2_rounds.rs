@@ -2,7 +2,7 @@
 //! elements in `O(k log n)` rounds.
 //!
 //! ```text
-//! cargo run -p ecs_bench --release --bin theorem2_rounds -- [--seed S] [--out results] [--threads N] [--batch W]
+//! cargo run -p ecs_bench --release --bin theorem2_rounds -- [--seed S] [--out results] [--threads N]
 //! ```
 
 use ecs_bench::paper::round_count_grid;
@@ -11,7 +11,7 @@ use ecs_bench::Args;
 
 fn main() {
     let args = Args::from_env();
-    args.warn_unknown(&["seed", "out", "threads", "batch"]);
+    args.warn_unknown(&["seed", "out", "threads"]);
     let seed = args.get_u64("seed", 1);
     let out_dir = args.get_or("out", "results");
     let backend = args.execution_backend();

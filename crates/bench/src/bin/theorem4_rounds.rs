@@ -3,7 +3,7 @@
 //! with `n`.
 //!
 //! ```text
-//! cargo run -p ecs_bench --release --bin theorem4_rounds -- [--seed S] [--out results] [--full] [--threads N] [--batch W]
+//! cargo run -p ecs_bench --release --bin theorem4_rounds -- [--seed S] [--out results] [--full] [--threads N]
 //! ```
 
 use ecs_bench::paper::theorem4_lambdas;
@@ -12,7 +12,7 @@ use ecs_bench::Args;
 
 fn main() {
     let args = Args::from_env();
-    args.warn_unknown(&["seed", "out", "full", "threads", "batch"]);
+    args.warn_unknown(&["seed", "out", "full", "threads"]);
     let seed = args.get_u64("seed", 4);
     let out_dir = args.get_or("out", "results");
     std::fs::create_dir_all(&out_dir).expect("cannot create output directory");

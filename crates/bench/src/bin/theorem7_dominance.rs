@@ -5,13 +5,12 @@
 //!
 //! ```text
 //! cargo run -p ecs_bench --release --bin theorem7_dominance -- [--n N] [--trials T]
-//!     [--out results] [--threads N] [--jobs J] [--batch W]
+//!     [--out results] [--threads N] [--jobs J]
 //!
 //! `--jobs J` runs every trial of every distribution through one shared
-//! J-worker throughput pool (round-robin fairness across distributions);
-//! `--batch W` makes each trial session submit rounds as oracle
-//! `same_batch` waves of up to W pairs. Results are bit-identical to a
-//! serial, unbatched run either way.
+//! J-worker throughput pool (round-robin fairness across distributions).
+//! Results are bit-identical to a serial run either way. A zero `--n` or
+//! `--trials` is rejected with exit status 2.
 //! ```
 //!
 //! Setting `ECS_BENCH_SMOKE=1` shrinks the sweep to a CI-sized smoke run.
@@ -22,7 +21,8 @@ use ecs_distributions::class_distribution::AnyDistribution;
 
 fn main() {
     let args = Args::from_env();
-    args.warn_unknown(&["n", "trials", "seed", "out", "threads", "batch", "jobs"]);
+    args.warn_unknown(&["n", "trials", "seed", "out", "threads", "jobs"]);
+    args.require_nonzero(&["n", "trials"]);
     let n = args.get_usize("n", if smoke() { 500 } else { 5_000 });
     let trials = args.get_usize("trials", if smoke() { 2 } else { 8 });
     let seed = args.get_u64("seed", 7);

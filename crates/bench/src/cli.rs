@@ -103,28 +103,13 @@ impl Args {
         self.switches.iter().any(|s| s == name) || self.values.contains_key(name)
     }
 
-    /// The execution backend selected by `--batch W` or `--threads N`,
-    /// falling back to the `ECS_THREADS` environment variable when both
-    /// flags are absent.
-    ///
-    /// * `--batch W` selects [`ExecutionBackend::Batched`]: rounds are
-    ///   submitted to the oracle as `same_batch` waves of up to `W` pairs
-    ///   (`--batch 0` = the whole round as one wave; a bare `--batch` or an
-    ///   unparsable wave selects the default wave size). `--batch` takes
-    ///   precedence over `--threads` — a backend evaluates a round either in
-    ///   waves or on the pool, and the batched path is the explicit request.
-    /// * `--threads N` selects the threaded backend; `1` and unparsable
-    ///   values select sequential, and `--threads 0` is not a usable worker
-    ///   count — it clamps to the machine's available parallelism with a
-    ///   warning instead of silently building a degenerate pool.
+    /// The execution backend selected by `--threads N`, falling back to the
+    /// `ECS_THREADS` environment variable when the flag is absent. `1` and
+    /// unparsable values select sequential, and `--threads 0` is not a
+    /// usable worker count — it clamps to the machine's available
+    /// parallelism with a warning instead of silently building a degenerate
+    /// pool.
     pub fn execution_backend(&self) -> ExecutionBackend {
-        if self.has("batch") {
-            let wave = self
-                .get("batch")
-                .and_then(|value| value.parse().ok())
-                .unwrap_or(ExecutionBackend::DEFAULT_BATCH_WAVE);
-            return ExecutionBackend::batched(wave);
-        }
         match self.get("threads") {
             Some(value) => ExecutionBackend::from_threads(worker_count("--threads", value, 1)),
             None => ExecutionBackend::from_env(),
@@ -140,15 +125,8 @@ impl Args {
     /// machine's available parallelism (the zero case with a warning) rather
     /// than being silently dropped or going serial; results are
     /// bit-identical for every worker count either way.
-    ///
-    /// With `--batch` and no `--jobs`, the trial loop stays serial (a
-    /// batched backend is single-threaded by design) — combine `--jobs N
-    /// --batch W` to run `N` concurrent trials whose sessions each submit
-    /// waves of `W`.
     pub fn throughput_pool(&self) -> ThroughputPool {
         if !self.has("jobs") {
-            // A Batched backend has one thread, so `--batch` alone keeps the
-            // trial loop serial; `--threads N` keeps feeding the pool.
             return ThroughputPool::new(self.execution_backend());
         }
         let jobs = match self.get("jobs") {
@@ -156,6 +134,30 @@ impl Args {
             None => available_parallelism(),
         };
         ThroughputPool::from_jobs(jobs)
+    }
+
+    /// Exits with status 2, before any work is done, if one of the `names`
+    /// flags was given as `0`. A grid with zero trials, zero elements or a
+    /// zero scale divisor measures nothing, yet would still write tables
+    /// that look like results (or, for `--scale 0`, silently run the full
+    /// paper grid).
+    pub fn require_nonzero(&self, names: &[&str]) {
+        if let Some(message) = self.zero_flag(names) {
+            eprintln!("error: {message}");
+            std::process::exit(2);
+        }
+    }
+
+    /// The message for the first of `names` whose value parses as `0`.
+    fn zero_flag(&self, names: &[&str]) -> Option<String> {
+        names
+            .iter()
+            .find(|name| {
+                self.get(name)
+                    .and_then(|value| value.trim().parse::<usize>().ok())
+                    == Some(0)
+            })
+            .map(|name| format!("--{name} 0 is not allowed; it must be at least 1"))
     }
 
     /// Warns (once, to stderr) about every parsed `--flag` that is not in
@@ -375,36 +377,31 @@ mod tests {
     }
 
     #[test]
-    fn batch_flag_selects_the_batched_backend() {
-        use ecs_model::ExecutionBackend;
+    fn zero_grid_flags_are_named() {
+        let flags = ["trials", "n", "scale"];
         assert_eq!(
-            args(&["--batch", "64"]).execution_backend(),
-            ExecutionBackend::batched(64)
+            args(&["--trials", "3", "--scale", "10"]).zero_flag(&flags),
+            None
         );
-        assert_eq!(
-            args(&["--batch", "0"]).execution_backend(),
-            ExecutionBackend::batched(0),
-            "--batch 0 means the whole round as one wave"
-        );
-        // A bare `--batch` or a typo'd wave still selects batching, at the
-        // default wave size.
-        let default = ExecutionBackend::batched(ExecutionBackend::DEFAULT_BATCH_WAVE);
-        assert_eq!(args(&["--batch"]).execution_backend(), default);
-        assert_eq!(args(&["--batch", "junk"]).execution_backend(), default);
-        // `--batch` beats `--threads`: the batched path is the explicit ask.
-        assert_eq!(
-            args(&["--threads", "4", "--batch", "32"]).execution_backend(),
-            ExecutionBackend::batched(32)
-        );
-        // `--batch` alone keeps the trial loop serial; with `--jobs` the
-        // trials run pooled while each session batches.
-        assert_eq!(args(&["--batch", "64"]).throughput_pool().label(), "serial");
-        assert_eq!(
-            args(&["--batch", "64", "--jobs", "4"])
-                .throughput_pool()
-                .label(),
-            "pooled(4)"
-        );
+        assert_eq!(args(&[]).zero_flag(&flags), None);
+        // Unparsable values keep falling back to the default, as elsewhere.
+        assert_eq!(args(&["--n", "junk"]).zero_flag(&flags), None);
+        for zero in [
+            &["--trials", "0"][..],
+            &["--n=0"],
+            &["--scale", "0", "--trials", "2"],
+            &["--trials", "2", "--scale", " 0"],
+        ] {
+            let message = args(zero)
+                .zero_flag(&flags)
+                .expect("a zero flag is rejected");
+            assert!(message.contains(" 0 "), "{message}");
+        }
+        assert!(args(&["--n", "0"])
+            .zero_flag(&flags)
+            .is_some_and(|message| message.starts_with("--n 0")));
+        // Only the listed flags are checked.
+        assert_eq!(args(&["--seed", "0"]).zero_flag(&flags), None);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use ecs_rng::{SeedableEcsRng, Xoshiro256StarStar};
 /// pool — all `(distribution, size, trial)` jobs of the panel are queued as
 /// one workload, one fairness session per distribution — and returns
 /// `(config, series)` pairs in the panel's order. Each trial's session
-/// evaluates on `backend` (e.g. the `--batch` / `--threads` CLI selection);
+/// evaluates on `backend` (e.g. the `--threads` CLI selection);
 /// results are bit-identical to the serial per-config loop on every backend.
 pub fn figure5_panel_series(
     panel: &str,
@@ -227,7 +227,7 @@ pub enum AdversaryAlgorithm {
     /// [`RoundRobin`]: the Theorem 7/8 sequential algorithm.
     RoundRobin,
     /// [`ErMergeSort`]: exclusive-read rounds, evaluated on the selected
-    /// backend (pool / batch waves).
+    /// backend (inline, or sharded on the pool).
     ErMergeSort,
 }
 
@@ -269,7 +269,7 @@ impl AdversaryAlgorithm {
 /// throughput pool (a fresh adversary per cell, sessions evaluating on
 /// `backend`), and the rows report the forced comparison count next to the
 /// paper's bound. Results are collected in job order, so the table is
-/// byte-identical for every `--jobs` / `--threads` / `--batch` selection.
+/// byte-identical for every `--jobs` / `--threads` selection.
 pub fn lower_bound_table<A, F>(
     title: &str,
     param: &str,
@@ -641,7 +641,6 @@ mod tests {
         .to_markdown();
         for (pool, backend) in [
             (ThroughputPool::from_jobs(4), ExecutionBackend::Sequential),
-            (ThroughputPool::from_jobs(1), ExecutionBackend::batched(16)),
             (
                 ThroughputPool::from_jobs(2),
                 ExecutionBackend::Threaded {
@@ -767,23 +766,6 @@ mod tests {
                 assert_eq!(
                     a.comparisons, b.comparisons,
                     "pooled panel diverged from the serial loop"
-                );
-            }
-        }
-        // `--batch` must not change any measurement either.
-        let batched = figure5_panel_series(
-            "uniform",
-            100,
-            2,
-            2016,
-            &pool,
-            ExecutionBackend::batched(64),
-        );
-        for ((_, a), (_, b)) in batched.iter().zip(&pooled) {
-            for (pa, pb) in a.points.iter().zip(&b.points) {
-                assert_eq!(
-                    pa.comparisons, pb.comparisons,
-                    "batched panel diverged from the sequential-backend panel"
                 );
             }
         }

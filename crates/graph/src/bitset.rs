@@ -1,6 +1,6 @@
 //! Packed bit substrates: one bit per unordered pair and one bit per element.
 //!
-//! The adversary knowledge graph, the union-find class sets, and the batched
+//! The adversary knowledge graph, the union-find class sets, and the row
 //! oracle paths all ask the same two kinds of set question — "is this pair
 //! related?" and "is this element in that set?" — and all of them used to
 //! answer through pointer-heavy structures (`HashMap<usize, HashSet<usize>>`

@@ -12,7 +12,7 @@
 //! * [`bitset`] — the packed substrates: [`PairBitset`], one bit per
 //!   unordered pair in a flat upper-triangular word array, and [`BitRow`],
 //!   a flat per-element bit set. The adversary knowledge graph, the
-//!   union-find class views, and the word-parallel `same_batch` oracle path
+//!   union-find class views, and the word-parallel `same_row` oracle path
 //!   are all built on these.
 //! * [`HamiltonianUnion`] — the `H_d` construction together with its
 //!   decomposition into exclusive-read comparison rounds, and [`Fragments`],

@@ -13,7 +13,12 @@
 //! [`crate::EquivalenceOracle::round_closed`]): all queries of one round are
 //! answered against the state committed at round start and the deferred
 //! effects are applied in one deterministic commit when the round closes, so
-//! they too are bit-identical across backends, wave sizes, and thread counts.
+//! they too are bit-identical across backends and thread counts.
+//!
+//! A round evaluated on the calling thread is exactly one
+//! [`crate::EquivalenceOracle::same_batch`] call, so an oracle with a
+//! per-request cost (a service round trip, a disk read) pays it once per
+//! round rather than once per pair.
 
 use crate::oracle::EquivalenceOracle;
 use rayon::prelude::*;
@@ -28,7 +33,8 @@ const MIN_CHUNK: usize = 1024;
 /// Where a [`crate::ComparisonSession`] evaluates each round's comparisons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionBackend {
-    /// Evaluate every comparison on the calling thread.
+    /// Evaluate every round on the calling thread, as one
+    /// [`EquivalenceOracle::same_batch`] call.
     #[default]
     Sequential,
     /// Evaluate large rounds on a work-stealing pool of OS threads.
@@ -36,28 +42,10 @@ pub enum ExecutionBackend {
         /// Number of worker threads (values `<= 1` behave sequentially).
         threads: usize,
         /// Minimum round size dispatched to the pool; smaller rounds are
-        /// evaluated inline because per-task overhead would dwarf the array
-        /// lookups. Defaults to
+        /// evaluated inline, as on [`ExecutionBackend::Sequential`], because
+        /// per-task overhead would dwarf the array lookups. Defaults to
         /// [`ExecutionBackend::DEFAULT_PARALLEL_THRESHOLD`].
         threshold: usize,
-    },
-    /// Evaluate each round on the calling thread as one or few
-    /// [`EquivalenceOracle::same_batch`] request waves instead of per-pair
-    /// `same` calls.
-    ///
-    /// For in-memory oracles this amortizes batch validation; for oracles
-    /// whose `same_batch` override answers a wave in one round trip (service
-    /// calls, disk-resident partitions), it turns a round of `m` comparisons
-    /// into `⌈m / wave⌉` requests. Waves are submitted in pair order and
-    /// answers collected in submission order, so partitions and
-    /// [`crate::Metrics`] are bit-identical to [`ExecutionBackend::Sequential`]
-    /// (charging happens before evaluation and is backend-independent).
-    Batched {
-        /// Maximum number of pairs per `same_batch` wave; `0` submits the
-        /// whole round as a single wave. Defaults to
-        /// [`ExecutionBackend::DEFAULT_BATCH_WAVE`] via
-        /// [`ExecutionBackend::batched`].
-        wave: usize,
     },
 }
 
@@ -67,24 +55,12 @@ impl ExecutionBackend {
     /// itself (each comparison is two array reads).
     pub const DEFAULT_PARALLEL_THRESHOLD: usize = 4096;
 
-    /// The default wave size of [`ExecutionBackend::Batched`]: large enough
-    /// to amortize a per-wave fixed cost (validation, a request round trip)
-    /// over hundreds of pairs, small enough that a wave of replies stays
-    /// cache-resident.
-    pub const DEFAULT_BATCH_WAVE: usize = 256;
-
     /// A threaded backend with the default parallel threshold.
     pub fn threaded(threads: usize) -> Self {
         ExecutionBackend::Threaded {
             threads,
             threshold: Self::DEFAULT_PARALLEL_THRESHOLD,
         }
-    }
-
-    /// A batched backend submitting waves of `wave` pairs (`0` = the whole
-    /// round as a single wave).
-    pub fn batched(wave: usize) -> Self {
-        ExecutionBackend::Batched { wave }
     }
 
     /// The default backend, which evaluates inline:
@@ -152,7 +128,7 @@ impl ExecutionBackend {
     /// The number of OS threads this backend evaluates on.
     pub fn threads(&self) -> usize {
         match *self {
-            ExecutionBackend::Sequential | ExecutionBackend::Batched { .. } => 1,
+            ExecutionBackend::Sequential => 1,
             ExecutionBackend::Threaded { threads, .. } => threads.max(1),
         }
     }
@@ -162,14 +138,12 @@ impl ExecutionBackend {
         self.threads() > 1
     }
 
-    /// A short human-readable label (`"sequential"`, `"threaded(4)"`,
-    /// `"batched(256)"`) for benchmark tables and CLI banners.
+    /// A short human-readable label (`"sequential"`, `"threaded(4)"`) for
+    /// benchmark tables and CLI banners.
     pub fn label(&self) -> String {
         match *self {
             ExecutionBackend::Sequential => "sequential".to_string(),
             ExecutionBackend::Threaded { threads, .. } => format!("threaded({threads})"),
-            ExecutionBackend::Batched { wave: 0 } => "batched(all)".to_string(),
-            ExecutionBackend::Batched { wave } => format!("batched({wave})"),
         }
     }
 
@@ -185,9 +159,9 @@ impl ExecutionBackend {
     }
 
     /// Evaluates one round of comparisons against the oracle, returning one
-    /// answer per pair in submission order: as `same_batch` waves cut in
-    /// pair order on the batched backend, on the pool when a threaded round
-    /// clears its threshold, and inline otherwise.
+    /// answer per pair in submission order: on the pool when a threaded
+    /// round clears its threshold, and otherwise inline as exactly one
+    /// [`EquivalenceOracle::same_batch`] call.
     pub fn evaluate<O: EquivalenceOracle + ?Sized>(
         &self,
         oracle: &O,
@@ -197,16 +171,6 @@ impl ExecutionBackend {
             return Vec::new();
         }
         match *self {
-            ExecutionBackend::Batched { wave } if wave != 0 && wave < pairs.len() => {
-                // Waves are cut in pair order, so concatenating their
-                // answers reproduces the scalar answer vector exactly.
-                let mut answers = Vec::with_capacity(pairs.len());
-                for wave_pairs in pairs.chunks(wave) {
-                    answers.extend(oracle.same_batch(wave_pairs));
-                }
-                answers
-            }
-            ExecutionBackend::Batched { .. } => oracle.same_batch(pairs),
             ExecutionBackend::Threaded { threads, threshold }
                 if threads > 1 && pairs.len() >= threshold.max(1) =>
             {
@@ -218,7 +182,7 @@ impl ExecutionBackend {
                         .collect()
                 })
             }
-            _ => pairs.iter().map(|&(a, b)| oracle.same(a, b)).collect(),
+            _ => oracle.same_batch(pairs),
         }
     }
 }
@@ -331,37 +295,6 @@ mod tests {
     fn labels_render() {
         assert_eq!(ExecutionBackend::Sequential.label(), "sequential");
         assert_eq!(ExecutionBackend::threaded(8).label(), "threaded(8)");
-        assert_eq!(ExecutionBackend::batched(64).label(), "batched(64)");
-        assert_eq!(ExecutionBackend::batched(0).label(), "batched(all)");
-    }
-
-    #[test]
-    fn batched_backend_is_single_threaded() {
-        let backend = ExecutionBackend::batched(64);
-        assert_eq!(backend, ExecutionBackend::Batched { wave: 64 });
-        assert_eq!(backend.threads(), 1);
-        assert!(!backend.is_parallel());
-    }
-
-    #[test]
-    fn batched_evaluation_matches_sequential_for_every_wave() {
-        let labels: Vec<u32> = (0..2_000u32).map(|i| i % 5).collect();
-        let oracle = LabelOracle::new(labels);
-        let pairs: Vec<(usize, usize)> = (0..1_000).map(|i| (i, i + 1_000)).collect();
-        let reference = ExecutionBackend::Sequential.evaluate(&oracle, &pairs);
-        // Waves that divide the round, waves that leave a remainder, a wave
-        // of one (scalar), a wave larger than the round, and the whole-round
-        // wave must all concatenate back to the scalar answers.
-        for wave in [0, 1, 7, 64, 1_000, 5_000] {
-            assert_eq!(
-                ExecutionBackend::batched(wave).evaluate(&oracle, &pairs),
-                reference,
-                "batched({wave}) diverged from sequential"
-            );
-        }
-        assert!(ExecutionBackend::batched(8)
-            .evaluate(&oracle, &[])
-            .is_empty());
     }
 
     #[test]

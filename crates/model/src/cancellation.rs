@@ -10,12 +10,14 @@
 //! [`crate::ThroughputPool::try_run`]) downcasts the payload to distinguish
 //! "cancelled on request" from a genuine failure.
 //!
-//! Checks happen at the same points on every backend (round open, then each
-//! query), so a cancelled job stops promptly whether its rounds run
-//! sequentially, sharded on the pool, or as batch waves — and a job that is
-//! *not* cancelled is observationally untouched: the wrapper forwards every
-//! call verbatim, keeping partitions and [`crate::Metrics`] bit-identical to
-//! the unwrapped oracle.
+//! Checks happen on every call the wrapper forwards. A round-based algorithm
+//! is checked once per round on the calling thread (at round open and at its
+//! one `same_batch` call) and per pair when a round is sharded on the pool; a
+//! sequential algorithm is checked per comparison (or per `same_row` row). So
+//! a cancelled job stops within one round, and a job that is *not* cancelled
+//! is observationally untouched: the wrapper forwards every call verbatim,
+//! keeping partitions and [`crate::Metrics`] bit-identical to the unwrapped
+//! oracle.
 
 use crate::oracle::EquivalenceOracle;
 use std::ops::Range;

@@ -18,13 +18,13 @@
 //!   distributions of Section 4.
 //! * [`Partition`] — the canonical representation of a (claimed or true)
 //!   classification, with equality testing.
-//! * [`EquivalenceOracle`] — the only window an algorithm has onto the truth,
-//!   with a batched [`EquivalenceOracle::same_batch`] request-wave path for
-//!   oracles whose cost is dominated by per-request overhead.
-//! * [`ExecutionBackend`] — where comparisons physically run: sequentially
-//!   on the calling thread, sharded across a work-stealing pool of OS
-//!   threads, or submitted as `same_batch` waves
-//!   ([`ExecutionBackend::Batched`]); [`ExecutionBackend::auto`] is the
+//! * [`EquivalenceOracle`] — the only window an algorithm has onto the truth.
+//!   A round reaches it as one [`EquivalenceOracle::same_batch`] request, so
+//!   oracles whose cost is dominated by per-request overhead pay it once per
+//!   round.
+//! * [`ExecutionBackend`] — where comparisons physically run: on the calling
+//!   thread, one `same_batch` call per round, or sharded across a
+//!   work-stealing pool of OS threads; [`ExecutionBackend::auto`] is the
 //!   sequential one. Answers are always collected in submission order.
 //! * [`ComparisonSession`] — counts comparisons and rounds, enforces the ER /
 //!   CR disciplines and the processor budget, and evaluates large comparison

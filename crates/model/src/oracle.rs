@@ -1,12 +1,12 @@
 //! Equivalence oracles: the only window an algorithm has onto the hidden
 //! classes.
 //!
-//! The ground-truth oracles answer `same_batch` waves **word-parallel** when
-//! the class structure is small enough to pack: the partition is lowered once
-//! (lazily) into one [`BitRow`] per class, and a wave that scans consecutive
-//! partners against a shared left endpoint — the shape emitted by
-//! representative-scan and merge-style algorithms — is answered 64 pairs per
-//! word fetch instead of one label compare per pair.
+//! A round reaches the oracle as one [`EquivalenceOracle::same_batch`] call,
+//! and a sequential row of queries as one [`EquivalenceOracle::same_row`]
+//! call. The ground-truth oracles answer rows **word-parallel** when the class
+//! structure is small enough to pack: the partition is lowered once (lazily)
+//! into one [`BitRow`] per class, and a row — the shape naive all-pairs asks —
+//! is answered 64 pairs per word fetch instead of one label compare per pair.
 
 use crate::instance::Instance;
 use crate::partition::Partition;
@@ -40,24 +40,26 @@ pub trait EquivalenceOracle: Sync {
     /// bug).
     fn same(&self, a: usize, b: usize) -> bool;
 
-    /// Answers a whole batch of equivalence tests, one answer per pair **in
-    /// pair order** — the request-wave primitive behind
-    /// [`crate::ExecutionBackend::Batched`].
+    /// Answers a whole round of equivalence tests, one answer per pair **in
+    /// pair order**. Every round a [`crate::ComparisonSession`] evaluates on
+    /// the calling thread (any round not sharded onto a
+    /// [`crate::ExecutionBackend::Threaded`] pool) is exactly one call.
     ///
     /// The default implementation is a scalar loop over [`Self::same`], so
-    /// every oracle batches correctly out of the box. Implementations backed
-    /// by I/O or per-call fixed costs (a service round trip, a disk-resident
-    /// partition, batch-wide validation) should override it to answer the
-    /// wave in one pass; overrides must agree *pairwise* with `same` on every
-    /// batch — `same_batch(pairs)[i] == same(pairs[i].0, pairs[i].1)` — which
-    /// is what keeps batched evaluation bit-identical to the scalar path
-    /// (enforced by the `oracle_batching` suite).
+    /// every oracle answers rounds correctly out of the box. Implementations
+    /// with a per-request cost (a service round trip, a disk-resident
+    /// partition, a lock) should override it to answer the round in one
+    /// request; overrides must agree *pairwise* with `same` on every batch —
+    /// `same_batch(pairs)[i] == same(pairs[i].0, pairs[i].1)` — which is what
+    /// keeps inline and pooled evaluation bit-identical (enforced by the
+    /// `oracle_batching` suite).
     ///
     /// Order-adaptive oracles (the lower-bound adversaries) implement the
     /// round-commit protocol on top of this: between [`Self::round_opened`]
     /// and [`Self::round_closed`] every pair is answered against the
-    /// committed state at round start, so a batch's answers do not depend on
-    /// how the round was cut into waves or which thread asked first.
+    /// committed state at round start, so the answers do not depend on
+    /// whether the round arrives as one batch or as scalar `same` calls from
+    /// pool threads.
     fn same_batch(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
         // One exact allocation up front; the scalar loop fills it.
         let mut answers = Vec::with_capacity(pairs.len());
@@ -96,10 +98,10 @@ pub trait EquivalenceOracle: Sync {
     /// of hooks as their round-commit protocol: at `round_opened` they plan
     /// every pair's answer by replaying the round in its canonical pair
     /// order against the state at round start, queries between the hooks are
-    /// served from that plan (in any arrival order, from any thread, in any
-    /// wave cut), and `round_closed` publishes the round's merged state
+    /// served from that plan (as one batch, or in any arrival order from any
+    /// pool thread), and `round_closed` publishes the round's merged state
     /// advance — which is what makes their answers bit-identical across
-    /// `Sequential`, `Threaded`, and `Batched` execution backends. Scalar
+    /// `Sequential` and `Threaded` execution backends. Scalar
     /// `same` calls *outside* a round (e.g.
     /// [`crate::ComparisonSession::compare`]) are legal and behave as their
     /// own single-pair round.
@@ -125,14 +127,6 @@ fn validate_pair(n: usize, a: usize, b: usize) {
     debug_assert_ne!(a, b, "self-comparison requested");
 }
 
-/// [`validate_pair`] over a whole wave, so batch answers can be produced in
-/// a single unchecked pass afterwards.
-fn validate_pairs(n: usize, pairs: &[(usize, usize)]) {
-    for &(a, b) in pairs {
-        validate_pair(n, a, b);
-    }
-}
-
 /// Packs `answer(b)` for every `b` in `others`, asked in ascending order,
 /// into `out` in the [`EquivalenceOracle::same_row`] layout.
 fn pack_row(others: Range<usize>, out: &mut Vec<u64>, mut answer: impl FnMut(usize) -> bool) {
@@ -144,10 +138,10 @@ fn pack_row(others: Range<usize>, out: &mut Vec<u64>, mut answer: impl FnMut(usi
 }
 
 /// Ceiling on `num_classes * n` bits (16 MiB) for the packed class-row view;
-/// partitions denser than this answer batches with the scalar label loop.
+/// partitions denser than this answer rows with the scalar label loop.
 const CLASS_ROW_MAX_BITS: usize = 1 << 27;
 
-/// The packed class-row view behind the word-parallel batch path: the
+/// The packed class-row view behind the word-parallel row path: the
 /// canonical label of every element plus one [`BitRow`] per class.
 #[derive(Debug, Clone)]
 struct ClassRows {
@@ -171,92 +165,6 @@ impl ClassRows {
             label_of: partition.labels().to_vec(),
             rows: partition.class_rows(),
         })
-    }
-
-    /// Answers a wave into `out`, validating inline in the same single pass
-    /// (the pair list is the dominant memory traffic of a large wave, so it
-    /// is walked exactly once). Pairs are grouped into runs that share a
-    /// left endpoint; within a run, maximal stretches of at least 8
-    /// consecutive right endpoints are answered from single 64-bit windows
-    /// of the left endpoint's class row — a whole-stretch bounds check
-    /// stands in for the per-pair one. Everything shorter (a matching's
-    /// one-pair runs, scattered partners) is a label compare, which costs
-    /// no more than the scalar loop. Answers are exactly
-    /// `labels[a] == labels[b]` pair for pair, and out-of-range pairs panic
-    /// with the same diagnostic as the scalar loop.
-    fn answer_wave(&self, n: usize, pairs: &[(usize, usize)], out: &mut Vec<bool>) {
-        let mut i = 0;
-        while i < pairs.len() {
-            // A stretch of one-pair runs (a matching's shape): one label
-            // compare per pair, in a single pass.
-            let mut m = i;
-            while m < pairs.len() && pairs.get(m + 1).is_none_or(|p| p.0 != pairs[m].0) {
-                m += 1;
-            }
-            if m > i {
-                out.extend(pairs[i..m].iter().map(|&(a, b)| {
-                    validate_pair(n, a, b);
-                    self.label_of[a] == self.label_of[b]
-                }));
-                i = m;
-                continue;
-            }
-            let a = pairs[i].0;
-            let mut j = i + 1;
-            while j < pairs.len() && pairs[j].0 == a {
-                j += 1;
-            }
-            // Validate the run's left endpoint against its first partner, so
-            // an out-of-range `a` reports the pair the scalar loop would.
-            validate_pair(n, a, pairs[i].1);
-            let label = self.label_of[a];
-            let row = &self.rows[label as usize];
-            let mut k = i;
-            while k < j {
-                let b0 = pairs[k].1;
-                // Probe a full 64-wide window branchlessly first: the `&=`
-                // fold has no early exit, so the consecutiveness check over
-                // the common scan/merge wave shape vectorises instead of
-                // comparing pair by pair.
-                if j - k >= 64 && b0 < n && 64 <= n - b0 {
-                    let window = &pairs[k..k + 64];
-                    let mut consecutive = true;
-                    for (t, p) in window.iter().enumerate() {
-                        consecutive &= p.1 == b0 + t;
-                    }
-                    let self_free = !(b0 <= a && a < b0 + 64);
-                    if consecutive && (self_free || !cfg!(debug_assertions)) {
-                        let word = row.extract_word(b0);
-                        out.extend((0..64u32).map(|t| (word >> t) & 1 == 1));
-                        k += 64;
-                        continue;
-                    }
-                }
-                let mut m = k + 1;
-                while m < j && m - k < 64 && pairs[m].1 == b0 + (m - k) {
-                    m += 1;
-                }
-                let stretch = m - k;
-                let in_bounds = b0 < n && stretch <= n - b0;
-                // In debug builds a stretch containing `a` itself takes the
-                // scalar path so the self-comparison debug assert fires on
-                // the exact offending pair.
-                let self_free = !(b0 <= a && a < b0 + stretch);
-                if stretch >= 8 && in_bounds && (self_free || !cfg!(debug_assertions)) {
-                    // A consecutive in-bounds stretch: one unaligned window
-                    // fetch answers up to 64 partners.
-                    let word = row.extract_word(b0);
-                    out.extend((0..stretch).map(|t| (word >> t) & 1 == 1));
-                } else {
-                    for &(_, b) in &pairs[k..m] {
-                        validate_pair(n, a, b);
-                        out.push(label == self.label_of[b]);
-                    }
-                }
-                k = m;
-            }
-            i = j;
-        }
     }
 
     /// Answers the row `(a, b)`, `b` in `others`, into `out` in the
@@ -333,22 +241,6 @@ impl EquivalenceOracle for InstanceOracle<'_> {
         self.instance.same_class(a, b)
     }
 
-    fn same_batch(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
-        // Word-parallel against the packed class rows when the partition
-        // fits (validation folded into the single wave pass); otherwise one
-        // validation pass plus one scalar pass over the ground truth.
-        let n = self.instance.n();
-        let mut answers = Vec::with_capacity(pairs.len());
-        match self.class_rows() {
-            Some(rows) => rows.answer_wave(n, pairs, &mut answers),
-            None => {
-                validate_pairs(n, pairs);
-                answers.extend(pairs.iter().map(|&(a, b)| self.instance.same_class(a, b)));
-            }
-        }
-        answers
-    }
-
     fn same_row(&self, a: usize, others: Range<usize>, out: &mut Vec<u64>) {
         // Answers from fixed ground truth do not depend on query order.
         match self.class_rows() {
@@ -395,22 +287,6 @@ impl EquivalenceOracle for LabelOracle {
     fn same(&self, a: usize, b: usize) -> bool {
         validate_pair(self.labels.len(), a, b);
         self.labels[a] == self.labels[b]
-    }
-
-    fn same_batch(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
-        // Word-parallel against the packed class rows when they fit
-        // (validation folded into the single wave pass); otherwise one
-        // validation pass plus one scalar pass over the labels.
-        let n = self.labels.len();
-        let mut answers = Vec::with_capacity(pairs.len());
-        match self.class_rows() {
-            Some(rows) => rows.answer_wave(n, pairs, &mut answers),
-            None => {
-                validate_pairs(n, pairs);
-                answers.extend(pairs.iter().map(|&(a, b)| self.labels[a] == self.labels[b]));
-            }
-        }
-        answers
     }
 
     fn same_row(&self, a: usize, others: Range<usize>, out: &mut Vec<u64>) {
@@ -532,47 +408,25 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn same_batch_validates_the_whole_wave() {
+    fn same_batch_rejects_an_out_of_range_pair() {
         let oracle = LabelOracle::new(vec![1, 2]);
         let _ = oracle.same_batch(&[(0, 1), (0, 2)]);
     }
 
     #[test]
-    fn word_parallel_waves_match_the_scalar_loop() {
-        // Exercise every shape the run detector distinguishes: long
-        // consecutive stretches (word fetches, crossing word boundaries),
-        // short stretches (scalar tests), scattered partners, repeated left
-        // endpoints, and descending partners.
-        let mut rng = Xoshiro256StarStar::seed_from_u64(77);
-        let inst = Instance::balanced(300, 9, &mut rng);
-        let labels: Vec<u32> = inst.ground_truth().labels().to_vec();
-        let instance_oracle = InstanceOracle::new(&inst);
-        let label_oracle = LabelOracle::new(labels);
-
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        pairs.extend((1..200).map(|b| (0, b))); // long consecutive run
-        pairs.extend([(0, 250), (0, 251), (0, 252)]); // short stretch
-        pairs.extend([(5, 60), (5, 7), (5, 200), (5, 199), (5, 198)]); // scattered + descending
-        pairs.extend((100..170).map(|b| (42, b))); // run crossing word boundaries
-        pairs.extend([(7, 8), (9, 10), (7, 8)]); // repeats, changing left endpoint
-
-        let scalar: Vec<bool> = pairs
-            .iter()
-            .map(|&(a, b)| instance_oracle.same(a, b))
-            .collect();
-        assert_eq!(instance_oracle.same_batch(&pairs), scalar);
-        assert_eq!(label_oracle.same_batch(&pairs), scalar);
-    }
-
-    #[test]
-    fn word_parallel_path_compacts_arbitrary_labels() {
+    fn class_rows_compact_arbitrary_labels() {
         // Raw labels are sparse u32s; the packed rows must be built over the
         // canonicalised labels, not indexed by the raw values.
         let labels: Vec<u32> = (0..256).map(|i| 1_000_000 + (i % 5) * 7_919).collect();
         let oracle = LabelOracle::new(labels.clone());
-        let pairs: Vec<(usize, usize)> = (0..255).map(|b| (0, b + 1)).collect();
-        let expected: Vec<bool> = pairs.iter().map(|&(a, b)| labels[a] == labels[b]).collect();
-        assert_eq!(oracle.same_batch(&pairs), expected);
+        assert!(oracle.class_rows().is_some());
+        let mut row = Vec::new();
+        oracle.same_row(0, 1..256, &mut row);
+        let mut expected = vec![0u64; 4];
+        for b in 1..256 {
+            expected[(b - 1) / 64] |= u64::from(labels[0] == labels[b]) << ((b - 1) % 64);
+        }
+        assert_eq!(row, expected);
     }
 
     #[test]
@@ -583,10 +437,10 @@ mod tests {
         let labels: Vec<u32> = (0..n as u32).collect();
         let oracle = LabelOracle::new(labels);
         assert!(oracle.class_rows().is_none());
-        let pairs = [(0usize, 1usize), (5, 5000), (19_998, 19_999)];
-        assert_eq!(oracle.same_batch(&pairs), vec![false, false, false]);
         let mut row = Vec::new();
         oracle.same_row(19_990, 19_991..n, &mut row);
         assert_eq!(row, vec![0]);
+        oracle.same_row(0, 1..66, &mut row);
+        assert_eq!(row, vec![0, 0]);
     }
 }

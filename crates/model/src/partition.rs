@@ -129,8 +129,8 @@ impl Partition {
 
     /// The classes as packed bit rows: row `l` has bit `e` set iff element
     /// `e` carries canonical label `l`. This is the view the word-parallel
-    /// `same_batch` oracle path intersects against — membership of 64
-    /// consecutive elements in a class is one word fetch.
+    /// `same_row` oracle path reads — membership of 64 consecutive elements
+    /// in a class is one word fetch.
     pub fn class_rows(&self) -> Vec<BitRow> {
         let mut rows = vec![BitRow::new(self.len()); self.num_classes];
         for (e, &l) in self.labels.iter().enumerate() {

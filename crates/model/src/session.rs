@@ -21,12 +21,12 @@ pub enum ReadMode {
 /// Algorithms submit comparison rounds (or single sequential comparisons);
 /// the session validates them against the read discipline and processor
 /// budget, evaluates them against the oracle through an
-/// [`ExecutionBackend`] — on a work-stealing pool of OS threads for large
-/// batches when a [`ExecutionBackend::Threaded`] backend is selected, or as
-/// one or few [`EquivalenceOracle::same_batch`] request waves under
-/// [`ExecutionBackend::Batched`] — and accumulates [`Metrics`]. Charging is
-/// independent of the backend, and answers are collected in submission
-/// order, so metrics and partitions are bit-identical across backends.
+/// [`ExecutionBackend`] — as one [`EquivalenceOracle::same_batch`] call on
+/// the calling thread, or on a work-stealing pool of OS threads for large
+/// rounds when a [`ExecutionBackend::Threaded`] backend is selected — and
+/// accumulates [`Metrics`]. Charging is independent of the backend, and
+/// answers are collected in submission order, so metrics and partitions are
+/// bit-identical across backends.
 ///
 /// # Example
 ///
@@ -72,15 +72,9 @@ impl<'a, O: EquivalenceOracle> ComparisonSession<'a, O> {
         Self::with_processors_and_backend(oracle, mode, oracle.n().max(1), backend)
     }
 
-    /// Creates a session with an explicit processor budget and the backend
-    /// selected by the environment ([`ExecutionBackend::from_env`]).
-    pub fn with_processors(oracle: &'a O, mode: ReadMode, processors: usize) -> Self {
-        Self::with_processors_and_backend(oracle, mode, processors, ExecutionBackend::from_env())
-    }
-
     /// Creates a session with an explicit processor budget *and* an explicit
-    /// backend. This is the fully-specified constructor every other one
-    /// routes through; the throughput pool uses it so that a job's explicitly
+    /// backend. This is the fully-specified constructor the others route
+    /// through; the throughput pool uses it so that a job's explicitly
     /// chosen backend is never silently overridden by `ECS_THREADS`.
     pub fn with_processors_and_backend(
         oracle: &'a O,
@@ -98,14 +92,6 @@ impl<'a, O: EquivalenceOracle> ComparisonSession<'a, O> {
             seen: Vec::new(),
             epoch: 0,
         }
-    }
-
-    /// Forces sequential evaluation (useful for deterministic profiling of
-    /// the charging logic itself, and for adaptive oracles whose answers
-    /// depend on query order).
-    pub fn sequential_evaluation(mut self) -> Self {
-        self.backend = ExecutionBackend::Sequential;
-        self
     }
 
     /// The read discipline being enforced.
@@ -195,12 +181,6 @@ impl<'a, O: EquivalenceOracle> ComparisonSession<'a, O> {
         let answers = self.evaluate(pairs);
         self.oracle.round_closed();
         answers
-    }
-
-    /// Executes a sequence of rounds (convenience for algorithms that already
-    /// produce a full ER schedule, e.g. the `H_d` decomposition).
-    pub fn execute_rounds(&mut self, rounds: &[Vec<(usize, usize)>]) -> Vec<Vec<bool>> {
-        rounds.iter().map(|r| self.execute_round(r)).collect()
     }
 
     fn validate_matching(&mut self, pairs: &[(usize, usize)]) {
@@ -451,7 +431,12 @@ mod tests {
     #[test]
     fn explicit_processor_budget() {
         let oracle = LabelOracle::new(vec![0; 100]);
-        let mut s = ComparisonSession::with_processors(&oracle, ReadMode::Concurrent, 8);
+        let mut s = ComparisonSession::with_processors_and_backend(
+            &oracle,
+            ReadMode::Concurrent,
+            8,
+            ExecutionBackend::Sequential,
+        );
         assert_eq!(s.processors(), 8);
         let pairs: Vec<(usize, usize)> = (0..16).map(|i| (i, (i + 1) % 100)).collect();
         let _ = s.execute_round(&pairs);
@@ -481,50 +466,15 @@ mod tests {
         );
         let a = parallel.execute_round(&pairs);
 
-        let mut sequential =
-            ComparisonSession::new(&oracle, ReadMode::Exclusive).sequential_evaluation();
-        let b = sequential.execute_round(&pairs);
-
-        assert_eq!(a, b);
-        assert_eq!(parallel.metrics(), sequential.metrics());
-    }
-
-    #[test]
-    fn batched_rounds_match_sequential_answers_and_charging() {
-        let mut r = rng(3);
-        let inst = Instance::balanced(1_000, 5, &mut r);
-        let oracle = InstanceOracle::new(&inst);
-        let pairs: Vec<(usize, usize)> = (0..500).map(|i| (i, i + 500)).collect();
-
         let mut sequential = ComparisonSession::with_backend(
             &oracle,
             ReadMode::Exclusive,
             ExecutionBackend::Sequential,
         );
-        let reference = sequential.execute_round(&pairs);
+        let b = sequential.execute_round(&pairs);
 
-        for wave in [0, 1, 7, 64, 1_000] {
-            let mut batched = ComparisonSession::with_backend(
-                &oracle,
-                ReadMode::Exclusive,
-                ExecutionBackend::batched(wave),
-            );
-            assert_eq!(
-                batched.execute_round(&pairs),
-                reference,
-                "batched({wave}) answers diverged"
-            );
-            assert_eq!(
-                batched.metrics(),
-                sequential.metrics(),
-                "charging must be independent of the wave size"
-            );
-            assert_eq!(
-                batched.metrics().round_sizes(),
-                sequential.metrics().round_sizes(),
-                "the exact round trace must be independent of the wave size"
-            );
-        }
+        assert_eq!(a, b);
+        assert_eq!(parallel.metrics(), sequential.metrics());
     }
 
     #[test]
@@ -536,19 +486,79 @@ mod tests {
             ExecutionBackend::threaded(2),
         );
         assert_eq!(s.backend(), ExecutionBackend::threaded(2));
-        let s = s.sequential_evaluation();
+        let s = ComparisonSession::with_backend(
+            &oracle,
+            ReadMode::Exclusive,
+            ExecutionBackend::Sequential,
+        );
         assert_eq!(s.backend(), ExecutionBackend::Sequential);
     }
 
     #[test]
-    fn execute_rounds_runs_each_round() {
+    fn consecutive_rounds_are_answered_and_charged_one_by_one() {
         let oracle = LabelOracle::new(vec![0, 0, 1, 1]);
         let mut s = ComparisonSession::new(&oracle, ReadMode::Exclusive);
-        let rounds = vec![vec![(0usize, 1usize)], vec![(2, 3)], vec![(0, 2), (1, 3)]];
-        let answers = s.execute_rounds(&rounds);
+        let rounds = [vec![(0usize, 1usize)], vec![(2, 3)], vec![(0, 2), (1, 3)]];
+        let answers: Vec<Vec<bool>> = rounds.iter().map(|r| s.execute_round(r)).collect();
         assert_eq!(answers, vec![vec![true], vec![true], vec![false, false]]);
         assert_eq!(s.metrics().rounds(), 3);
         assert_eq!(s.metrics().comparisons(), 4);
+    }
+
+    #[test]
+    fn an_inline_round_is_one_same_batch_call() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// Counts `same` and `same_batch` calls separately.
+        #[derive(Default)]
+        struct CallCounter {
+            same: AtomicU64,
+            batches: AtomicU64,
+        }
+        impl EquivalenceOracle for CallCounter {
+            fn n(&self) -> usize {
+                16
+            }
+            fn same(&self, a: usize, b: usize) -> bool {
+                self.same.fetch_add(1, Ordering::SeqCst);
+                a % 3 == b % 3
+            }
+            fn same_batch(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
+                self.batches.fetch_add(1, Ordering::SeqCst);
+                pairs.iter().map(|&(a, b)| a % 3 == b % 3).collect()
+            }
+        }
+
+        let pairs: Vec<(usize, usize)> = (0..8).map(|i| (i, i + 8)).collect();
+        let expected: Vec<bool> = pairs.iter().map(|&(a, b)| a % 3 == b % 3).collect();
+        // A threaded round below its threshold is evaluated inline too.
+        for backend in [
+            ExecutionBackend::Sequential,
+            ExecutionBackend::Threaded {
+                threads: 2,
+                threshold: 1 << 20,
+            },
+        ] {
+            let oracle = CallCounter::default();
+            let mut s = ComparisonSession::with_backend(&oracle, ReadMode::Exclusive, backend);
+            assert_eq!(s.execute_round(&pairs), expected, "{}", backend.label());
+            assert_eq!(
+                oracle.batches.load(Ordering::SeqCst),
+                1,
+                "{}",
+                backend.label()
+            );
+            assert_eq!(oracle.same.load(Ordering::SeqCst), 0, "{}", backend.label());
+            // A single comparison is one `same` call.
+            assert!(s.compare(0, 3));
+            assert_eq!(oracle.same.load(Ordering::SeqCst), 1, "{}", backend.label());
+            assert_eq!(
+                oracle.batches.load(Ordering::SeqCst),
+                1,
+                "{}",
+                backend.label()
+            );
+        }
     }
 
     #[test]
@@ -593,7 +603,8 @@ mod tests {
         // Each evaluated batch is exactly one open/close bracket, even when
         // the processor budget charges it as several model rounds.
         let _ = s.execute_round(&[(0, 2), (1, 3)]);
-        let _ = s.execute_rounds(&[vec![(0, 1)], vec![(2, 4), (3, 5)]]);
+        let _ = s.execute_round(&[(0, 1)]);
+        let _ = s.execute_round(&[(2, 4), (3, 5)]);
         assert_eq!(oracle.opened.load(Ordering::SeqCst), 3);
         assert_eq!(oracle.closed.load(Ordering::SeqCst), 3);
         assert_eq!(

@@ -166,7 +166,7 @@ impl<O: EquivalenceOracle> EquivalenceOracle for RecordingOracle<O> {
     }
 
     fn same_batch(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
-        // Delegate the whole wave (so an inner batch override is not
+        // Delegate the whole round (so an inner batch override is not
         // silently defeated), then record every pair with its answer.
         self.record_all(pairs, self.inner.same_batch(pairs))
     }
@@ -262,7 +262,7 @@ mod tests {
     }
 
     #[test]
-    fn recording_oracle_captures_batched_waves_via_the_inner_override() {
+    fn recording_oracle_captures_a_batch_via_the_inner_override() {
         let oracle = RecordingOracle::new(LabelOracle::new(vec![0, 0, 1]));
         let answers = oracle.same_batch(&[(0, 1), (1, 2)]);
         assert_eq!(answers, vec![true, false]);

@@ -235,8 +235,6 @@ pub enum BackendSpec {
     Seq,
     /// `threaded:N` — rounds sharded across `N` pool workers.
     Threaded(usize),
-    /// `batched:W` — rounds submitted as `same_batch` waves of `W`.
-    Batched(usize),
     /// `auto` — [`ExecutionBackend::auto`]: every round inline on the job's
     /// own worker. This is the daemon's default — results are
     /// backend-independent by construction, so the choice is invisible to
@@ -245,7 +243,7 @@ pub enum BackendSpec {
 }
 
 impl BackendSpec {
-    /// Parses `seq`, `auto`, `threaded:4`, `batched:256`.
+    /// Parses `seq`, `auto`, `threaded:4`.
     pub fn parse(text: &str) -> Result<Self, String> {
         if text == "seq" {
             return Ok(Self::Seq);
@@ -261,7 +259,6 @@ impl BackendSpec {
             .map_err(|_| format!("backend `{text}` has an unparsable count"))?;
         match kind {
             "threaded" => Ok(Self::Threaded(count)),
-            "batched" => Ok(Self::Batched(count)),
             other => Err(format!("unknown backend `{other}`")),
         }
     }
@@ -275,7 +272,6 @@ impl BackendSpec {
         match self {
             Self::Seq => ExecutionBackend::Sequential,
             Self::Threaded(n) => ExecutionBackend::from_threads(n.min(available_parallelism())),
-            Self::Batched(w) => ExecutionBackend::batched(w),
             Self::Auto => ExecutionBackend::auto(),
         }
     }
@@ -286,7 +282,6 @@ impl fmt::Display for BackendSpec {
         match self {
             Self::Seq => write!(f, "seq"),
             Self::Threaded(n) => write!(f, "threaded:{n}"),
-            Self::Batched(w) => write!(f, "batched:{w}"),
             Self::Auto => write!(f, "auto"),
         }
     }
@@ -945,6 +940,7 @@ mod tests {
             "submit id=a dist=uniform:4 n=5 seed=1 algo=quantum",
             "submit id=a dist=uniform:4 n=5 seed=1 algo=naive backend=warp:9",
             "submit id=a dist=uniform:4 n=5 seed=1 algo=naive backend=coalesced:4",
+            "submit id=a dist=uniform:4 n=5 seed=1 algo=naive backend=batched:16",
             "submit id=a dist=geometric:0 n=20 seed=1 algo=naive",
             "submit id=a dist=geometric:1 n=20 seed=1 algo=naive",
             "submit id=a dist=zeta:1 n=20 seed=1 algo=naive",
@@ -1192,11 +1188,7 @@ mod tests {
         let mut base = spec("same");
         base.backend = BackendSpec::Seq;
         let reference = render_result(&base, &run_job(&base, Duration::ZERO, None));
-        for backend in [
-            BackendSpec::Threaded(2),
-            BackendSpec::Batched(16),
-            BackendSpec::Auto,
-        ] {
+        for backend in [BackendSpec::Threaded(2), BackendSpec::Auto] {
             let mut other = base.clone();
             other.backend = backend;
             let line = render_result(&base, &run_job(&other, Duration::ZERO, None));

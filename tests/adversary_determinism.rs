@@ -7,8 +7,8 @@
 //! round-start state in canonical pair order, so partitions, forced
 //! comparison counts, adversary diagnostics, and session [`Metrics`]
 //! (including the exact round trace) must now be **identical** under
-//! `Sequential`, `Threaded{2}`, `Threaded{8}`, `Batched{0}`, and
-//! `Batched{64}` for all six algorithms against both adversaries.
+//! `Sequential` (each round as one `same_batch` call), `Threaded{2}` and
+//! `Threaded{8}` for all six algorithms against both adversaries.
 //!
 //! The threaded backends use `threshold: 1` so even test-sized adversarial
 //! rounds are forced through the work-stealing pool.
@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 /// The backends every adversarial run must agree across. The `threshold: 64`
 /// entry mixes inline and pooled rounds within one run.
-fn backends() -> [ExecutionBackend; 6] {
+fn backends() -> [ExecutionBackend; 4] {
     [
         ExecutionBackend::Sequential,
         ExecutionBackend::Threaded {
@@ -29,8 +29,6 @@ fn backends() -> [ExecutionBackend; 6] {
             threads: 8,
             threshold: 1,
         },
-        ExecutionBackend::batched(0),
-        ExecutionBackend::batched(64),
         ExecutionBackend::Threaded {
             threads: 2,
             threshold: 64,

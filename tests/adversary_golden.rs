@@ -8,20 +8,19 @@
 //! (mirroring `tests/rng_golden.rs` for the RNG substrate); if a change here
 //! is *intentional*, regenerate every pinned value in this file together.
 //!
-//! Each golden is additionally replayed on a threaded and a batched backend,
-//! so the pins double as an end-to-end determinism check of the protocol.
+//! Each golden is additionally replayed on a threaded backend, so the pins
+//! double as an end-to-end determinism check of the protocol.
 
 use parallel_ecs::prelude::*;
 
 /// The backends every golden must reproduce on (the protocol's contract).
-fn replay_backends() -> [ExecutionBackend; 3] {
+fn replay_backends() -> [ExecutionBackend; 2] {
     [
         ExecutionBackend::Sequential,
         ExecutionBackend::Threaded {
             threads: 2,
             threshold: 1,
         },
-        ExecutionBackend::batched(16),
     ]
 }
 

@@ -151,31 +151,25 @@ fn smallest_class_transcripts_are_consistent_and_certify_the_partition() {
 }
 
 #[test]
-fn transcripts_stay_consistent_on_pooled_and_batched_backends() {
-    // The consistency invariants hold on every backend, not just the
-    // sequential paths exercised above.
-    for backend in [
-        ExecutionBackend::Threaded {
-            threads: 4,
-            threshold: 1,
-        },
-        ExecutionBackend::batched(16),
-    ] {
-        let adversary = EqualSizeAdversary::new(96, 8).with_transcript();
-        let run = ErMergeSort::new().sort_with_backend(&adversary, backend);
-        let transcript = adversary.transcript();
-        assert!(
-            transcript.consistent_with(&adversary.partition()),
-            "backend {}: inconsistent answer",
-            backend.label()
-        );
-        assert!(
-            transcript.certifies(96, &run.partition),
-            "backend {}: transcript does not certify the output",
-            backend.label()
-        );
-        assert!(adversary.comparisons() >= adversary.paper_lower_bound());
-    }
+fn transcripts_stay_consistent_on_the_pooled_backend() {
+    // The consistency invariants hold on the pool too, not just on the
+    // sequential paths exercised above: every round is sharded.
+    let backend = ExecutionBackend::Threaded {
+        threads: 4,
+        threshold: 1,
+    };
+    let adversary = EqualSizeAdversary::new(96, 8).with_transcript();
+    let run = ErMergeSort::new().sort_with_backend(&adversary, backend);
+    let transcript = adversary.transcript();
+    assert!(
+        transcript.consistent_with(&adversary.partition()),
+        "inconsistent answer on the pool"
+    );
+    assert!(
+        transcript.certifies(96, &run.partition),
+        "on the pool, the transcript does not certify the output"
+    );
+    assert!(adversary.comparisons() >= adversary.paper_lower_bound());
 }
 
 #[test]

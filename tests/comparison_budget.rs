@@ -3,8 +3,8 @@
 //! Naive all-pairs settles any instance with `n(n−1)/2` comparisons, so an
 //! algorithm that charges more has asked some pair it could have skipped.
 //! Every algorithm is run on instances from the five `DistSpec` families plus
-//! the heavy-tailed `zeta:1.5`, on the sequential, pooled and whole-round
-//! batched backends, and must stay within the bound.
+//! the heavy-tailed `zeta:1.5`, on the sequential and pooled backends, and
+//! must stay within the bound.
 //!
 //! `er-constant` is the known exception: its λ-halving restarts re-ask
 //! settled pairs and overshoot the bound several times over — on the skewed
@@ -16,14 +16,13 @@ use parallel_ecs::service::{AlgoSpec, DistSpec};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-/// Sequential, every round on the pool, and every round as one wave.
-const BACKENDS: [ExecutionBackend; 3] = [
+/// Every round as one `same_batch` call, and every round on the pool.
+const BACKENDS: [ExecutionBackend; 2] = [
     ExecutionBackend::Sequential,
     ExecutionBackend::Threaded {
         threads: 2,
         threshold: 1,
     },
-    ExecutionBackend::Batched { wave: 0 },
 ];
 
 /// Family `family` (0–5: uniform, balanced, geometric, poisson, zeta,

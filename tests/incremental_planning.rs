@@ -18,14 +18,13 @@ use proptest::prelude::*;
 /// The backends both plan modes must agree across. `threshold: 1` forces
 /// even test-sized rounds through the work-stealing pool; `threshold: 64`
 /// mixes inline and pooled rounds within one run.
-fn backends() -> [ExecutionBackend; 4] {
+fn backends() -> [ExecutionBackend; 3] {
     [
         ExecutionBackend::Sequential,
         ExecutionBackend::Threaded {
             threads: 2,
             threshold: 1,
         },
-        ExecutionBackend::batched(64),
         ExecutionBackend::Threaded {
             threads: 2,
             threshold: 64,

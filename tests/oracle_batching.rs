@@ -1,34 +1,27 @@
-//! Properties of the batched oracle evaluation path.
+//! Properties of the bulk oracle paths: a round as one `same_batch` call,
+//! and a sequential row as one `same_row` call.
 //!
-//! Three guarantees, each load-bearing for the batching subsystem:
+//! Two guarantees:
 //!
 //! 1. **Pairwise agreement.** `same_batch` must agree with `same` pair by
 //!    pair — `same_batch(pairs)[i] == same(pairs[i].0, pairs[i].1)` — for
 //!    both ground-truth oracle types ([`InstanceOracle`], [`LabelOracle`])
 //!    on instances drawn from all four of the paper's class-size
-//!    distributions. This is the contract that lets everything downstream
-//!    batch freely.
-//! 2. **Backend determinism.** Every algorithm run on an
-//!    [`ExecutionBackend::Batched`] backend (any wave size, including the
-//!    whole-round wave) must produce the **identical partition and identical
-//!    [`ecs_model::Metrics`]** as the sequential backend: charging happens
-//!    before evaluation and waves are cut in pair order, so batching is
-//!    observationally invisible.
-//! 3. **Row transparency.** `ComparisonSession::compare_row` must ask,
+//!    distributions. This is the contract that keeps a round evaluated
+//!    inline (one `same_batch` call) identical to the same round sharded on
+//!    the pool (scalar `same` calls).
+//! 2. **Row transparency.** `ComparisonSession::compare_row` must ask,
 //!    answer and charge exactly what a loop of `compare` calls does — also
 //!    for the order-adaptive adversaries, which keep the default `same_row`
 //!    (a `same` loop) and so must force the same answers, partition and
 //!    marks.
 
 use ecs_adversary::{EqualSizeAdversary, SmallestClassAdversary};
-use ecs_core::{
-    CrCompoundMerge, EcsAlgorithm, EcsRun, ErConstantRound, ErMergeSort, NaiveAllPairs,
-    RepresentativeScan, RoundRobin,
-};
+use ecs_core::{EcsAlgorithm, NaiveAllPairs};
 use ecs_distributions::class_distribution::AnyDistribution;
 use ecs_model::{
-    ComparisonSession, EquivalenceOracle, ExecutionBackend, Instance, InstanceOracle, LabelOracle,
-    Partition, ReadMode,
+    ComparisonSession, EquivalenceOracle, Instance, InstanceOracle, LabelOracle, Partition,
+    ReadMode,
 };
 use ecs_rng::{EcsRng, SeedableEcsRng, Xoshiro256StarStar};
 use proptest::prelude::*;
@@ -76,53 +69,6 @@ fn query_rows(n: usize, count: usize, seed: u64) -> Vec<(usize, Range<usize>)> {
         .collect()
 }
 
-/// The batched backends every run must agree across: a wave smaller than
-/// most rounds, a wave that rarely divides a round evenly, and the
-/// whole-round wave.
-fn batched_backends() -> [ExecutionBackend; 3] {
-    [
-        ExecutionBackend::batched(7),
-        ExecutionBackend::batched(64),
-        ExecutionBackend::batched(0),
-    ]
-}
-
-fn assert_batched_invariant<A: EcsAlgorithm>(alg: &A, instance: &Instance) {
-    let oracle = InstanceOracle::new(instance);
-    let reference: EcsRun = alg.sort_with_backend(&oracle, ExecutionBackend::Sequential);
-    assert!(
-        instance.verify(&reference.partition),
-        "{} misclassified under the sequential backend",
-        alg.name()
-    );
-    for backend in batched_backends() {
-        let run = alg.sort_with_backend(&oracle, backend);
-        assert_eq!(
-            reference.partition,
-            run.partition,
-            "{} partition differs between sequential and {}",
-            alg.name(),
-            backend.label()
-        );
-        assert_eq!(
-            reference.metrics,
-            run.metrics,
-            "{} metrics differ between sequential and {}",
-            alg.name(),
-            backend.label()
-        );
-        // `Metrics` equality covers the charged summaries; the exact
-        // per-round order is checked explicitly.
-        assert_eq!(
-            reference.metrics.round_sizes(),
-            run.metrics.round_sizes(),
-            "{} round trace differs between sequential and {}",
-            alg.name(),
-            backend.label()
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -150,25 +96,6 @@ proptest! {
         for &(a, b) in &pairs {
             prop_assert_eq!(instance_oracle.same(a, b), label_oracle.same(a, b));
         }
-    }
-
-    /// Guarantee 2: every algorithm is bit-identical between the sequential
-    /// and batched backends on any instance.
-    #[test]
-    fn all_algorithms_identical_on_batched_backends(
-        seed in 0u64..10_000,
-        n in 2usize..180,
-        choice in 0u8..4,
-    ) {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let instance = Instance::from_distribution(&distribution(choice), n, &mut rng);
-        let k = instance.ground_truth().num_classes().max(1);
-        assert_batched_invariant(&NaiveAllPairs::new(), &instance);
-        assert_batched_invariant(&RoundRobin::new(), &instance);
-        assert_batched_invariant(&RepresentativeScan::new(), &instance);
-        assert_batched_invariant(&ErMergeSort::new(), &instance);
-        assert_batched_invariant(&ErConstantRound::adaptive(seed), &instance);
-        assert_batched_invariant(&CrCompoundMerge::new(k), &instance);
     }
 }
 

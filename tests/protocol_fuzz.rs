@@ -209,6 +209,8 @@ fn non_utf8_and_near_miss_lines_each_get_one_error() {
         b"submit id=pb dist=poisson:1e9 n=20 seed=1 algo=naive".to_vec(),
         // An empty instance, which would be answered with a one-element sort.
         b"submit id=e dist=uniform:4 n=0 seed=1 algo=naive".to_vec(),
+        // A backend that no longer exists.
+        b"submit id=b dist=uniform:4 n=5 seed=1 algo=naive backend=batched:16".to_vec(),
     ];
     assert!(garbage.iter().all(|line| is_garbage(line)));
     garbage_then_a_job(&garbage).expect("every line answered, then the job served");

@@ -26,7 +26,7 @@ const JOBS_PER_SESSION: usize = 2;
 /// The deterministic grid: spec `(session, j)` depends only on its
 /// coordinates, so the serial reference reconstructs it without any shared
 /// state. Cycles all six algorithms, several distributions, and the `seq`,
-/// `batched` and `auto` backends.
+/// `threaded:2` and `auto` backends.
 fn grid_spec(session: usize, j: usize) -> JobSpec {
     let algo = AlgoSpec::ALL[(session + j) % AlgoSpec::ALL.len()];
     let dist = match (session + 3 * j) % 4 {
@@ -37,7 +37,7 @@ fn grid_spec(session: usize, j: usize) -> JobSpec {
     };
     let backend = match (session + j) % 3 {
         0 => BackendSpec::Seq,
-        1 => BackendSpec::Batched(16),
+        1 => BackendSpec::Threaded(2),
         _ => BackendSpec::Auto,
     };
     JobSpec {

@@ -10,13 +10,14 @@
 //!    hash-map plans) — running whole algorithms: identical answers forced,
 //!    identical comparisons, swaps, marked elements, committed partitions,
 //!    and round counts.
-//! 2. **Backends over the packed adversary.** `Sequential`, `Threaded{2}`,
-//!    and `Batched{64}` runs of the packed adversary agree bit-for-bit
+//! 2. **Backends over the packed adversary.** `Sequential` and
+//!    `Threaded{2}` runs of the packed adversary agree bit-for-bit
 //!    (partition, metrics, adversary counters).
-//! 3. **Ground-truth batch path.** The word-parallel `same_batch` of
-//!    [`InstanceOracle`] agrees with the scalar `same` loop across all six
-//!    algorithms, the paper's four class-size distributions, and the three
-//!    backend shapes.
+//! 3. **Ground-truth oracle paths.** [`InstanceOracle`]'s word-parallel
+//!    `same_row` (naive's rows) and its rounds — one `same_batch` call
+//!    inline, scalar `same` calls on the pool — give identical partitions
+//!    and metrics across all six algorithms, the paper's four class-size
+//!    distributions, and both backend shapes.
 
 use ecs_adversary::{EqualSizeAdversary, LegacyAdversary, SmallestClassAdversary};
 use ecs_core::{
@@ -24,20 +25,20 @@ use ecs_core::{
     RepresentativeScan, RoundRobin,
 };
 use ecs_distributions::class_distribution::AnyDistribution;
-use ecs_model::{EquivalenceOracle, ExecutionBackend, Instance, InstanceOracle};
+use ecs_model::{ExecutionBackend, Instance, InstanceOracle};
 use ecs_rng::{SeedableEcsRng, Xoshiro256StarStar};
 use proptest::prelude::*;
 
-/// The backend shapes the parity claims cover: scalar, work-stealing pool,
-/// and batch waves (the word-parallel `same_batch` consumer).
-fn backends() -> [ExecutionBackend; 3] {
+/// The backend shapes the parity claims cover: each round as one
+/// `same_batch` call on the calling thread, and scalar `same` calls on the
+/// work-stealing pool.
+fn backends() -> [ExecutionBackend; 2] {
     [
         ExecutionBackend::Sequential,
         ExecutionBackend::Threaded {
             threads: 2,
             threshold: 1,
         },
-        ExecutionBackend::batched(64),
     ]
 }
 
@@ -152,8 +153,8 @@ fn packed_adversary_matches_legacy_across_algorithms_theorem6() {
 
 #[test]
 fn packed_adversary_is_backend_invariant() {
-    // The packed round plan serves Threaded arrival races and Batched wave
-    // cuts identically to the Sequential replay.
+    // The packed round plan serves Threaded arrival races identically to
+    // the Sequential replay's one batch per round.
     for &(n, f) in &[(128usize, 8usize), (240, 12)] {
         let runs: Vec<(EcsRun, u64, u64, usize)> = backends()
             .iter()
@@ -189,8 +190,7 @@ fn packed_adversary_is_backend_invariant() {
 }
 
 /// One algorithm against the ground truth on every backend: identical
-/// partitions and metrics, with the Batched runs flowing through the
-/// word-parallel `same_batch` path.
+/// partitions and metrics.
 fn assert_ground_truth_invariant<A: EcsAlgorithm>(alg: &A, instance: &Instance) {
     let oracle = InstanceOracle::new(instance);
     let runs: Vec<EcsRun> = backends()
@@ -239,28 +239,5 @@ proptest! {
         assert_ground_truth_invariant(&ErMergeSort::new(), &instance);
         assert_ground_truth_invariant(&ErConstantRound::adaptive(seed), &instance);
         assert_ground_truth_invariant(&CrCompoundMerge::new(k), &instance);
-    }
-
-    #[test]
-    fn batch_waves_agree_with_scalar_answers_on_random_waves(
-        seed in 0u64..10_000,
-        n in 2usize..300,
-        raw in proptest::collection::vec((0usize..300, 0usize..300), 1..150),
-    ) {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let instance = Instance::balanced(n, (n / 7).max(1), &mut rng);
-        let oracle = InstanceOracle::new(&instance);
-        // Random waves plus a sorted copy (the run-detector's fast shape).
-        let pairs: Vec<(usize, usize)> = raw
-            .into_iter()
-            .map(|(a, b)| (a % n, b % n))
-            .filter(|&(a, b)| a != b)
-            .collect();
-        let mut sorted = pairs.clone();
-        sorted.sort_unstable();
-        for wave in [&pairs, &sorted] {
-            let scalar: Vec<bool> = wave.iter().map(|&(a, b)| oracle.same(a, b)).collect();
-            prop_assert_eq!(&oracle.same_batch(wave), &scalar);
-        }
     }
 }
