@@ -10,9 +10,9 @@
 //! measurement is scheduler-independent) on two backends:
 //!
 //! * `sequential` — the whole round as one `same_batch` request;
-//! * `threaded(2)` with `threshold: 1` — the round sharded onto a two-worker
-//!   pool, one scalar `same` request per pair. This is the cost of the pool
-//!   path on an oracle that charges per request.
+//! * `threaded(2)` with `threshold: 1` — the round split into two shards on
+//!   a two-worker pool, one `same_batch` request per shard. This is the cost
+//!   of the pool path on an oracle that charges per request.
 //!
 //! Answers are asserted bit-identical across the two before any timing
 //! starts. Set `ECS_BENCH_SMOKE=1` to shrink the workload (used by CI

@@ -14,8 +14,13 @@
 //! backend asks for, and is charged, the same work. The timed runs use `Sequential`, which is what the slates'
 //! `auto` evaluates on.
 //!
-//! Set `ECS_BENCH_SMOKE=1` to shrink the instances to n = 300 (used by CI to
-//! exercise the harness and the gates on every push).
+//! A second group times round-robin at the paper's Figure 5 scale, n =
+//! 20 000 on zeta:1.5 and uniform:100, where groups know many others and
+//! most scans test bit rows.
+//!
+//! Set `ECS_BENCH_SMOKE=1` to shrink the instances to n = 300 and skip the
+//! paper-scale group (used by CI to exercise the harness and the gates on
+//! every push).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecs_bench::smoke;
@@ -79,5 +84,38 @@ fn sort_engines(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, sort_engines);
+/// Round-robin at n = 20 000 on two Figure 5 panels, gated on a correct
+/// partition.
+fn round_robin_paper_scale(c: &mut Criterion) {
+    if smoke() {
+        return;
+    }
+    let n = 20_000;
+    let mut group = c.benchmark_group(format!("sort_engines_round_robin_n{n}"));
+    group.sample_size(3);
+    for (d, dist) in [DistSpec::Zeta(1.5), DistSpec::Uniform(100)]
+        .into_iter()
+        .enumerate()
+    {
+        let seed = 2016 + d as u64;
+        let instance = dist.instance(n, seed);
+        let k = instance.ground_truth().num_classes().max(1);
+        let oracle = InstanceOracle::new(&instance);
+        let algo = AlgoSpec::RoundRobin;
+        let run = algo.sort(seed, k, &oracle, ExecutionBackend::Sequential);
+        assert!(
+            instance.verify(&run.partition),
+            "{algo} on {dist}: wrong partition"
+        );
+        group.bench_function(BenchmarkId::new(algo, dist), |b| {
+            b.iter(|| {
+                let run = algo.sort(seed, k, &oracle, ExecutionBackend::Sequential);
+                black_box(run.metrics.comparisons())
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, sort_engines, round_robin_paper_scale);
 criterion_main!(benches);

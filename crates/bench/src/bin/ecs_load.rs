@@ -6,6 +6,9 @@
 //!          [--chaos] [--reject-smoke] [--jobs N] [--max-inflight M]
 //! ```
 //!
+//! `--sessions 0` and `--per-session 0` exit with status 2 before any
+//! daemon starts.
+//!
 //! Four modes:
 //!
 //! * **Diff mode** (default): `S` concurrent client sessions each submit a
@@ -111,6 +114,7 @@ fn main() {
         "max-inflight",
         "threads",
     ]);
+    args.require_nonzero(&["sessions", "per-session"]);
     let sessions = args.get_usize("sessions", if smoke() { 8 } else { 16 });
     let tenants = args.get_usize("tenants", 4).max(1);
     let per_session = args.get_usize("per-session", if smoke() { 2 } else { 4 });

@@ -18,6 +18,13 @@
 //! `λ` is unknown, the algorithm restarts with a halved `λ` estimate exactly as
 //! the remark after Theorem 4 prescribes; all comparisons spent across
 //! attempts are charged.
+//!
+//! Step 2 streams the matchings of `H_d` one at a time through one reused
+//! buffer ([`HamiltonianUnion::for_each_er_round`]) and unites each round's
+//! "equal" edges; none of the `2d` or `3d` rounds is materialised. Step 3
+//! builds the list of unclassified elements once and shrinks it as pivots
+//! classify elements, and reuses one round buffer for every pivot round.
+//! Neither changes a draw, a round or the order of its pairs.
 
 use crate::run::{EcsAlgorithm, EcsRun};
 use ecs_graph::{Fragments, HamiltonianUnion, UnionFind};
@@ -102,27 +109,38 @@ impl ErConstantRound {
             Xoshiro256StarStar::seed_from_u64(SplitMix64::new(self.seed).derive(attempt_index));
         let h = HamiltonianUnion::random(n, d, &mut rng);
 
-        // Step 2: test every edge of H_d in ER rounds.
-        let rounds = h.er_rounds();
+        // Step 2: test every edge of H_d in ER rounds, streamed one matching
+        // at a time; each round's "equal" edges are packed without a branch
+        // per edge, then united.
         let mut uf = UnionFind::new(n);
-        for round in &rounds {
+        let mut equal = Vec::new();
+        h.for_each_er_round(|round| {
             let answers = session.execute_round(round);
-            for (&(u, v), &same) in round.iter().zip(&answers) {
-                if same {
-                    uf.union(u, v);
-                }
+            equal.resize(round.len(), (0, 0));
+            let mut k = 0;
+            for (&pair, &same) in round.iter().zip(&answers) {
+                equal[k] = pair;
+                k += usize::from(same);
             }
-        }
+            for &(u, v) in &equal[..k] {
+                uf.union(u, v);
+            }
+        });
 
-        // Step 3: pivot on the large components, read through the packed
-        // fragment view ([`Fragments`]): sizes are cached popcounts and the
-        // pivot order / member order are bit-identical to the legacy
-        // `uf.groups()` path (both derive from `UnionFind::labels`).
+        // Step 3: pivot on the large components, largest first (ties by
+        // smallest member), read through the packed fragment view
+        // ([`Fragments`]). A pivot's rounds zip its ascending members
+        // against the still-unclassified elements in ascending order,
+        // `size` of them per round; that list is built once and shrinks as
+        // pivots classify elements.
         let fragments = Fragments::from_union_find(&mut uf);
         let threshold = (((lambda * n as f64) / 8.0).floor() as usize).max(1);
 
         let mut labels = vec![usize::MAX; n];
         let mut next_label = 0usize;
+        let mut others: Vec<usize> = (0..n).collect();
+        let mut members = Vec::new();
+        let mut round = Vec::new();
         for idx in fragments.by_size_desc() {
             let size = fragments.size(idx);
             if size < threshold {
@@ -136,16 +154,21 @@ impl ErConstantRound {
             }
             let label = next_label;
             next_label += 1;
-            fragments.row(idx).for_each_one(|e| labels[e] = label);
-            let others: Vec<usize> = (0..n).filter(|&x| labels[x] == usize::MAX).collect();
+            members.clear();
+            members.extend(fragments.row(idx).iter_ones());
+            for &e in &members {
+                labels[e] = label;
+            }
+            let mut kept = 0;
+            for i in 0..others.len() {
+                let x = others[i];
+                others[kept] = x;
+                kept += usize::from(labels[x] == usize::MAX);
+            }
+            others.truncate(kept);
             for chunk in others.chunks(size) {
-                // Zip the fragment's ascending members against the chunk —
-                // the lazy prefix of `fragment[i]` the legacy indexing read.
-                let round: Vec<(usize, usize)> = fragments
-                    .row(idx)
-                    .iter_ones()
-                    .zip(chunk.iter().copied())
-                    .collect();
+                round.clear();
+                round.extend(members.iter().copied().zip(chunk.iter().copied()));
                 let answers = session.execute_round(&round);
                 for (&(_, o), &same) in round.iter().zip(&answers) {
                     if same {

@@ -106,52 +106,47 @@ impl HamiltonianUnion {
         pairs
     }
 
-    /// Decomposes all comparisons of `H_d` into exclusive-read rounds: each
-    /// round is a set of vertex-disjoint pairs.
+    /// Decomposes all comparisons of `H_d` into exclusive-read rounds, each
+    /// a set of vertex-disjoint pairs, and hands them to `round` one at a
+    /// time, in order, in one reused buffer.
     ///
-    /// A Hamiltonian cycle on an even number of vertices splits into two
-    /// perfect matchings (alternating edges); on an odd number of vertices a
-    /// third, single-edge-short round is needed because the last edge shares a
-    /// vertex with both parities. The paper charges `2d` rounds for this step,
-    /// which this decomposition matches for even `n` and exceeds by at most
-    /// `d` rounds for odd `n` — still `O(d)`.
-    pub fn er_rounds(&self) -> Vec<Vec<(usize, usize)>> {
+    /// Cycle `c` (a permutation of the vertices) has the edges
+    /// `(c[i], c[i + 1])` and the closing edge `(c[n - 1], c[0])`. It gives
+    /// the round of its even-`i` edges, then the round of its odd-`i` edges.
+    /// On an even number of vertices these are two perfect matchings, and
+    /// the closing edge ends the odd round. On an odd number of vertices
+    /// the closing edge shares a vertex with both, so it is a third,
+    /// one-edge round. For `n = 2` a cycle is the single round
+    /// `[(c[0], c[1])]`, and for `n < 2` there are no rounds. The paper
+    /// charges `2d` rounds for this step, which this decomposition matches
+    /// for even `n` and exceeds by at most `d` rounds for odd `n` — still
+    /// `O(d)`.
+    pub fn for_each_er_round(&self, mut round: impl FnMut(&[(usize, usize)])) {
         let n = self.n;
         if n < 2 {
-            return Vec::new();
+            return;
         }
-        let mut rounds = Vec::new();
+        let edge = |pair: &[u32]| (pair[0] as usize, pair[1] as usize);
+        let mut buffer = Vec::with_capacity(n / 2 + 1);
         for cycle in &self.cycles {
+            let closing = (cycle[n - 1] as usize, cycle[0] as usize);
             if n == 2 {
-                rounds.push(vec![(cycle[0] as usize, cycle[1] as usize)]);
+                round(&[edge(cycle)]);
                 continue;
             }
-            let edge = |i: usize| {
-                let u = cycle[i] as usize;
-                let v = cycle[(i + 1) % n] as usize;
-                (u, v)
-            };
-            let mut even_round = Vec::with_capacity(n / 2);
-            let mut odd_round = Vec::with_capacity(n / 2);
-            let mut leftover = Vec::new();
-            for i in 0..n {
-                if n % 2 == 1 && i == n - 1 {
-                    // The closing edge of an odd cycle conflicts with both
-                    // parities; give it its own round.
-                    leftover.push(edge(i));
-                } else if i % 2 == 0 {
-                    even_round.push(edge(i));
-                } else {
-                    odd_round.push(edge(i));
-                }
-            }
-            rounds.push(even_round);
-            rounds.push(odd_round);
-            if !leftover.is_empty() {
-                rounds.push(leftover);
+            buffer.clear();
+            buffer.extend(cycle.chunks_exact(2).map(edge));
+            round(&buffer);
+            buffer.clear();
+            buffer.extend(cycle[1..].chunks_exact(2).map(edge));
+            if n.is_multiple_of(2) {
+                buffer.push(closing);
+                round(&buffer);
+            } else {
+                round(&buffer);
+                round(&[closing]);
             }
         }
-        rounds
     }
 
     /// The paper's Taylor-polynomial upper bound on the exponent term `t` for
@@ -296,6 +291,55 @@ mod tests {
         Xoshiro256StarStar::seed_from_u64(seed)
     }
 
+    /// Every streamed round, collected.
+    fn er_rounds(h: &HamiltonianUnion) -> Vec<Vec<(usize, usize)>> {
+        let mut rounds = Vec::new();
+        h.for_each_er_round(|round| rounds.push(round.to_vec()));
+        rounds
+    }
+
+    /// The decomposition as documented, edge by edge: per cycle the
+    /// even-`i` edges `(c[i], c[(i + 1) % n])`, then the odd-`i` ones, with
+    /// the closing edge `i = n - 1` in a round of its own when `n` is odd.
+    fn documented_rounds(h: &HamiltonianUnion) -> Vec<Vec<(usize, usize)>> {
+        let n = h.num_vertices();
+        let mut rounds = Vec::new();
+        for c in h.cycles() {
+            let edge = |i: usize| (c[i] as usize, c[(i + 1) % n] as usize);
+            if n == 2 {
+                rounds.push(vec![edge(0)]);
+                continue;
+            }
+            let last = if n.is_multiple_of(2) { n } else { n - 1 };
+            rounds.push((0..last).step_by(2).map(edge).collect());
+            rounds.push((1..last).step_by(2).map(edge).collect());
+            if !n.is_multiple_of(2) {
+                rounds.push(vec![edge(n - 1)]);
+            }
+        }
+        rounds
+    }
+
+    #[test]
+    fn streamed_rounds_follow_the_documented_decomposition() {
+        for n in [2usize, 3, 4, 7, 10, 2000, 2001] {
+            let h = HamiltonianUnion::random(n, 3, &mut rng(n as u64));
+            assert_eq!(er_rounds(&h), documented_rounds(&h), "n = {n}");
+        }
+        let two = HamiltonianUnion::from_permutations(2, vec![vec![1, 0], vec![0, 1]]);
+        assert_eq!(er_rounds(&two), vec![vec![(1, 0)], vec![(0, 1)]]);
+        let five = HamiltonianUnion::from_permutations(5, vec![vec![4, 2, 0, 3, 1]]);
+        assert_eq!(
+            er_rounds(&five),
+            vec![vec![(4, 2), (0, 3)], vec![(2, 0), (3, 1)], vec![(1, 4)]]
+        );
+        let four = HamiltonianUnion::from_permutations(4, vec![vec![3, 1, 0, 2]]);
+        assert_eq!(
+            er_rounds(&four),
+            vec![vec![(3, 1), (0, 2)], vec![(1, 0), (2, 3)]]
+        );
+    }
+
     #[test]
     fn directed_edge_count_is_d_times_n() {
         let h = HamiltonianUnion::random(17, 4, &mut rng(2));
@@ -306,12 +350,12 @@ mod tests {
     fn tiny_graphs() {
         let h0 = HamiltonianUnion::random(0, 2, &mut rng(3));
         assert!(h0.directed_edges().is_empty());
-        assert!(h0.er_rounds().is_empty());
+        assert!(er_rounds(&h0).is_empty());
         let h1 = HamiltonianUnion::random(1, 2, &mut rng(3));
         assert!(h1.directed_edges().is_empty());
         let h2 = HamiltonianUnion::random(2, 2, &mut rng(3));
         assert_eq!(h2.comparison_pairs(), vec![(0, 1)]);
-        assert_eq!(h2.er_rounds().len(), 2);
+        assert_eq!(er_rounds(&h2).len(), 2);
     }
 
     #[test]
@@ -324,7 +368,7 @@ mod tests {
     fn er_rounds_are_matchings_and_cover_all_pairs() {
         for &n in &[4usize, 5, 6, 9, 10, 33] {
             let h = HamiltonianUnion::random(n, 3, &mut rng(n as u64));
-            let rounds = h.er_rounds();
+            let rounds = er_rounds(&h);
             // Every round must be a matching: no vertex appears twice.
             for round in &rounds {
                 let mut seen = vec![false; n];

@@ -16,19 +16,16 @@
 //! they too are bit-identical across backends and thread counts.
 //!
 //! A round evaluated on the calling thread is exactly one
-//! [`crate::EquivalenceOracle::same_batch`] call, so an oracle with a
-//! per-request cost (a service round trip, a disk read) pays it once per
-//! round rather than once per pair.
+//! [`crate::EquivalenceOracle::same_batch`] call, and a round sharded onto a
+//! [`ExecutionBackend::Threaded`] pool is at most `threads` of them, so an
+//! oracle with a per-request cost (a service round trip, a disk read) pays
+//! it once per shard rather than once per pair.
 
 use crate::oracle::EquivalenceOracle;
 use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
-
-/// Smallest number of items a single pool task will process when a round is
-/// sharded, keeping chunks cache-friendly instead of pair-at-a-time.
-const MIN_CHUNK: usize = 1024;
 
 /// Where a [`crate::ComparisonSession`] evaluates each round's comparisons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -159,9 +156,11 @@ impl ExecutionBackend {
     }
 
     /// Evaluates one round of comparisons against the oracle, returning one
-    /// answer per pair in submission order: on the pool when a threaded
-    /// round clears its threshold, and otherwise inline as exactly one
-    /// [`EquivalenceOracle::same_batch`] call.
+    /// answer per pair in submission order: inline as exactly one
+    /// [`EquivalenceOracle::same_batch`] call, or, when a threaded round
+    /// clears its threshold, as at most `threads` contiguous shards, each
+    /// one `same_batch` call on the pool, their answers concatenated in
+    /// order.
     pub fn evaluate<O: EquivalenceOracle + ?Sized>(
         &self,
         oracle: &O,
@@ -174,13 +173,15 @@ impl ExecutionBackend {
             ExecutionBackend::Threaded { threads, threshold }
                 if threads > 1 && pairs.len() >= threshold.max(1) =>
             {
-                shared_pool(threads).install(|| {
-                    pairs
+                let shards: Vec<&[(usize, usize)]> =
+                    pairs.chunks(pairs.len().div_ceil(threads)).collect();
+                let answers: Vec<Vec<bool>> = shared_pool(threads).install(|| {
+                    shards
                         .par_iter()
-                        .with_min_len(MIN_CHUNK.min(threshold.max(1)))
-                        .map(|&(a, b)| oracle.same(a, b))
+                        .map(|shard| oracle.same_batch(shard))
                         .collect()
-                })
+                });
+                answers.concat()
             }
             _ => oracle.same_batch(pairs),
         }

@@ -42,8 +42,8 @@ pub trait EquivalenceOracle: Sync {
 
     /// Answers a whole round of equivalence tests, one answer per pair **in
     /// pair order**. Every round a [`crate::ComparisonSession`] evaluates on
-    /// the calling thread (any round not sharded onto a
-    /// [`crate::ExecutionBackend::Threaded`] pool) is exactly one call.
+    /// the calling thread is exactly one call, and a round sharded onto a
+    /// [`crate::ExecutionBackend::Threaded`] pool is one call per shard.
     ///
     /// The default implementation is a scalar loop over [`Self::same`], so
     /// every oracle answers rounds correctly out of the box. Implementations
@@ -58,8 +58,8 @@ pub trait EquivalenceOracle: Sync {
     /// round-commit protocol on top of this: between [`Self::round_opened`]
     /// and [`Self::round_closed`] every pair is answered against the
     /// committed state at round start, so the answers do not depend on
-    /// whether the round arrives as one batch or as scalar `same` calls from
-    /// pool threads.
+    /// whether the round arrives as one batch or as shards from pool
+    /// threads.
     fn same_batch(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
         // One exact allocation up front; the scalar loop fills it.
         let mut answers = Vec::with_capacity(pairs.len());

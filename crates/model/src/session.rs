@@ -185,8 +185,10 @@ impl<'a, O: EquivalenceOracle> ComparisonSession<'a, O> {
 
     fn validate_matching(&mut self, pairs: &[(usize, usize)]) {
         let n = self.oracle.n();
-        if self.seen.len() < n {
-            self.seen.resize(n, 0);
+        // One slot per element, and a last one that every out-of-range
+        // index is clamped onto.
+        if self.seen.len() <= n {
+            self.seen.resize(n + 1, 0);
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -194,12 +196,27 @@ impl<'a, O: EquivalenceOracle> ComparisonSession<'a, O> {
             self.epoch = 1;
         }
         let epoch = self.epoch;
+        // Stamp the whole round without a branch per pair. Only a round that
+        // breaks the matching rule, or names an element out of range, is
+        // checked again pair by pair below, to report its first fault.
+        let seen = &mut self.seen[..=n];
+        let mut fault = false;
+        for &(a, b) in pairs {
+            let (a, b) = (a.min(n), b.min(n));
+            fault |= (a == b) | (a == n) | (b == n) | (seen[a] == epoch) | (seen[b] == epoch);
+            seen[a] = epoch;
+            seen[b] = epoch;
+        }
+        if !fault {
+            return;
+        }
+        self.seen.fill(0);
         for &(a, b) in pairs {
             assert_ne!(a, b, "ER round contains a self-comparison ({a}, {a})");
             for x in [a, b] {
                 // An out-of-range index is left to the oracle's own
                 // diagnostic when the round is evaluated.
-                if let Some(stamp) = self.seen.get_mut(x) {
+                if let Some(stamp) = self.seen[..n].get_mut(x) {
                     assert!(
                         *stamp != epoch,
                         "ER round reuses element {x}: not a matching"

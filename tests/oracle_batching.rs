@@ -9,7 +9,8 @@
 //!    on instances drawn from all four of the paper's class-size
 //!    distributions. This is the contract that keeps a round evaluated
 //!    inline (one `same_batch` call) identical to the same round sharded on
-//!    the pool (scalar `same` calls).
+//!    the pool (one `same_batch` call per shard, at most `threads` shards,
+//!    and no `same` call — counted below).
 //! 2. **Row transparency.** `ComparisonSession::compare_row` must ask,
 //!    answer and charge exactly what a loop of `compare` calls does — also
 //!    for the order-adaptive adversaries, which keep the default `same_row`
@@ -20,12 +21,13 @@ use ecs_adversary::{EqualSizeAdversary, SmallestClassAdversary};
 use ecs_core::{EcsAlgorithm, NaiveAllPairs};
 use ecs_distributions::class_distribution::AnyDistribution;
 use ecs_model::{
-    ComparisonSession, EquivalenceOracle, Instance, InstanceOracle, LabelOracle, Partition,
-    ReadMode,
+    ComparisonSession, EquivalenceOracle, ExecutionBackend, Instance, InstanceOracle, LabelOracle,
+    Partition, ReadMode,
 };
 use ecs_rng::{EcsRng, SeedableEcsRng, Xoshiro256StarStar};
 use proptest::prelude::*;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn distribution(choice: u8) -> AnyDistribution {
     match choice % 4 {
@@ -167,5 +169,68 @@ fn ground_truth_rows_match_the_compare_loop_on_every_distribution() {
             run.partition,
             Partition::from_labels(instance.ground_truth().labels())
         );
+    }
+}
+
+/// A label oracle that counts its scalar and batch requests.
+struct CountingOracle {
+    inner: LabelOracle,
+    same_calls: AtomicUsize,
+    batch_calls: AtomicUsize,
+    batched_pairs: AtomicUsize,
+}
+
+impl EquivalenceOracle for CountingOracle {
+    fn n(&self) -> usize {
+        self.inner.n()
+    }
+
+    fn same(&self, a: usize, b: usize) -> bool {
+        self.same_calls.fetch_add(1, Ordering::SeqCst);
+        self.inner.same(a, b)
+    }
+
+    fn same_batch(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
+        self.batch_calls.fetch_add(1, Ordering::SeqCst);
+        self.batched_pairs.fetch_add(pairs.len(), Ordering::SeqCst);
+        self.inner.same_batch(pairs)
+    }
+}
+
+#[test]
+fn a_pooled_round_is_at_most_threads_batch_calls() {
+    let n = 10_000;
+    let labels: Vec<u32> = (0..n as u32).map(|i| i % 13).collect();
+    let pairs: Vec<(usize, usize)> = (0..n / 2).map(|i| (2 * i, 2 * i + 1)).collect();
+    let expected = LabelOracle::new(labels.clone()).same_batch(&pairs);
+    for threads in [2, 3, 4] {
+        for round in [&pairs[..], &pairs[..threads + 1], &pairs[..1]] {
+            let oracle = CountingOracle {
+                inner: LabelOracle::new(labels.clone()),
+                same_calls: AtomicUsize::new(0),
+                batch_calls: AtomicUsize::new(0),
+                batched_pairs: AtomicUsize::new(0),
+            };
+            let backend = ExecutionBackend::Threaded {
+                threads,
+                threshold: 1,
+            };
+            let mut session =
+                ComparisonSession::with_backend(&oracle, ReadMode::Exclusive, backend);
+            let answers = session.execute_round(round);
+            assert_eq!(answers, expected[..round.len()], "threads = {threads}");
+            let batches = oracle.batch_calls.load(Ordering::SeqCst);
+            assert!(
+                (1..=threads).contains(&batches),
+                "{} pairs on {threads} threads took {batches} same_batch calls",
+                round.len()
+            );
+            assert_eq!(
+                oracle.same_calls.load(Ordering::SeqCst),
+                0,
+                "no scalar same call"
+            );
+            assert_eq!(oracle.batched_pairs.load(Ordering::SeqCst), round.len());
+        }
     }
 }
