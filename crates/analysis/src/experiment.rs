@@ -8,9 +8,8 @@ use ecs_distributions::{
     class_distribution::AnyDistribution, ClassDistribution, CutoffDistribution,
 };
 use ecs_model::throughput::Job;
-use ecs_model::{ExecutionBackend, Instance, InstanceOracle, ThroughputPool};
+use ecs_model::{Instance, InstanceOracle, ThroughputPool};
 use ecs_rng::StreamSplit;
-use rayon::prelude::*;
 
 /// Configuration of one Figure 5 series: a distribution, the input sizes, and
 /// the number of trials per size.
@@ -125,21 +124,21 @@ pub fn paper_claims_linear(distribution: &AnyDistribution) -> bool {
 }
 
 /// One Figure 5 trial: draw an instance addressed by `(n, trial)` from the
-/// config's seed, run round-robin, return the total comparisons. This is the
-/// *only* measurement code path — the serial loop, the per-size parallel
-/// loop, and the pooled grid all call it with identical stream coordinates,
-/// which is what makes their outputs bit-identical.
+/// config's seed, run round-robin, return the total comparisons. Every job
+/// of [`figure5_grid`] calls it with its own stream coordinates, so the
+/// measurements do not depend on how many workers drain the grid.
+/// Round-robin's rounds are single comparisons, so no round ever reaches an
+/// execution backend's pool.
 fn figure5_trial(
     distribution: &AnyDistribution,
     split: StreamSplit,
     n: usize,
     trial: usize,
-    backend: ExecutionBackend,
 ) -> u64 {
     let mut rng = split.stream(&[n as u64, trial as u64]);
     let instance = Instance::from_distribution(distribution, n, &mut rng);
     let oracle = InstanceOracle::new(&instance);
-    let run = RoundRobin::new().sort_with_backend(&oracle, backend);
+    let run = RoundRobin::new().sort(&oracle);
     debug_assert!(instance.verify(&run.partition));
     run.metrics.comparisons()
 }
@@ -181,57 +180,21 @@ fn assemble_figure5_series(config: &Figure5Config, per_size: Vec<Vec<u64>>) -> F
 
 /// Runs one Figure 5 series: for every size and trial, draw an instance from
 /// the distribution, run the round-robin algorithm, and record the total
-/// comparisons. Trials of each size run in parallel via rayon; for
-/// whole-grid throughput across sizes and distributions, prefer
-/// [`figure5_grid`]. Sessions evaluate on the environment's backend
-/// ([`ExecutionBackend::from_env`]); use [`figure5_series_with_backend`] to
-/// pin one explicitly.
+/// comparisons. This is [`figure5_grid`] on a serial pool — the reference
+/// that pooled runs must match bit for bit.
 pub fn figure5_series(config: &Figure5Config) -> Figure5Series {
-    figure5_series_with_backend(config, ExecutionBackend::from_env())
-}
-
-/// [`figure5_series`] with every trial session evaluating on an explicit
-/// [`ExecutionBackend`] (e.g. the `--threads` CLI selection).
-/// The backend never changes any measurement — partitions and metrics are
-/// bit-identical across backends — only where and how oracle queries run.
-pub fn figure5_series_with_backend(
-    config: &Figure5Config,
-    backend: ExecutionBackend,
-) -> Figure5Series {
-    let split = StreamSplit::new(config.seed);
-    let per_size: Vec<Vec<u64>> = config
-        .sizes
-        .iter()
-        .map(|&n| {
-            (0..config.trials)
-                .into_par_iter()
-                .map(|trial| figure5_trial(&config.distribution, split, n, trial, backend))
-                .collect()
-        })
-        .collect();
-    assemble_figure5_series(config, per_size)
+    figure5_grid(std::slice::from_ref(config), &ThroughputPool::from_jobs(1))
+        .pop()
+        .expect("one config gives one series")
 }
 
 /// Runs a whole grid of Figure 5 configurations through one
 /// [`ThroughputPool`]: every `(config, size, trial)` job of the grid is
 /// submitted up front (one fairness session per config), so the pool stays
-/// saturated across size and distribution boundaries instead of draining at
-/// each per-size barrier. Results are bit-identical to calling
-/// [`figure5_series`] per config — the jobs run the same code on the same
-/// stream coordinates.
+/// saturated across size and distribution boundaries. Results are
+/// bit-identical for every worker count — the jobs run the same code on the
+/// same stream coordinates.
 pub fn figure5_grid(configs: &[Figure5Config], pool: &ThroughputPool) -> Vec<Figure5Series> {
-    figure5_grid_with_backend(configs, pool, ExecutionBackend::from_env())
-}
-
-/// [`figure5_grid`] with every trial job's session evaluating on an explicit
-/// [`ExecutionBackend`] — this is how the `--threads` flag reaches pooled
-/// trials. Bit-identical to [`figure5_series_with_backend`] per config on
-/// any backend.
-pub fn figure5_grid_with_backend(
-    configs: &[Figure5Config],
-    pool: &ThroughputPool,
-    backend: ExecutionBackend,
-) -> Vec<Figure5Series> {
     let sessions: Vec<Vec<Job<'_, u64>>> = configs
         .iter()
         .map(|config| {
@@ -242,7 +205,7 @@ pub fn figure5_grid_with_backend(
                 for trial in 0..config.trials {
                     let distribution = &config.distribution;
                     jobs.push(Box::new(move || {
-                        figure5_trial(distribution, split, n, trial, backend)
+                        figure5_trial(distribution, split, n, trial)
                     }));
                 }
             }
@@ -383,14 +346,13 @@ impl ecs_model::EquivalenceOracle for CrossCountingOracle<'_> {
 }
 
 /// One Theorem 7 measurement trial: `(total, cross-class)` comparisons of a
-/// round-robin run on the instance addressed by `(1, trial)`. Shared by the
-/// per-config runner and the pooled grid so both measure identically.
+/// round-robin run on the instance addressed by `(1, trial)`; every job of
+/// [`dominance_grid`] calls it with its own trial index.
 fn dominance_trial(
     distribution: &AnyDistribution,
     split: StreamSplit,
     n: usize,
     trial: usize,
-    backend: ExecutionBackend,
 ) -> (u64, u64) {
     let mut rng = split.stream(&[1, trial as u64]);
     let instance = Instance::from_distribution(distribution, n, &mut rng);
@@ -398,7 +360,7 @@ fn dominance_trial(
         inner: InstanceOracle::new(&instance),
         cross: std::sync::atomic::AtomicU64::new(0),
     };
-    let run = RoundRobin::new().sort_with_backend(&oracle, backend);
+    let run = RoundRobin::new().sort(&oracle);
     debug_assert!(instance.verify(&run.partition));
     (
         run.metrics.comparisons(),
@@ -430,47 +392,19 @@ fn assemble_dominance(config: &DominanceConfig, measurements: Vec<(u64, u64)>) -
 
 /// Runs the Theorem 7 experiment: measures round-robin comparisons on inputs
 /// drawn from the distribution and compares them against the
-/// `2·Σ_{i=1}^n V_i` bound where `V_i ~ D_N(n)`. Trials run in parallel via
-/// rayon; for whole-grid throughput across configurations, prefer
-/// [`dominance_grid`]. Sessions evaluate on the environment's backend; use
-/// [`dominance_experiment_with_backend`] to pin one explicitly.
+/// `2·Σ_{i=1}^n V_i` bound where `V_i ~ D_N(n)`. This is [`dominance_grid`]
+/// on a serial pool — the reference that pooled runs must match bit for bit.
 pub fn dominance_experiment(config: &DominanceConfig) -> DominanceResult {
-    dominance_experiment_with_backend(config, ExecutionBackend::from_env())
-}
-
-/// [`dominance_experiment`] with every trial session evaluating on an
-/// explicit [`ExecutionBackend`]; measurements are bit-identical across
-/// backends.
-pub fn dominance_experiment_with_backend(
-    config: &DominanceConfig,
-    backend: ExecutionBackend,
-) -> DominanceResult {
-    let split = StreamSplit::new(config.seed);
-    let measurements: Vec<(u64, u64)> = (0..config.trials)
-        .into_par_iter()
-        .map(|trial| dominance_trial(&config.distribution, split, config.n, trial, backend))
-        .collect();
-    assemble_dominance(config, measurements)
+    dominance_grid(std::slice::from_ref(config), &ThroughputPool::from_jobs(1))
+        .pop()
+        .expect("one config gives one result")
 }
 
 /// Runs every configuration of a Theorem 7 dominance sweep through one
 /// [`ThroughputPool`], one fairness session per configuration, so all
-/// `configs × trials` measurement jobs share the pool instead of running as
-/// a serial loop of per-config barriers. Bit-identical to calling
-/// [`dominance_experiment`] per config.
+/// `configs × trials` measurement jobs share the pool. Bit-identical to
+/// calling [`dominance_experiment`] per config.
 pub fn dominance_grid(configs: &[DominanceConfig], pool: &ThroughputPool) -> Vec<DominanceResult> {
-    dominance_grid_with_backend(configs, pool, ExecutionBackend::from_env())
-}
-
-/// [`dominance_grid`] with every trial job's session evaluating on an
-/// explicit [`ExecutionBackend`] — how the `--threads` flag reaches pooled
-/// dominance trials. Bit-identical to
-/// [`dominance_experiment_with_backend`] per config on any backend.
-pub fn dominance_grid_with_backend(
-    configs: &[DominanceConfig],
-    pool: &ThroughputPool,
-    backend: ExecutionBackend,
-) -> Vec<DominanceResult> {
     let sessions: Vec<Vec<Job<'_, (u64, u64)>>> = configs
         .iter()
         .map(|config| {
@@ -479,7 +413,7 @@ pub fn dominance_grid_with_backend(
                 .map(|trial| {
                     let distribution = &config.distribution;
                     let n = config.n;
-                    Box::new(move || dominance_trial(distribution, split, n, trial, backend))
+                    Box::new(move || dominance_trial(distribution, split, n, trial))
                         as Job<'_, (u64, u64)>
                 })
                 .collect()
@@ -610,10 +544,7 @@ mod tests {
                 seed: 7,
             },
         ];
-        for pool in [
-            ThroughputPool::new(ecs_model::ExecutionBackend::Sequential),
-            ThroughputPool::from_jobs(4),
-        ] {
+        for pool in [ThroughputPool::from_jobs(1), ThroughputPool::from_jobs(4)] {
             let grid = figure5_grid(&configs, &pool);
             assert_eq!(grid.len(), configs.len());
             for (config, series) in configs.iter().zip(&grid) {
@@ -657,51 +588,6 @@ mod tests {
             assert_eq!(pooled.bound_samples, reference.bound_samples);
             assert_eq!(pooled.bound_mean, reference.bound_mean);
         }
-    }
-
-    #[test]
-    fn explicit_backends_never_change_measurements() {
-        let config = Figure5Config {
-            distribution: AnyDistribution::uniform(10),
-            sizes: vec![200, 400],
-            trials: 2,
-            seed: 3,
-        };
-        let reference = figure5_series_with_backend(&config, ExecutionBackend::Sequential);
-        let threaded = ExecutionBackend::Threaded {
-            threads: 2,
-            threshold: 1,
-        };
-        for backend in [ExecutionBackend::threaded(2), threaded] {
-            let series = figure5_series_with_backend(&config, backend);
-            for (a, b) in series.points.iter().zip(&reference.points) {
-                assert_eq!(
-                    a.comparisons,
-                    b.comparisons,
-                    "{} trial measurements diverged from sequential",
-                    backend.label()
-                );
-            }
-        }
-        // The pooled grid takes the same explicit backend per trial job.
-        let pool = ThroughputPool::from_jobs(2);
-        let grid = figure5_grid_with_backend(std::slice::from_ref(&config), &pool, threaded);
-        for (a, b) in grid[0].points.iter().zip(&reference.points) {
-            assert_eq!(a.comparisons, b.comparisons);
-        }
-        let dom_config = DominanceConfig {
-            distribution: AnyDistribution::uniform(25),
-            n: 400,
-            trials: 2,
-            seed: 11,
-        };
-        let dom_reference =
-            dominance_experiment_with_backend(&dom_config, ExecutionBackend::Sequential);
-        let dom_threaded = dominance_experiment_with_backend(&dom_config, threaded);
-        assert_eq!(dom_threaded.measured_total, dom_reference.measured_total);
-        assert_eq!(dom_threaded.measured_cross, dom_reference.measured_cross);
-        let dom_grid = dominance_grid_with_backend(&[dom_config], &pool, threaded);
-        assert_eq!(dom_grid[0].measured_total, dom_reference.measured_total);
     }
 
     #[test]

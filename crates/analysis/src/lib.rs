@@ -19,10 +19,8 @@ pub mod report;
 pub mod stats;
 
 pub use experiment::{
-    dominance_experiment, dominance_experiment_with_backend, dominance_grid,
-    dominance_grid_with_backend, figure5_grid, figure5_grid_with_backend, figure5_series,
-    figure5_series_with_backend, DominanceConfig, DominanceResult, Figure5Config, Figure5Point,
-    Figure5Series,
+    dominance_experiment, dominance_grid, figure5_grid, figure5_series, DominanceConfig,
+    DominanceResult, Figure5Config, Figure5Point, Figure5Series,
 };
 pub use regression::LinearFit;
 pub use report::Table;

@@ -1,14 +1,12 @@
 //! Serial-trials vs pooled-trials throughput on the full Figure 5 grid.
 //!
-//! PR 2's backend accelerates one session's large rounds; this bench measures
-//! the opposite regime — the Figure 5 grid's hundreds of *small* independent
-//! trials, where the win comes from running many sessions concurrently:
+//! An execution backend accelerates one session's large rounds; this bench
+//! measures the opposite regime — the Figure 5 grid's hundreds of *small*
+//! independent trials, where the win comes from running many sessions
+//! concurrently:
 //!
 //! * **serial** — the reference serial loop (`ThroughputPool` with one
 //!   worker): every `(distribution, size, trial)` job in order on the caller;
-//! * **barrier(4)** — PR 2's shape: a serial outer loop over distributions
-//!   and sizes with a 4-thread parallel inner loop over each size's trials
-//!   (workers idle at every per-size barrier);
 //! * **pooled(2/4/8)** — the throughput pool: the whole grid submitted up
 //!   front to one shared work-stealing pool with round-robin fairness across
 //!   distributions.
@@ -18,9 +16,9 @@
 //! exercise the harness on every push without paying the measurement cost).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ecs_analysis::{figure5_grid, figure5_series, Figure5Config, Figure5Series};
+use ecs_analysis::{figure5_grid, Figure5Config, Figure5Series};
 use ecs_bench::{paper, smoke};
-use ecs_model::{ExecutionBackend, ThroughputPool};
+use ecs_model::ThroughputPool;
 use std::hint::black_box;
 
 /// The full Figure 5 grid: every distribution of every panel. `scale`
@@ -66,13 +64,6 @@ fn throughput_grid(c: &mut Criterion) {
             pool.label()
         );
     }
-    let barrier: Vec<Figure5Series> =
-        ExecutionBackend::threaded(4).install(|| configs.iter().map(figure5_series).collect());
-    assert_eq!(
-        measurements(&barrier),
-        reference,
-        "barrier-style trial loop diverged from the serial loop"
-    );
 
     let mut group = c.benchmark_group(format!("throughput_figure5_grid_{total_jobs}_jobs"));
     group.sample_size(if smoke() { 3 } else { 10 });
@@ -82,18 +73,6 @@ fn throughput_grid(c: &mut Criterion) {
         &configs,
         |b, configs| {
             b.iter(|| black_box(measurements(&figure5_grid(configs, &serial_pool)).len()));
-        },
-    );
-
-    group.bench_with_input(
-        BenchmarkId::new("trials", "barrier(4)"),
-        &configs,
-        |b, configs| {
-            b.iter(|| {
-                let series: Vec<Figure5Series> = ExecutionBackend::threaded(4)
-                    .install(|| configs.iter().map(figure5_series).collect());
-                black_box(measurements(&series).len())
-            });
         },
     );
 

@@ -112,7 +112,6 @@ fn main() {
         "reject-smoke",
         "jobs",
         "max-inflight",
-        "threads",
     ]);
     args.require_nonzero(&["sessions", "per-session"]);
     let sessions = args.get_usize("sessions", if smoke() { 8 } else { 16 });

@@ -3,14 +3,13 @@
 //!
 //! ```text
 //! cargo run -p ecs_bench --release --bin figure5 -- [--dist uniform|geometric|poisson|zeta|all]
-//!     [--full] [--scale D] [--trials T] [--seed S] [--out results] [--threads N] [--jobs J]
+//!     [--full] [--scale D] [--trials T] [--seed S] [--out results] [--jobs J]
 //!
 //! `--jobs J` runs every trial of the whole grid through one shared J-worker
-//! throughput pool (round-robin fairness across distributions); without
-//! `--jobs`, `--threads N` / `ECS_THREADS` select the trial pool instead
-//! (round evaluation inside a trial follows `ECS_THREADS`, but these trials'
-//! rounds are single comparisons). Results are bit-identical to a serial
-//! run either way (CI diffs them). A zero `--scale` or `--trials` is
+//! throughput pool (round-robin fairness across distributions); without it
+//! the trials run serially. Round-robin's rounds are single comparisons, so
+//! there is no execution backend to choose. Results are bit-identical to a
+//! serial run either way (CI diffs them). A zero `--scale` or `--trials` is
 //! rejected with exit status 2.
 //! ```
 //!
@@ -25,9 +24,7 @@ use ecs_distributions::ClassDistribution;
 
 fn main() {
     let args = Args::from_env();
-    args.warn_unknown(&[
-        "dist", "full", "scale", "trials", "seed", "out", "threads", "jobs",
-    ]);
+    args.warn_unknown(&["dist", "full", "scale", "trials", "seed", "out", "jobs"]);
     args.require_nonzero(&["scale", "trials"]);
     let panel = args.get_or("dist", "all");
     // ECS_BENCH_SMOKE only shrinks the *defaults*; explicit flags always win.
@@ -45,12 +42,7 @@ fn main() {
     let seed = args.get_u64("seed", 2016);
     let out_dir = args.get_or("out", "results");
     let pool = args.throughput_pool();
-    let backend = args.execution_backend();
-    println!(
-        "throughput pool: {}; execution backend: {}",
-        pool.label(),
-        backend.label()
-    );
+    println!("throughput pool: {}", pool.label());
     std::fs::create_dir_all(&out_dir).expect("cannot create output directory");
 
     let panels: Vec<&str> = if panel == "all" {
@@ -61,7 +53,7 @@ fn main() {
 
     for panel in panels {
         println!("=== Figure 5 panel: {panel} (scale 1/{scale}, {trials} trials) ===\n");
-        for (config, series) in figure5_panel_series(panel, scale, trials, seed, &pool, backend) {
+        for (config, series) in figure5_panel_series(panel, scale, trials, seed, &pool) {
             let label = config.distribution.name();
             let table = figure5_table(&series);
             println!("{}", table.to_text());

@@ -54,7 +54,7 @@ fn main() {
     // to the shared throughput pool as one workload.
     for panel in paper::panel_names() {
         println!("running Figure 5 panel '{panel}'...");
-        for (config, series) in figure5_panel_series(panel, scale, trials, seed, &pool, backend) {
+        for (config, series) in figure5_panel_series(panel, scale, trials, seed, &pool) {
             let table = figure5_table(&series);
             report.push_str(&table.to_markdown());
             report.push('\n');
@@ -131,7 +131,6 @@ fn main() {
         trials,
         seed,
         &pool,
-        backend,
     );
     let dom = dominance_table(&results, n);
     report.push_str(&dom.to_markdown());

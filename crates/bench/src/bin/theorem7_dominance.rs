@@ -5,12 +5,13 @@
 //!
 //! ```text
 //! cargo run -p ecs_bench --release --bin theorem7_dominance -- [--n N] [--trials T]
-//!     [--out results] [--threads N] [--jobs J]
+//!     [--out results] [--jobs J]
 //!
 //! `--jobs J` runs every trial of every distribution through one shared
-//! J-worker throughput pool (round-robin fairness across distributions).
-//! Results are bit-identical to a serial run either way. A zero `--n` or
-//! `--trials` is rejected with exit status 2.
+//! J-worker throughput pool (round-robin fairness across distributions);
+//! without it the trials run serially. Results are bit-identical to a serial
+//! run either way (CI diffs them). A zero `--n` or `--trials` is rejected
+//! with exit status 2.
 //! ```
 //!
 //! Setting `ECS_BENCH_SMOKE=1` shrinks the sweep to a CI-sized smoke run.
@@ -21,21 +22,16 @@ use ecs_distributions::class_distribution::AnyDistribution;
 
 fn main() {
     let args = Args::from_env();
-    args.warn_unknown(&["n", "trials", "seed", "out", "threads", "jobs"]);
+    args.warn_unknown(&["n", "trials", "seed", "out", "jobs"]);
     args.require_nonzero(&["n", "trials"]);
     let n = args.get_usize("n", if smoke() { 500 } else { 5_000 });
     let trials = args.get_usize("trials", if smoke() { 2 } else { 8 });
     let seed = args.get_u64("seed", 7);
     let out_dir = args.get_or("out", "results");
     let pool = args.throughput_pool();
-    let backend = args.execution_backend();
     std::fs::create_dir_all(&out_dir).expect("cannot create output directory");
 
-    println!(
-        "throughput pool: {}; execution backend: {}",
-        pool.label(),
-        backend.label()
-    );
+    println!("throughput pool: {}", pool.label());
     let distributions = vec![
         AnyDistribution::uniform(10),
         AnyDistribution::uniform(100),
@@ -47,7 +43,7 @@ fn main() {
         AnyDistribution::zeta(2.0),
     ];
 
-    let results = dominance_sweep(distributions, n, trials, seed, &pool, backend);
+    let results = dominance_sweep(distributions, n, trials, seed, &pool);
 
     let table = dominance_table(&results, n);
     println!("{}", table.to_text());

@@ -116,18 +116,16 @@ impl Args {
         }
     }
 
-    /// The throughput pool selected by `--jobs N` (`1` runs trials
-    /// serially), falling back to the `--threads` / `ECS_THREADS` backend
-    /// when the flag is absent — so `--threads N` alone still accelerates
-    /// trial-level work as before, while `--jobs` decouples trial throughput
-    /// from round-evaluation parallelism. A bare `--jobs` (no value), an
-    /// unparsable count, *and* the degenerate `--jobs 0` all select the
-    /// machine's available parallelism (the zero case with a warning) rather
-    /// than being silently dropped or going serial; results are
-    /// bit-identical for every worker count either way.
+    /// The throughput pool selected by `--jobs N`; without `--jobs`, and
+    /// with `--jobs 1`, trials run serially. `--threads` and `ECS_THREADS`
+    /// only choose how a round is evaluated, never the trial pool. A bare
+    /// `--jobs` (no value), an unparsable count, *and* the degenerate
+    /// `--jobs 0` all select the machine's available parallelism (the zero
+    /// case with a warning) rather than being silently dropped or going
+    /// serial; results are bit-identical for every worker count either way.
     pub fn throughput_pool(&self) -> ThroughputPool {
         if !self.has("jobs") {
-            return ThroughputPool::new(self.execution_backend());
+            return ThroughputPool::from_jobs(1);
         }
         let jobs = match self.get("jobs") {
             Some(value) => worker_count("--jobs", value, available_parallelism()),
@@ -369,10 +367,10 @@ mod tests {
             "pooled(4)"
         );
         assert_eq!(args(&["--jobs", "1"]).throughput_pool().label(), "serial");
-        // Without --jobs the pool follows the --threads backend.
+        // Without --jobs the pool is serial: --threads only shards rounds.
         assert_eq!(
             args(&["--threads", "8"]).throughput_pool().label(),
-            "pooled(8)"
+            "serial"
         );
     }
 
@@ -444,7 +442,7 @@ mod tests {
                 .throughput_pool()
                 .label(),
             expected,
-            "bare --jobs must override the --threads fallback"
+            "bare --jobs selects a pool whatever --threads says"
         );
     }
 }

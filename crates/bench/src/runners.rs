@@ -6,8 +6,8 @@ use ecs_adversary::{
 };
 use ecs_analysis::report::fmt_float;
 use ecs_analysis::{
-    dominance_grid_with_backend, figure5_grid_with_backend, DominanceConfig, DominanceResult,
-    Figure5Config, Figure5Series, Table,
+    dominance_grid, figure5_grid, DominanceConfig, DominanceResult, Figure5Config, Figure5Series,
+    Table,
 };
 use ecs_core::{
     CrCompoundMerge, EcsAlgorithm, EcsRun, ErConstantRound, ErMergeSort, RepresentativeScan,
@@ -21,33 +21,29 @@ use ecs_rng::{SeedableEcsRng, Xoshiro256StarStar};
 /// Runs every Figure 5 configuration of one panel through the throughput
 /// pool — all `(distribution, size, trial)` jobs of the panel are queued as
 /// one workload, one fairness session per distribution — and returns
-/// `(config, series)` pairs in the panel's order. Each trial's session
-/// evaluates on `backend` (e.g. the `--threads` CLI selection);
-/// results are bit-identical to the serial per-config loop on every backend.
+/// `(config, series)` pairs in the panel's order, bit-identical to the
+/// serial per-config loop for every worker count.
 pub fn figure5_panel_series(
     panel: &str,
     scale: usize,
     trials: usize,
     seed: u64,
     pool: &ThroughputPool,
-    backend: ExecutionBackend,
 ) -> Vec<(Figure5Config, Figure5Series)> {
     let configs = paper::figure5_configs(panel, scale, trials, seed);
-    let series = figure5_grid_with_backend(&configs, pool, backend);
+    let series = figure5_grid(&configs, pool);
     configs.into_iter().zip(series).collect()
 }
 
 /// Runs a Theorem 7 dominance sweep over several distributions through the
 /// throughput pool (one fairness session per distribution), bit-identical to
-/// running [`ecs_analysis::dominance_experiment`] per distribution. Trial
-/// sessions evaluate on `backend`.
+/// running [`ecs_analysis::dominance_experiment`] per distribution.
 pub fn dominance_sweep(
     distributions: Vec<AnyDistribution>,
     n: usize,
     trials: usize,
     seed: u64,
     pool: &ThroughputPool,
-    backend: ExecutionBackend,
 ) -> Vec<DominanceResult> {
     let configs: Vec<DominanceConfig> = distributions
         .into_iter()
@@ -58,7 +54,7 @@ pub fn dominance_sweep(
             seed,
         })
         .collect();
-    dominance_grid_with_backend(&configs, pool, backend)
+    dominance_grid(&configs, pool)
 }
 
 /// Renders one Figure 5 series as a table with per-size statistics and the
@@ -757,8 +753,7 @@ mod tests {
     #[test]
     fn panel_series_match_serial_per_config_runs() {
         let pool = ThroughputPool::from_jobs(4);
-        let pooled =
-            figure5_panel_series("uniform", 100, 2, 2016, &pool, ExecutionBackend::Sequential);
+        let pooled = figure5_panel_series("uniform", 100, 2, 2016, &pool);
         assert!(!pooled.is_empty());
         for (config, series) in &pooled {
             let reference = figure5_series(config);
@@ -776,14 +771,7 @@ mod tests {
         use ecs_analysis::dominance_experiment;
         let pool = ThroughputPool::from_jobs(2);
         let distributions = vec![AnyDistribution::uniform(10), AnyDistribution::zeta(2.5)];
-        let pooled = dominance_sweep(
-            distributions.clone(),
-            500,
-            3,
-            7,
-            &pool,
-            ExecutionBackend::Sequential,
-        );
+        let pooled = dominance_sweep(distributions.clone(), 500, 3, 7, &pool);
         for (distribution, result) in distributions.into_iter().zip(&pooled) {
             let reference = dominance_experiment(&DominanceConfig {
                 distribution,

@@ -144,17 +144,6 @@ impl ExecutionBackend {
         }
     }
 
-    /// Runs `op` with this backend's pool installed as the current rayon
-    /// pool, so bare `par_iter()` calls inside `op` (e.g. trial-level
-    /// parallelism in the analysis crate) use this backend's thread count.
-    pub fn install<OP, R>(&self, op: OP) -> R
-    where
-        OP: FnOnce() -> R + Send,
-        R: Send,
-    {
-        shared_pool(self.threads()).install(op)
-    }
-
     /// Evaluates one round of comparisons against the oracle, returning one
     /// answer per pair in submission order: inline as exactly one
     /// [`EquivalenceOracle::same_batch`] call, or, when a threaded round

@@ -6,8 +6,8 @@
 //! oracle: [`CancellableOracle`] wraps any [`EquivalenceOracle`] and checks a
 //! shared [`CancellationToken`] at every round boundary and query, panicking
 //! with the typed [`Cancelled`] payload the moment the token trips. A job
-//! runner that executes the sort under `catch_unwind` (e.g.
-//! [`crate::ThroughputPool::try_run`]) downcasts the payload to distinguish
+//! runner that executes the sort under `catch_unwind` classifies the payload
+//! with [`crate::throughput::JobPanic::from_payload`] to distinguish
 //! "cancelled on request" from a genuine failure.
 //!
 //! Checks happen on every call the wrapper forwards. A round-based algorithm

@@ -30,11 +30,10 @@
 //!   CR disciplines and the processor budget, and evaluates large comparison
 //!   batches through the selected [`ExecutionBackend`].
 //! * [`ThroughputPool`] — multi-session throughput mode: many independent
-//!   `(instance, algorithm, backend)` jobs drained through the one shared
-//!   pool with round-robin fairness across sessions, per-job metrics
-//!   isolation, and results bit-identical to the serial loop; the `try_run`
-//!   paths add per-job fault isolation and `spawn` feeds detached daemon
-//!   jobs into the same FIFO discipline.
+//!   `(instance, algorithm)` jobs drained by `--jobs N` workers of the one
+//!   shared pool with round-robin fairness across sessions, per-job metrics
+//!   isolation, and results bit-identical to the serial loop; `spawn` feeds
+//!   detached daemon jobs into the same FIFO discipline.
 //! * [`CancellableOracle`] / [`CancellationToken`] — cooperative
 //!   cancellation delivered through the oracle, checked at round boundaries
 //!   and queries on every backend.

@@ -3,11 +3,11 @@
 //! The [`crate::ExecutionBackend`] accelerates a *single*
 //! [`crate::ComparisonSession`] by sharding one large round across the
 //! work-stealing pool. Experiment grids are the opposite shape: hundreds of
-//! small, independent `(instance, algorithm, backend)` trials whose rounds
-//! are each far below the parallel threshold. Running such a grid as a
-//! serial outer loop around a parallel inner loop leaves the pool idle at
-//! every barrier; [`ThroughputPool`] instead submits **every trial of the
-//! whole grid as one workload** and lets the pool drain them concurrently.
+//! small, independent `(instance, algorithm)` trials whose rounds are each
+//! far below the parallel threshold. [`ThroughputPool`] submits **every
+//! trial of the whole grid as one workload** and lets its workers drain them
+//! concurrently; it is the only way the experiment runners parallelise
+//! trials, and a one-worker pool is their serial reference.
 //!
 //! Guarantees:
 //!
@@ -27,6 +27,12 @@
 //!   [`crate::Metrics`]; nothing is shared between jobs, so per-trial cost
 //!   accounting is exactly what the serial loop would report.
 //!
+//! A panicking job is not isolated: [`ThroughputPool::run`] resumes the
+//! first panic on the caller after the drain. Long-lived services that must
+//! survive a failing job run it detached ([`ThroughputPool::spawn`]) under
+//! their own `catch_unwind` and classify the payload with
+//! [`JobPanic::from_payload`].
+//!
 //! Jobs may themselves evaluate rounds on a [`crate::ExecutionBackend`]: a
 //! nested batch targeting the job worker's *own* pool runs inline (avoiding
 //! self-deadlock), while one targeting a different pool dispatches to that
@@ -40,17 +46,15 @@
 //! `ThroughputPool`s with a cycle back to the outer pool could block all
 //! workers of both pools on each other's latches.
 
-use crate::backend::{shared_pool, ExecutionBackend};
+use crate::backend::shared_pool;
 use crate::cancellation::is_cancellation;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 /// A boxed unit of independent work submitted to a [`ThroughputPool`].
 pub type Job<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
-/// Why a job submitted through [`ThroughputPool::try_run`] produced no
-/// value: it panicked, or it was cooperatively cancelled (its unwind payload
-/// was [`crate::cancellation::Cancelled`]).
+/// Why a job produced no value: it panicked, or it was cooperatively
+/// cancelled (its unwind payload was [`crate::cancellation::Cancelled`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobPanic {
     message: String,
@@ -59,9 +63,9 @@ pub struct JobPanic {
 
 impl JobPanic {
     /// Classifies a `catch_unwind` payload: a [`crate::Cancelled`] payload
-    /// becomes a cancellation, string payloads keep their message. Public so
-    /// job runners outside this module (e.g. a service daemon running
-    /// detached jobs) report faults identically to [`ThroughputPool::try_run`].
+    /// becomes a cancellation, string payloads keep their message. Job
+    /// runners that catch their own unwinds (e.g. a service daemon running
+    /// detached jobs) report faults through this one classification.
     pub fn from_payload(payload: Box<dyn std::any::Any + Send>) -> Self {
         let cancelled = is_cancellation(&*payload);
         let message = if cancelled {
@@ -94,17 +98,14 @@ impl std::fmt::Display for JobPanic {
     }
 }
 
-/// The per-job outcome of the fault-isolating run paths.
-pub type JobResult<T> = Result<T, JobPanic>;
-
 /// Runs many independent jobs through the one shared work-stealing pool.
 ///
 /// # Example
 ///
 /// ```
-/// use ecs_model::{ExecutionBackend, ThroughputPool};
+/// use ecs_model::ThroughputPool;
 ///
-/// let pool = ThroughputPool::new(ExecutionBackend::threaded(4));
+/// let pool = ThroughputPool::from_jobs(4);
 /// let jobs: Vec<ecs_model::throughput::Job<'_, u64>> = (0..100u64)
 ///     .map(|i| Box::new(move || i * i) as ecs_model::throughput::Job<'_, u64>)
 ///     .collect();
@@ -113,37 +114,28 @@ pub type JobResult<T> = Result<T, JobPanic>;
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct ThroughputPool {
-    backend: ExecutionBackend,
+    workers: usize,
 }
 
 impl ThroughputPool {
-    /// A throughput pool running jobs on the given backend's worker threads
-    /// (`Sequential` degrades to running the jobs serially in order, which is
-    /// also the reference semantics of every other configuration).
-    pub fn new(backend: ExecutionBackend) -> Self {
-        Self { backend }
-    }
-
-    /// A throughput pool with `jobs` concurrent workers (`0`/`1` select the
-    /// serial reference behaviour) — the `--jobs N` CLI knob.
+    /// A throughput pool with `jobs` concurrent workers — the `--jobs N` CLI
+    /// knob. `0` and `1` select the serial reference behaviour: every job
+    /// runs in order on the caller.
     pub fn from_jobs(jobs: usize) -> Self {
-        Self::new(ExecutionBackend::from_threads(jobs))
-    }
-
-    /// The backend whose shared pool executes the jobs.
-    pub fn backend(&self) -> ExecutionBackend {
-        self.backend
+        Self {
+            workers: jobs.max(1),
+        }
     }
 
     /// The number of OS threads draining the job queue.
     pub fn workers(&self) -> usize {
-        self.backend.threads()
+        self.workers
     }
 
     /// A short label (`"serial"`, `"pooled(4)"`) for banners and benchmarks.
     pub fn label(&self) -> String {
-        if self.backend.is_parallel() {
-            format!("pooled({})", self.workers())
+        if self.workers > 1 {
+            format!("pooled({})", self.workers)
         } else {
             "serial".to_string()
         }
@@ -152,11 +144,11 @@ impl ThroughputPool {
     /// Runs independent jobs and returns their results **in job order**,
     /// bit-identical to `jobs.into_iter().map(|job| job()).collect()`.
     pub fn run<'a, T: Send>(&self, jobs: Vec<Job<'a, T>>) -> Vec<T> {
-        if !self.backend.is_parallel() || jobs.len() <= 1 {
+        if self.workers <= 1 || jobs.len() <= 1 {
             return jobs.into_iter().map(|job| job()).collect();
         }
         let slots: Vec<Mutex<Option<T>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        shared_pool(self.workers()).scope(|scope| {
+        shared_pool(self.workers).scope(|scope| {
             for (slot, job) in slots.iter().zip(jobs) {
                 scope.spawn_fifo(move |_| {
                     let value = job();
@@ -176,57 +168,12 @@ impl ThroughputPool {
             .collect()
     }
 
-    /// Runs independent jobs like [`ThroughputPool::run`], but isolates
-    /// faults: each job executes under `catch_unwind`, so a panicking or
-    /// cancelled job yields an `Err(`[`JobPanic`]`)` in its own slot instead
-    /// of tearing down the whole workload after the drain. Results are still
-    /// returned **in job order**, and successful jobs are bit-identical to
-    /// the serial loop.
-    pub fn try_run<'a, T: Send + 'a>(&self, jobs: Vec<Job<'a, T>>) -> Vec<JobResult<T>> {
-        let guarded: Vec<Job<'a, JobResult<T>>> = jobs
-            .into_iter()
-            .map(|job| {
-                Box::new(move || {
-                    catch_unwind(AssertUnwindSafe(job)).map_err(JobPanic::from_payload)
-                }) as Job<'a, JobResult<T>>
-            })
-            .collect();
-        self.run(guarded)
-    }
-
-    /// Runs several *sessions* of jobs with the same round-robin fairness as
-    /// [`ThroughputPool::run_sessions`], but with per-job fault isolation: a
-    /// session whose job panics or is cancelled loses only that job's value
-    /// — its remaining jobs keep their fairness slots in the rotation and
-    /// every other session completes untouched. (The strict path,
-    /// `run_sessions`, resumes the first panic on the caller after the
-    /// drain, which forfeits all results.)
-    pub fn try_run_sessions<'a, T: Send + 'a>(
-        &self,
-        sessions: Vec<Vec<Job<'a, T>>>,
-    ) -> Vec<Vec<JobResult<T>>> {
-        let guarded: Vec<Vec<Job<'a, JobResult<T>>>> = sessions
-            .into_iter()
-            .map(|session| {
-                session
-                    .into_iter()
-                    .map(|job| {
-                        Box::new(move || {
-                            catch_unwind(AssertUnwindSafe(job)).map_err(JobPanic::from_payload)
-                        }) as Job<'a, JobResult<T>>
-                    })
-                    .collect()
-            })
-            .collect();
-        self.run_sessions(guarded)
-    }
-
     /// Submits one detached `'static` job to this pool's FIFO injector and
     /// returns immediately — the hook long-lived services use to feed a
     /// stream of jobs into the same strict-FIFO queue that `run_sessions`
     /// dispatches through, so daemon jobs and batch grids share one fairness
     /// discipline. The job always runs asynchronously on the shared pool
-    /// (one worker even for a `Sequential`-backend pool), so a scheduler may
+    /// (one worker even for a serial pool), so a scheduler may
     /// call this while holding its own locks.
     ///
     /// Delivery of results, panic reporting, and completion tracking are the
@@ -235,7 +182,7 @@ impl ThroughputPool {
     where
         F: FnOnce() + Send + 'static,
     {
-        shared_pool(self.workers()).spawn_fifo(job);
+        shared_pool(self.workers).spawn_fifo(job);
     }
 
     /// Runs several *sessions* of jobs with round-robin fairness: the `r`-th
@@ -289,15 +236,16 @@ mod tests {
     use crate::instance::Instance;
     use crate::oracle::{EquivalenceOracle, InstanceOracle};
     use crate::session::{ComparisonSession, ReadMode};
+    use crate::ExecutionBackend;
     use ecs_rng::{SeedableEcsRng, Xoshiro256StarStar};
 
     fn pool4() -> ThroughputPool {
-        ThroughputPool::new(ExecutionBackend::threaded(4))
+        ThroughputPool::from_jobs(4)
     }
 
     #[test]
     fn serial_backend_runs_in_order_on_the_caller() {
-        let pool = ThroughputPool::new(ExecutionBackend::Sequential);
+        let pool = ThroughputPool::from_jobs(1);
         assert_eq!(pool.label(), "serial");
         assert_eq!(pool.workers(), 1);
         let caller = std::thread::current().id();
@@ -398,84 +346,24 @@ mod tests {
     }
 
     #[test]
-    fn a_killed_session_releases_its_fairness_slot_mid_grid() {
-        // Three sessions share the rotation; every job of session 1 panics
-        // (the "killed" session — e.g. a client whose oracle data vanished
-        // or whose jobs were cancelled mid-grid). The other sessions must
-        // complete every job with correct values, and the killed session
-        // must report a per-job error rather than starving the rotation or
-        // tearing the grid down.
-        for workers in [1usize, 4] {
-            let pool = ThroughputPool::from_jobs(workers);
-            let sessions: Vec<Vec<Job<'_, usize>>> = (0..3usize)
-                .map(|s| {
-                    (0..5usize)
-                        .map(|j| {
-                            Box::new(move || {
-                                if s == 1 {
-                                    panic!("session 1 job {j} killed mid-grid");
-                                }
-                                s * 100 + j
-                            }) as Job<'_, usize>
-                        })
-                        .collect()
-                })
-                .collect();
-            let grouped = pool.try_run_sessions(sessions);
-            assert_eq!(grouped.len(), 3);
-            for (s, session) in grouped.iter().enumerate() {
-                assert_eq!(
-                    session.len(),
-                    5,
-                    "session {s} lost jobs ({workers} workers)"
-                );
-                for (j, outcome) in session.iter().enumerate() {
-                    if s == 1 {
-                        let failure = outcome.as_ref().expect_err("killed job must error");
-                        assert!(failure.message().contains("killed mid-grid"));
-                        assert!(!failure.is_cancelled());
-                    } else {
-                        assert_eq!(outcome.as_ref().copied(), Ok(s * 100 + j));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn cancelled_jobs_report_cancellation_not_failure() {
         use crate::cancellation::{CancellableOracle, CancellationToken};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
         let mut rng = Xoshiro256StarStar::seed_from_u64(9);
         let instance = Instance::balanced(32, 4, &mut rng);
         let token = CancellationToken::new();
         token.cancel();
-        let jobs: Vec<Job<'_, bool>> = vec![
-            {
-                let token = token.clone();
-                let instance = &instance;
-                Box::new(move || {
-                    let oracle =
-                        CancellableOracle::new(InstanceOracle::new(instance), token.clone());
-                    oracle.same(0, 1)
-                })
-            },
-            Box::new(|| true),
-        ];
-        let results = ThroughputPool::from_jobs(2).try_run(jobs);
-        let cancelled = results[0].as_ref().expect_err("tripped token must abort");
+        let oracle = CancellableOracle::new(InstanceOracle::new(&instance), token);
+        let payload = catch_unwind(AssertUnwindSafe(|| oracle.same(0, 1)))
+            .expect_err("tripped token must abort");
+        let cancelled = JobPanic::from_payload(payload);
         assert!(cancelled.is_cancelled());
         assert_eq!(cancelled.message(), "job cancelled");
-        assert_eq!(results[1], Ok(true), "sibling job is untouched");
-    }
 
-    #[test]
-    fn try_run_matches_run_when_nothing_panics() {
-        let pool = pool4();
-        let jobs: Vec<Job<'_, u64>> = (0..64u64)
-            .map(|i| Box::new(move || i * 3) as Job<'_, u64>)
-            .collect();
-        let results = pool.try_run(jobs);
-        assert_eq!(results, (0..64u64).map(|i| Ok(i * 3)).collect::<Vec<_>>());
+        let payload = catch_unwind(|| panic!("oracle data vanished")).expect_err("job panics");
+        let failed = JobPanic::from_payload(payload);
+        assert!(!failed.is_cancelled(), "a genuine panic is a failure");
+        assert_eq!(failed.message(), "oracle data vanished");
     }
 
     #[test]
