@@ -2,8 +2,8 @@
 //! adversaries deterministic on every execution backend.
 //!
 //! The sequential adversary of Section 3 mutates its coloring after every
-//! query, so its answers depend on the *temporal order* of queries — which a
-//! work-stealing pool does not preserve. [`RoundCommit`] removes that
+//! query, so its answers depend on the *temporal order* of queries — which
+//! shards racing on a pool do not preserve. [`RoundCommit`] removes that
 //! dependency at round granularity:
 //!
 //! 1. **Snapshot & plan.** When the session opens a round

@@ -9,7 +9,7 @@
 //!   the paper's adversarial distribution regime.
 //!
 //! Each workload is evaluated under the sequential backend and 2-, 4- and
-//! 8-thread work-stealing pools; answers are asserted bit-identical across
+//! 8-thread pools; answers are asserted bit-identical across
 //! backends before timing starts. An algorithm-level group times the full
 //! Theorem 1 compound-merge sort under each backend.
 //!

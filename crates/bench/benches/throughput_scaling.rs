@@ -8,7 +8,7 @@
 //! * **serial** — the reference serial loop (`ThroughputPool` with one
 //!   worker): every `(distribution, size, trial)` job in order on the caller;
 //! * **pooled(2/4/8)** — the throughput pool: the whole grid submitted up
-//!   front to one shared work-stealing pool with round-robin fairness across
+//!   front to one shared FIFO pool with round-robin fairness across
 //!   distributions.
 //!
 //! Every mode is asserted bit-identical to the serial reference before any

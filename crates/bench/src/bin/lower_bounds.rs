@@ -9,7 +9,7 @@
 //! ```
 //!
 //! The adversaries run the round-commit protocol, so `--threads` genuinely
-//! routes large adversarial rounds through the work-stealing pool, and
+//! shards large adversarial rounds across a pool of OS threads, and
 //! `--jobs J` drains the whole `(grid point, algorithm)` matrix through the
 //! shared throughput pool — both with byte-identical CSV output (CI diffs a
 //! pooled run against the serial one). `ECS_BENCH_SMOKE=1` shrinks the grids; `--full` restores

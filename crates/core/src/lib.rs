@@ -24,7 +24,7 @@
 //! concurrent-read disciplines and counts comparisons and rounds in Valiant's
 //! parallel comparison model. Round evaluation is pluggable: pass an
 //! [`ecs_model::ExecutionBackend`] to [`EcsAlgorithm::sort_with_backend`] to
-//! evaluate large rounds on a work-stealing pool of OS threads; partitions
+//! evaluate large rounds as shards on a pool of OS threads; partitions
 //! and metrics are bit-identical across backends.
 //!
 //! # Quick start

@@ -118,11 +118,6 @@ impl<D: ClassDistribution> CutoffDistribution<D> {
         }
     }
 
-    /// Builds `D_N(n)` from an already-constructed rank distribution.
-    pub fn from_ranks(ranks: RankDistribution<D>, n: usize) -> Self {
-        Self { ranks, n }
-    }
-
     /// The cut-off point `n`.
     pub fn n(&self) -> usize {
         self.n

@@ -22,7 +22,6 @@
 //! it once per shard rather than once per pair.
 
 use crate::oracle::EquivalenceOracle;
-use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -34,7 +33,7 @@ pub enum ExecutionBackend {
     /// [`EquivalenceOracle::same_batch`] call.
     #[default]
     Sequential,
-    /// Evaluate large rounds on a work-stealing pool of OS threads.
+    /// Evaluate large rounds as contiguous shards on a pool of OS threads.
     Threaded {
         /// Number of worker threads (values `<= 1` behave sequentially).
         threads: usize,
@@ -162,13 +161,12 @@ impl ExecutionBackend {
             ExecutionBackend::Threaded { threads, threshold }
                 if threads > 1 && pairs.len() >= threshold.max(1) =>
             {
-                let shards: Vec<&[(usize, usize)]> =
-                    pairs.chunks(pairs.len().div_ceil(threads)).collect();
-                let answers: Vec<Vec<bool>> = shared_pool(threads).install(|| {
-                    shards
-                        .par_iter()
-                        .map(|shard| oracle.same_batch(shard))
-                        .collect()
+                let shards = pairs.chunks(pairs.len().div_ceil(threads));
+                let mut answers: Vec<Vec<bool>> = vec![Vec::new(); shards.len()];
+                shared_pool(threads).scope_fifo(|scope| {
+                    for (shard, answer) in shards.zip(&mut answers) {
+                        scope.spawn_fifo(move |_| *answer = oracle.same_batch(shard));
+                    }
                 });
                 answers.concat()
             }

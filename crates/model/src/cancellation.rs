@@ -195,6 +195,14 @@ mod tests {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 oracle.round_opened(&[(0, 1)]);
             })),
+            // Raised on a pool worker, resumed on the caller.
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let pooled = crate::ExecutionBackend::Threaded {
+                    threads: 2,
+                    threshold: 1,
+                };
+                let _ = pooled.evaluate(&oracle, &[(0, 1), (1, 0)]);
+            })),
         ] {
             let payload = outcome.expect_err("a cancelled oracle must abort");
             assert!(is_cancellation(&*payload), "payload must be Cancelled");

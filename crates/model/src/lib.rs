@@ -23,9 +23,9 @@
 //!   oracles whose cost is dominated by per-request overhead pay it once per
 //!   round.
 //! * [`ExecutionBackend`] — where comparisons physically run: on the calling
-//!   thread, one `same_batch` call per round, or sharded across a
-//!   work-stealing pool of OS threads; [`ExecutionBackend::auto`] is the
-//!   sequential one. Answers are always collected in submission order.
+//!   thread, one `same_batch` call per round, or sharded across a pool of
+//!   OS threads; [`ExecutionBackend::auto`] is the sequential one. Answers
+//!   are always collected in submission order.
 //! * [`ComparisonSession`] — counts comparisons and rounds, enforces the ER /
 //!   CR disciplines and the processor budget, and evaluates large comparison
 //!   batches through the selected [`ExecutionBackend`].

@@ -22,7 +22,7 @@ pub enum ReadMode {
 /// the session validates them against the read discipline and processor
 /// budget, evaluates them against the oracle through an
 /// [`ExecutionBackend`] — as one [`EquivalenceOracle::same_batch`] call on
-/// the calling thread, or on a work-stealing pool of OS threads for large
+/// the calling thread, or as shards on a pool of OS threads for large
 /// rounds when a [`ExecutionBackend::Threaded`] backend is selected — and
 /// accumulates [`Metrics`]. Charging is independent of the backend, and
 /// answers are collected in submission order, so metrics and partitions are

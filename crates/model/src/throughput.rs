@@ -1,8 +1,8 @@
 //! Multi-session throughput mode: many independent jobs through one pool.
 //!
 //! The [`crate::ExecutionBackend`] accelerates a *single*
-//! [`crate::ComparisonSession`] by sharding one large round across the
-//! work-stealing pool. Experiment grids are the opposite shape: hundreds of
+//! [`crate::ComparisonSession`] by sharding one large round across a pool
+//! of OS threads. Experiment grids are the opposite shape: hundreds of
 //! small, independent `(instance, algorithm)` trials whose rounds are each
 //! far below the parallel threshold. [`ThroughputPool`] submits **every
 //! trial of the whole grid as one workload** and lets its workers drain them
@@ -20,7 +20,7 @@
 //!   shared sequential state.
 //! * **Fairness.** [`ThroughputPool::run_sessions`] interleaves the jobs of
 //!   all sessions round-robin (session 0 job 0, session 1 job 0, …, session
-//!   0 job 1, …) and submits them to the pool's strict-FIFO injector queue,
+//!   0 job 1, …) and submits them to the pool's one strict-FIFO queue,
 //!   so every session makes progress from the start instead of queueing
 //!   behind whole earlier sessions.
 //! * **Metrics isolation.** Each job owns its session and returns its own
@@ -34,7 +34,7 @@
 //! [`JobPanic::from_payload`].
 //!
 //! Jobs may themselves evaluate rounds on a [`crate::ExecutionBackend`]: a
-//! nested batch targeting the job worker's *own* pool runs inline (avoiding
+//! nested scope targeting the job worker's *own* pool runs inline (avoiding
 //! self-deadlock), while one targeting a different pool dispatches to that
 //! pool's workers while the job's worker blocks (see the rayon shim), so a
 //! threaded inner backend composes with the pool without changing any
@@ -48,7 +48,6 @@
 
 use crate::backend::shared_pool;
 use crate::cancellation::is_cancellation;
-use std::sync::Mutex;
 
 /// A boxed unit of independent work submitted to a [`ThroughputPool`].
 pub type Job<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
@@ -98,7 +97,7 @@ impl std::fmt::Display for JobPanic {
     }
 }
 
-/// Runs many independent jobs through the one shared work-stealing pool.
+/// Runs many independent jobs through the one shared FIFO pool.
 ///
 /// # Example
 ///
@@ -147,28 +146,19 @@ impl ThroughputPool {
         if self.workers <= 1 || jobs.len() <= 1 {
             return jobs.into_iter().map(|job| job()).collect();
         }
-        let slots: Vec<Mutex<Option<T>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        shared_pool(self.workers).scope(|scope| {
-            for (slot, job) in slots.iter().zip(jobs) {
-                scope.spawn_fifo(move |_| {
-                    let value = job();
-                    *slot
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(value);
-                });
+        let mut slots: Vec<Option<T>> = jobs.iter().map(|_| None).collect();
+        shared_pool(self.workers).scope_fifo(|scope| {
+            for (slot, job) in slots.iter_mut().zip(jobs) {
+                scope.spawn_fifo(move |_| *slot = Some(job()));
             }
         });
         slots
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .expect("scope guarantees every job completed")
-            })
+            .map(|slot| slot.expect("scope_fifo guarantees every job completed"))
             .collect()
     }
 
-    /// Submits one detached `'static` job to this pool's FIFO injector and
+    /// Submits one detached `'static` job to this pool's FIFO queue and
     /// returns immediately — the hook long-lived services use to feed a
     /// stream of jobs into the same strict-FIFO queue that `run_sessions`
     /// dispatches through, so daemon jobs and batch grids share one fairness
@@ -383,7 +373,7 @@ mod tests {
     #[test]
     fn jobs_with_threaded_inner_backends_compose() {
         // A job may shard its own large rounds on a threaded backend; the
-        // nested batch runs inline (same pool) or dispatches to the backend's
+        // nested scope runs inline (same pool) or dispatches to the backend's
         // own pool (different pool) — results stay identical either way.
         let mut rng = Xoshiro256StarStar::seed_from_u64(6);
         let instance = Instance::balanced(4_000, 5, &mut rng);
@@ -408,6 +398,19 @@ mod tests {
             })),
         ];
         for (answers, metrics) in pool4().run(jobs) {
+            assert_eq!(answers, reference.0);
+            assert_eq!(metrics, reference.1);
+        }
+        // Same size: the jobs and their rounds share `shared_pool(2)`, so
+        // every inner scope runs inline on the job's worker.
+        let threaded = ExecutionBackend::Threaded {
+            threads: 2,
+            threshold: 1,
+        };
+        let jobs: Vec<Job<'_, _>> = (0..4)
+            .map(|_| Box::new(run_one(threaded)) as Job<'_, _>)
+            .collect();
+        for (answers, metrics) in ThroughputPool::from_jobs(2).run(jobs) {
             assert_eq!(answers, reference.0);
             assert_eq!(metrics, reference.1);
         }

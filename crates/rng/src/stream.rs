@@ -37,11 +37,6 @@ impl StreamSplit {
         }
     }
 
-    /// Returns the root seed-derivation state (for diagnostics).
-    pub fn root_state(&self) -> u64 {
-        self.root.state()
-    }
-
     /// Derives the `u64` seed for the stream addressed by `coords`.
     pub fn seed_for(&self, coords: &[u64]) -> u64 {
         let mut acc = self.root;

@@ -1,6 +1,6 @@
 //! Weighted-fair multiplexing of session jobs onto the [`ThroughputPool`].
 //!
-//! The PR 3 pool injector is strictly FIFO — fine for one grid, unfair for a
+//! The pool's one queue is strictly FIFO — fine for one grid, unfair for a
 //! daemon where one chatty tenant could enqueue a thousand jobs ahead of
 //! everyone else. The scheduler therefore holds its *own* per-tenant queues
 //! and releases at most `max_inflight` jobs to the pool at a time, picking

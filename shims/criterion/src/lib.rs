@@ -31,15 +31,6 @@ impl Criterion {
             sample_size: 10,
         }
     }
-
-    /// Benchmarks a single function outside any group.
-    pub fn bench_function<F>(&mut self, name: impl Into<String>, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        run_benchmark(&name.into(), 10, f);
-        self
-    }
 }
 
 /// Identifies one benchmark within a group: a function name plus a parameter.
@@ -53,13 +44,6 @@ impl BenchmarkId {
     pub fn new(function_name: impl Display, parameter: impl Display) -> Self {
         Self {
             rendered: format!("{function_name}/{parameter}"),
-        }
-    }
-
-    /// Creates an id from a parameter alone.
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        Self {
-            rendered: parameter.to_string(),
         }
     }
 }
@@ -216,6 +200,5 @@ mod tests {
     #[test]
     fn benchmark_id_renders_function_and_parameter() {
         assert_eq!(BenchmarkId::new("tarjan", 100).to_string(), "tarjan/100");
-        assert_eq!(BenchmarkId::from_parameter(7).to_string(), "7");
     }
 }

@@ -11,7 +11,7 @@
 //! `Threaded{8}` for all six algorithms against both adversaries.
 //!
 //! The threaded backends use `threshold: 1` so even test-sized adversarial
-//! rounds are forced through the work-stealing pool.
+//! rounds are forced through the threaded pool.
 
 use parallel_ecs::prelude::*;
 use proptest::prelude::*;

@@ -9,7 +9,7 @@
 //! the paper's class-size distributions plus balanced layouts.
 //!
 //! The threaded backends use `threshold: 1` so that even the small rounds of
-//! these test-sized instances are forced through the work-stealing pool.
+//! these test-sized instances are forced through the threaded pool.
 
 use ecs_core::{
     CrCompoundMerge, EcsAlgorithm, EcsRun, ErConstantRound, ErMergeSort, NaiveAllPairs,

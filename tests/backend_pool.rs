@@ -80,8 +80,8 @@ fn threaded_round_evaluation_uses_at_least_two_os_threads() {
         recording.distinct_threads()
     );
 
-    // The main thread only waits on the batch latch; every comparison runs on
-    // pool workers.
+    // The main thread only spawns the shards and waits on the scope latch;
+    // every comparison runs on pool workers.
     assert!(
         !recording
             .ids

@@ -16,7 +16,7 @@ use parallel_ecs::prelude::*;
 use proptest::prelude::*;
 
 /// The backends both plan modes must agree across. `threshold: 1` forces
-/// even test-sized rounds through the work-stealing pool; `threshold: 64`
+/// even test-sized rounds through the threaded pool; `threshold: 64`
 /// mixes inline and pooled rounds within one run.
 fn backends() -> [ExecutionBackend; 3] {
     [
@@ -118,7 +118,7 @@ where
             incremental.forced_comparisons, full.forced_comparisons,
             "{context}: forced comparisons"
         );
-        // Transcripts record *serve* order. The work-stealing backend serves
+        // Transcripts record *serve* order. The threaded backend serves
         // a round's pairs in whatever interleaving its threads race to (two
         // full-replan runs differ the same way), so only the multiset is
         // comparable there; the deterministic backends must match exactly.

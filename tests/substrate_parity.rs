@@ -31,7 +31,7 @@ use proptest::prelude::*;
 
 /// The backend shapes the parity claims cover: each round as one
 /// `same_batch` call on the calling thread, and scalar `same` calls on the
-/// work-stealing pool.
+/// threaded pool.
 fn backends() -> [ExecutionBackend; 2] {
     [
         ExecutionBackend::Sequential,
