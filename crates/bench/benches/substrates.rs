@@ -1,7 +1,7 @@
 //! Criterion benchmarks for the substrates: union-find, Hamiltonian unions,
-//! ER scheduling, the PRNG, and the packed bitset substrate against
-//! its pointer-based counterparts (hash-set pair graphs, `Vec<Vec<usize>>`
-//! class exports).
+//! ER scheduling, the PRNG, instance building from the class samplers, and
+//! the packed bitset substrate against its pointer-based counterparts
+//! (hash-set pair graphs, `Vec<Vec<usize>>` class exports).
 //!
 //! Set `ECS_BENCH_SMOKE=1` to shrink the workloads (used by CI on every
 //! push).
@@ -11,6 +11,7 @@ use ecs_bench::smoke;
 use ecs_graph::{HamiltonianUnion, PairBitset, UnionFind};
 use ecs_model::schedule::schedule_er;
 use ecs_rng::{EcsRng, SeedableEcsRng, Xoshiro256StarStar};
+use ecs_service::DistSpec;
 use std::collections::{HashMap, HashSet};
 use std::hint::black_box;
 
@@ -87,6 +88,35 @@ fn rng_throughput(c: &mut Criterion) {
             black_box(acc)
         });
     });
+    group.finish();
+}
+
+/// `DistSpec::instance(2000, seed)` as every `sort-large` job builds it:
+/// the five slate distributions, plus the two parameters whose samplers
+/// answer most draws from their formula rather than a table (zeta:1.1's
+/// heavy tail, geometric:0.9's long run of thresholds). Each timed call
+/// builds one instance on a fresh seed, so a row reads as time per build.
+fn instance_build(c: &mut Criterion) {
+    let specs = [
+        DistSpec::Uniform(5),
+        DistSpec::Geometric(0.3),
+        DistSpec::Poisson(4.0),
+        DistSpec::Zeta(2.5),
+        DistSpec::Balanced(7),
+        DistSpec::Zeta(1.1),
+        DistSpec::Geometric(0.9),
+    ];
+    let mut group = c.benchmark_group("instance_build");
+    group.sample_size(if smoke() { 10 } else { 400 });
+    for spec in specs {
+        let mut seed = 0u64;
+        group.bench_with_input(BenchmarkId::new("n2000", spec), &spec, |b, &spec| {
+            b.iter(|| {
+                seed += 1;
+                black_box(spec.instance(2000, seed).num_classes())
+            });
+        });
+    }
     group.finish();
 }
 
@@ -188,6 +218,7 @@ criterion_group!(
     hamiltonian,
     er_scheduling,
     rng_throughput,
+    instance_build,
     pair_graph,
     class_export
 );

@@ -19,9 +19,12 @@
 //! the remark after Theorem 4 prescribes; all comparisons spent across
 //! attempts are charged.
 //!
-//! Step 2 streams the matchings of `H_d` one at a time through one reused
-//! buffer ([`HamiltonianUnion::for_each_er_round`]) and unites each round's
-//! "equal" edges; none of the `2d` or `3d` rounds is materialised. Step 3
+//! Step 2 draws each cycle of `H_d` into one reused buffer just before its
+//! rounds, streams the matchings one at a time through another
+//! ([`HamiltonianUnion::for_each_random_er_round`]) and unites each round's
+//! "equal" edges; neither the `d` permutations nor the `2d` or `3d` rounds
+//! are materialised, and the cycles' draws from the attempt's generator
+//! come in the same order as when all `d` were drawn up front. Step 3
 //! builds the list of unclassified elements once and shrinks it as pivots
 //! classify elements, and reuses one round buffer for every pivot round.
 //! Neither changes a draw, a round or the order of its pairs.
@@ -107,14 +110,13 @@ impl ErConstantRound {
         let d = self.cycles_for(lambda, n);
         let mut rng =
             Xoshiro256StarStar::seed_from_u64(SplitMix64::new(self.seed).derive(attempt_index));
-        let h = HamiltonianUnion::random(n, d, &mut rng);
 
         // Step 2: test every edge of H_d in ER rounds, streamed one matching
-        // at a time; each round's "equal" edges are packed without a branch
-        // per edge, then united.
+        // at a time, each cycle drawn just before its rounds; each round's
+        // "equal" edges are packed without a branch per edge, then united.
         let mut uf = UnionFind::new(n);
         let mut equal = Vec::new();
-        h.for_each_er_round(|round| {
+        HamiltonianUnion::for_each_random_er_round(n, d, &mut rng, |round| {
             let answers = session.execute_round(round);
             equal.resize(round.len(), (0, 0));
             let mut k = 0;

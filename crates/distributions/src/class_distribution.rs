@@ -1,8 +1,20 @@
 //! The four class-size distribution families studied in the paper.
+//!
+//! Each family has one sampler, and its output is pinned bit for bit. The
+//! geometric and zeta samplers answer most draws from per-parameter tables
+//! of the thresholds where their libm formula's answer changes, only where
+//! a relative guard band of 2⁻³⁰ around every threshold (about 2²² units in
+//! the last place, against libm's one) proves the table right, and
+//! evaluate the formula everywhere else (`crate::inversion`; the zeta
+//! acceptance cutoffs are exact by IEEE monotonicity, see [`crate::zeta`]).
+//! The Poisson sampler computes `e^{−λ}` and its chunking once, at
+//! construction.
 
-use crate::poisson::{poisson_pmf, sample_poisson};
-use crate::zeta::{riemann_zeta_memo, sample_zeta, zeta_pmf};
+use crate::inversion::{TableMemo, Thresholds};
+use crate::poisson::{poisson_pmf, KnuthPoisson};
+use crate::zeta::{riemann_zeta_memo, zeta_pmf, ZetaSampler};
 use ecs_rng::EcsRng;
+use std::fmt;
 
 /// A distribution over equivalence classes, indexed by non-negative integers.
 ///
@@ -20,6 +32,16 @@ pub trait ClassDistribution {
     fn sample_class<R: EcsRng + ?Sized>(&self, rng: &mut R) -> usize
     where
         Self: Sized;
+
+    /// Samples `n` raw class indices: `n` [`Self::sample_class`] draws, in
+    /// order. [`AnyDistribution`] picks its family once per call here
+    /// rather than once per draw.
+    fn sample_classes<R: EcsRng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<usize>
+    where
+        Self: Sized,
+    {
+        (0..n).map(|_| self.sample_class(rng)).collect()
+    }
 
     /// The mean of the distribution over raw class indices, if finite.
     fn mean(&self) -> Option<f64>;
@@ -113,9 +135,38 @@ impl ClassDistribution for UniformClasses {
 /// This follows the paper's convention — an element "flips a biased coin where
 /// heads occurs with probability `p` until it comes up tails" and its class is
 /// the number of heads — so *smaller* `p` means *fewer*, *larger* classes.
-#[derive(Debug, Clone, Copy)]
+///
+/// Sampling inverts the distribution: the class is `⌊ln u / ln p⌋` for
+/// `u = f64_open()`, with `ln p` computed once. Most draws are read from a
+/// per-`p` table of the thresholds `p^i` where that answer changes (see
+/// `crate::inversion`); the table answers only when `u` lies outside a
+/// relative band of 2⁻³⁰ around every threshold, which covers libm's `ln`
+/// and `exp` error many times over, and the formula answers the rest. The
+/// answer is the formula's either way.
+#[derive(Clone, Copy)]
 pub struct GeometricClasses {
     p: f64,
+    /// `ln p`, the formula's divisor.
+    ln_p: f64,
+    /// The thresholds `exp(i · ln p)`; `None` once the table memo is full.
+    table: Option<&'static Thresholds>,
+}
+
+/// Geometric tables kept per `p`.
+static GEOMETRIC_TABLES: TableMemo<Thresholds> = TableMemo::new();
+
+/// The thresholds of `⌊ln u / ln p⌋`: the answer is at least `i` iff
+/// `ln u ≤ i · ln p`, i.e. `u ≤ exp(i · ln p)`.
+fn geometric_thresholds(ln_p: f64) -> Thresholds {
+    Thresholds::new((1..).map(|i| (i as f64 * ln_p).exp()))
+}
+
+impl fmt::Debug for GeometricClasses {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("GeometricClasses")
+            .field("p", &self.p)
+            .finish()
+    }
 }
 
 impl GeometricClasses {
@@ -125,12 +176,32 @@ impl GeometricClasses {
             p > 0.0 && p < 1.0,
             "geometric parameter must lie in (0,1), got {p}"
         );
-        Self { p }
+        let ln_p = p.ln();
+        let table = GEOMETRIC_TABLES.get(p.to_bits(), || geometric_thresholds(ln_p));
+        Self { p, ln_p, table }
     }
 
     /// The heads probability `p`.
     pub fn p(&self) -> f64 {
         self.p
+    }
+
+    /// The class of the uniform draw `u`: read from the table where it
+    /// answers, else [`Self::formula`].
+    #[inline]
+    fn invert(&self, u: f64) -> usize {
+        match self.table.and_then(|table| table.lookup(u)) {
+            Some(heads) => heads,
+            None => self.formula(u),
+        }
+    }
+
+    /// Inverse transform: the number of heads before the first tail is
+    /// floor(ln U / ln p) for U uniform in (0,1).
+    fn formula(&self, u: f64) -> usize {
+        let x = u.ln() / self.ln_p;
+        // Guard against pathological rounding for p close to 1.
+        x.floor().clamp(0.0, 1e18) as usize
     }
 }
 
@@ -144,12 +215,7 @@ impl ClassDistribution for GeometricClasses {
     }
 
     fn sample_class<R: EcsRng + ?Sized>(&self, rng: &mut R) -> usize {
-        // Inverse transform: the number of heads before the first tail is
-        // floor(ln U / ln p) for U uniform in (0,1).
-        let u = rng.f64_open();
-        let x = u.ln() / self.p.ln();
-        // Guard against pathological rounding for p close to 1.
-        x.floor().clamp(0.0, 1e18) as usize
+        self.invert(rng.f64_open())
     }
 
     fn mean(&self) -> Option<f64> {
@@ -166,9 +232,22 @@ impl ClassDistribution for GeometricClasses {
 }
 
 /// Poisson distribution: class `i` has probability `λ^i e^{-λ} / i!`.
-#[derive(Debug, Clone, Copy)]
+///
+/// Sampling is Knuth's product of uniforms, with `e^{−λ}` and the chunking
+/// of means above 16 computed once at construction (see
+/// [`crate::poisson`]).
+#[derive(Clone, Copy)]
 pub struct PoissonClasses {
     lambda: f64,
+    sampler: KnuthPoisson,
+}
+
+impl fmt::Debug for PoissonClasses {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PoissonClasses")
+            .field("lambda", &self.lambda)
+            .finish()
+    }
 }
 
 impl PoissonClasses {
@@ -178,7 +257,10 @@ impl PoissonClasses {
             lambda > 0.0,
             "poisson parameter must be positive, got {lambda}"
         );
-        Self { lambda }
+        Self {
+            lambda,
+            sampler: KnuthPoisson::new(lambda),
+        }
     }
 
     /// The mean `λ`.
@@ -197,7 +279,7 @@ impl ClassDistribution for PoissonClasses {
     }
 
     fn sample_class<R: EcsRng + ?Sized>(&self, rng: &mut R) -> usize {
-        sample_poisson(self.lambda, rng)
+        self.sampler.sample(rng)
     }
 
     fn mean(&self) -> Option<f64> {
@@ -216,21 +298,35 @@ impl ClassDistribution for PoissonClasses {
 }
 
 /// Zeta (Zipf) distribution: class `i` has probability `(i+1)^{-s} / ζ(s)`.
-#[derive(Debug, Clone, Copy)]
+///
+/// Sampling is Devroye's rejection-inversion, with most tries answered
+/// exactly from a per-`s` table (see [`crate::zeta`]).
+#[derive(Clone, Copy)]
 pub struct ZetaClasses {
     s: f64,
     zeta_s: f64,
+    sampler: ZetaSampler,
+}
+
+impl fmt::Debug for ZetaClasses {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ZetaClasses")
+            .field("s", &self.s)
+            .field("zeta_s", &self.zeta_s)
+            .finish()
+    }
 }
 
 impl ZetaClasses {
     /// Creates a zeta distribution with exponent `s > 1`. The normalizing
-    /// constant `ζ(s)` is memoised per process, so repeated `s` values
-    /// skip its 20 000-term sum.
+    /// constant `ζ(s)` and the sampler's table are memoised per process, so
+    /// repeated `s` values skip the 20 000-term sum and the table build.
     pub fn new(s: f64) -> Self {
         assert!(s > 1.0, "zeta parameter must exceed 1, got {s}");
         Self {
             s,
             zeta_s: riemann_zeta_memo(s),
+            sampler: ZetaSampler::new(s),
         }
     }
 
@@ -255,7 +351,7 @@ impl ClassDistribution for ZetaClasses {
     }
 
     fn sample_class<R: EcsRng + ?Sized>(&self, rng: &mut R) -> usize {
-        sample_zeta(self.s, rng)
+        self.sampler.sample(rng)
     }
 
     fn mean(&self) -> Option<f64> {
@@ -341,6 +437,15 @@ impl ClassDistribution for AnyDistribution {
         }
     }
 
+    fn sample_classes<R: EcsRng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<usize> {
+        match self {
+            Self::Uniform(d) => d.sample_classes(n, rng),
+            Self::Geometric(d) => d.sample_classes(n, rng),
+            Self::Poisson(d) => d.sample_classes(n, rng),
+            Self::Zeta(d) => d.sample_classes(n, rng),
+        }
+    }
+
     fn mean(&self) -> Option<f64> {
         match self {
             Self::Uniform(d) => d.mean(),
@@ -372,7 +477,85 @@ impl ClassDistribution for AnyDistribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecs_rng::{SeedableEcsRng, Xoshiro256StarStar};
+    use crate::inversion::GUARD;
+    use ecs_rng::{EcsRng, SeedableEcsRng, Xoshiro256StarStar};
+    use proptest::prelude::*;
+
+    /// The spacing of the `f64_open` grid, `2⁻⁵³`.
+    const GRID: f64 = 1.0 / (1u64 << 53) as f64;
+
+    /// A geometric distribution with a table of its own, outside the
+    /// per-process memo.
+    fn tabled_geometric(p: f64) -> GeometricClasses {
+        let ln_p = p.ln();
+        let table: &'static Thresholds = Box::leak(Box::new(geometric_thresholds(ln_p)));
+        GeometricClasses {
+            p,
+            ln_p,
+            table: Some(table),
+        }
+    }
+
+    /// The `f64_open` grid points `k · 2⁻⁵³ ∈ (0, 1)` within `steps` grid
+    /// steps of `centre`.
+    fn grid_near(centre: f64, steps: i64) -> impl Iterator<Item = f64> {
+        let k = (centre / GRID).round() as i64;
+        (k - steps..=k + steps)
+            .filter(|&k| (1..1 << 53).contains(&k))
+            .map(|k| k as f64 * GRID)
+    }
+
+    #[test]
+    fn geometric_table_answers_match_the_formula_around_every_threshold() {
+        for p in [0.02, 0.1, 0.3, 0.5, 0.9, 0.99, 0.999_999] {
+            let d = tabled_geometric(p);
+            let thresholds = d.table.expect("a tabled distribution");
+            assert!(thresholds.len() >= 1, "p={p}: an empty table");
+            for i in 0..=thresholds.len() {
+                let t = thresholds.threshold(i);
+                // Where 2048 grid steps lie well inside the band, nothing
+                // near the threshold is answered, and the formula's own
+                // flip sits within 2⁻⁴⁰ of it (about 2¹⁰ ULPs of u).
+                let inside = i >= 1 && t >= 1.0 / 1024.0;
+                let margin = t / (1u64 << 40) as f64;
+                let near = [
+                    (t, 2048),
+                    (t * (1.0 - GUARD), 512),
+                    (t * (1.0 + GUARD), 512),
+                ];
+                for (centre, steps) in near {
+                    for u in grid_near(centre, steps) {
+                        let formula = d.formula(u);
+                        let answer = thresholds.lookup(u);
+                        if let Some(heads) = answer {
+                            assert_eq!(heads, formula, "p={p}, t_{i}={t}, u={u}");
+                        }
+                        if inside && centre == t {
+                            assert_eq!(answer, None, "p={p}: u={u} near t_{i}");
+                            assert!(u > t - margin || formula >= i, "p={p}: u={u}");
+                            assert!(u < t + margin || formula < i, "p={p}: u={u}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn geometric_inversion_matches_the_formula_on_random_draws(
+            p in 0.001f64..0.999,
+            seed in 0u64..1 << 32,
+        ) {
+            let d = tabled_geometric(p);
+            let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+            for _ in 0..2000 {
+                let u = rng.f64_open();
+                prop_assert_eq!(d.invert(u), d.formula(u), "p={}, u={}", p, u);
+            }
+        }
+    }
 
     fn rng(seed: u64) -> Xoshiro256StarStar {
         Xoshiro256StarStar::seed_from_u64(seed)
@@ -519,6 +702,15 @@ mod tests {
             assert!(!name.is_empty());
             let x = d.sample_class(&mut r);
             assert!(d.pmf(x) >= 0.0);
+        }
+        // The batch draws what `n` single draws would, and leaves the
+        // generator where they would.
+        for d in &all {
+            let (mut batch, mut single) = (rng(7), rng(7));
+            let drawn = d.sample_classes(500, &mut batch);
+            let one_by_one: Vec<usize> = (0..500).map(|_| d.sample_class(&mut single)).collect();
+            assert_eq!(drawn, one_by_one, "{}", d.name());
+            assert_eq!(batch.next_u64(), single.next_u64(), "{}", d.name());
         }
     }
 

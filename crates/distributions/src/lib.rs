@@ -22,6 +22,7 @@
 
 pub mod class_distribution;
 pub mod cutoff;
+mod inversion;
 pub mod poisson;
 pub mod tail_bounds;
 pub mod zeta;
@@ -42,7 +43,7 @@ pub fn sample_labels<D: ClassDistribution, R: EcsRng + ?Sized>(
     n: usize,
     rng: &mut R,
 ) -> Vec<usize> {
-    (0..n).map(|_| dist.sample_class(rng)).collect()
+    dist.sample_classes(n, rng)
 }
 
 /// Counts how many elements landed in each class, returning a dense map from

@@ -1,4 +1,11 @@
 //! Poisson sampling and probability mass evaluation.
+//!
+//! The sampler is Knuth's product of uniforms, whose every factor is a
+//! random draw, so no table can skip work without changing the draws. What
+//! does not depend on the draws — `e^{−λ}` and the split of a mean above 16
+//! into `⌈λ/16⌉` equal chunks — is computed once per `KnuthPoisson`
+//! rather than per variate; the values are the ones the per-draw code
+//! computed, bit for bit.
 
 use ecs_rng::EcsRng;
 
@@ -25,35 +32,61 @@ pub fn ln_factorial(i: usize) -> f64 {
     }
 }
 
-/// Samples a Poisson variate with mean `lambda`.
+/// Samples Poisson variates with one mean `λ`.
 ///
-/// For small means it uses Knuth's product-of-uniforms method; for large means
-/// (where `e^{-λ}` underflows usefulness) it falls back to summing independent
-/// Poisson variates of mean ≤ 16, which is exact in distribution because the
-/// Poisson family is closed under convolution. The experiment parameters in
-/// the paper (λ ∈ {1, 5, 25}) stay well inside comfortable territory either
-/// way.
-pub fn sample_poisson<R: EcsRng + ?Sized>(lambda: f64, rng: &mut R) -> usize {
-    assert!(lambda > 0.0, "sample_poisson requires lambda > 0");
-    if lambda <= 16.0 {
-        knuth_poisson(lambda, rng)
-    } else {
-        // Split λ into chunks of at most 16 and sum the independent draws.
-        let chunks = (lambda / 16.0).ceil() as usize;
-        let per_chunk = lambda / chunks as f64;
-        (0..chunks).map(|_| knuth_poisson(per_chunk, rng)).sum()
-    }
+/// It uses Knuth's product-of-uniforms method: multiply `f64_open` draws
+/// until the product falls to `e^{−λ}` or below, and count the factors
+/// past the first. For large means (where `e^{-λ}` underflows usefulness) it
+/// sums independent Poisson variates of `⌈λ/16⌉` equal means of at most 16,
+/// which is exact in distribution because the Poisson family is closed
+/// under convolution. The chunk count and `e^{−λ/chunks}` are computed once,
+/// at construction, rather than per draw; a mean of at most 16 is one chunk
+/// of `λ/1 = λ`, so the hoisted threshold is the per-draw one bit for bit.
+/// The experiment parameters in the paper (λ ∈ {1, 5, 25}) stay well
+/// inside comfortable territory either way.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KnuthPoisson {
+    /// `e^{−λ/chunks}`.
+    threshold: f64,
+    /// `1` for `λ ≤ 16`, else `⌈λ/16⌉`.
+    chunks: usize,
 }
 
-fn knuth_poisson<R: EcsRng + ?Sized>(lambda: f64, rng: &mut R) -> usize {
-    let threshold = (-lambda).exp();
-    let mut count = 0usize;
-    let mut product = rng.f64_open();
-    while product > threshold {
-        count += 1;
-        product *= rng.f64_open();
+impl KnuthPoisson {
+    /// The sampler for mean `lambda > 0`.
+    pub(crate) fn new(lambda: f64) -> Self {
+        assert!(lambda > 0.0, "a Poisson sampler requires lambda > 0");
+        let chunks = if lambda <= 16.0 {
+            1
+        } else {
+            (lambda / 16.0).ceil() as usize
+        };
+        let per_chunk = lambda / chunks as f64;
+        Self {
+            threshold: (-per_chunk).exp(),
+            chunks,
+        }
     }
-    count
+
+    /// Draws one variate.
+    pub(crate) fn sample<R: EcsRng + ?Sized>(&self, rng: &mut R) -> usize {
+        let mut count = self.chunk(rng);
+        for _ in 1..self.chunks {
+            count += self.chunk(rng);
+        }
+        count
+    }
+
+    /// One product-of-uniforms variate of mean `λ/chunks`.
+    fn chunk<R: EcsRng + ?Sized>(&self, rng: &mut R) -> usize {
+        let mut count = 0usize;
+        let mut product = rng.f64_open();
+        while product > self.threshold {
+            count += 1;
+            product *= rng.f64_open();
+        }
+        count
+    }
 }
 
 #[cfg(test)]
@@ -104,10 +137,9 @@ mod tests {
     fn sampler_mean_and_variance() {
         for &lambda in &[1.0, 5.0, 25.0, 40.0] {
             let mut rng = Xoshiro256StarStar::seed_from_u64(lambda as u64 + 3);
+            let sampler = KnuthPoisson::new(lambda);
             let n = 100_000;
-            let samples: Vec<f64> = (0..n)
-                .map(|_| sample_poisson(lambda, &mut rng) as f64)
-                .collect();
+            let samples: Vec<f64> = (0..n).map(|_| sampler.sample(&mut rng) as f64).collect();
             let mean = samples.iter().sum::<f64>() / n as f64;
             let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
             assert!(
@@ -125,10 +157,11 @@ mod tests {
     fn sampler_matches_pmf_for_small_values() {
         let lambda = 5.0;
         let mut rng = Xoshiro256StarStar::seed_from_u64(9);
+        let sampler = KnuthPoisson::new(lambda);
         let n = 200_000;
         let mut counts = [0usize; 12];
         for _ in 0..n {
-            let x = sample_poisson(lambda, &mut rng);
+            let x = sampler.sample(&mut rng);
             if x < counts.len() {
                 counts[x] += 1;
             }
@@ -146,7 +179,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "lambda > 0")]
     fn zero_lambda_rejected() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(1);
-        let _ = sample_poisson(0.0, &mut rng);
+        let _ = KnuthPoisson::new(0.0);
     }
 }

@@ -1,6 +1,25 @@
 //! The Riemann zeta function and the zeta (Zipf) class distribution's numeric
-//! underpinnings.
+//! underpinnings, including its sampler.
+//!
+//! The sampler is Devroye's rejection-inversion, answered from a table
+//! built once per exponent wherever the table provably gives the formula's
+//! answer:
+//!
+//! * **Guard band.** The proposal `⌊u^{−1/(s−1)}⌋` is read from thresholds
+//!   `t_i = (1 + i)^{−(s−1)}` only when `u` lies more than a relative 2⁻³⁰
+//!   from each of them. libm's `pow` is accurate to about one unit in the
+//!   last place, which can move the formula's flip by at most about
+//!   `(s−1)·2⁻⁵²` relative, far inside the band for every `s ≤ 1024`.
+//! * **Monotone cutoffs.** For a tabled candidate `x` the acceptance test
+//!   `v·x·(t−1)/(b−1) ≤ t/b` multiplies and divides `v` by non-negative
+//!   constants, each step monotone under IEEE rounding, and `v` lies on the
+//!   2⁻⁵³ grid of `EcsRng::f64`; bisection on that exact expression finds
+//!   the last accepted `v`, so the test becomes one comparison.
+//! * **Fallback.** Inside a band, past the last threshold, or without a
+//!   table (the memo is full), the try evaluates both `powf` calls as
+//!   written. The random draws are consumed identically either way.
 
+use crate::inversion::{TableMemo, Thresholds};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -69,38 +88,280 @@ pub fn zeta_pmf(s: f64, zeta_s: f64, i: usize) -> f64 {
     ((i + 1) as f64).powf(-s) / zeta_s
 }
 
-/// Samples a 0-based rank from the zeta distribution with parameter `s > 1`
+/// Zeta tables kept per exponent `s`.
+static ZETA_TABLES: TableMemo<ZetaTable> = TableMemo::new();
+
+/// Devroye's acceptance test for the candidate `x`, with
+/// `t = (1 + 1/x)^(s−1)` and `b = 2^(s−1)`. The one expression both the
+/// formula and [`accept_cutoff`] evaluate.
+#[inline]
+fn accepts(v: f64, x: f64, t: f64, b: f64) -> bool {
+    v * x * (t - 1.0) / (b - 1.0) <= t / b
+}
+
+/// The spacing of the grid `EcsRng::f64` draws from: `v = k · 2⁻⁵³`.
+const GRID: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// The largest `v` on the `f64()` grid that [`accepts`] for `x`, or `−1`
+/// if none does. For finite `t ≥ 1` and `b > 1` each step of the left side
+/// — a product or quotient with a non-negative constant — is monotone
+/// under IEEE rounding, so the accepted `v` form a prefix of the grid and
+/// bisection finds its end exactly: `v ≤ cutoff` iff `accepts(v, …)`.
+fn accept_cutoff(x: f64, t: f64, b: f64) -> f64 {
+    let passes = |k: u64| accepts(k as f64 * GRID, x, t, b);
+    if !passes(0) {
+        return -1.0;
+    }
+    // passes(lo) holds; hi is past the grid or fails.
+    let (mut lo, mut hi) = (0u64, 1u64 << 53);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if passes(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo as f64 * GRID
+}
+
+/// The lookup table of one exponent: where `⌊u^{−1/(s−1)}⌋` changes, and
+/// each tabled candidate's acceptance cutoff.
+struct ZetaTable {
+    /// `t_i = (1 + i)^{1/e}` with `e = −1/(s−1)`: the candidate is at least
+    /// `1 + i` iff `u ≤ t_i`.
+    thresholds: Thresholds,
+    /// `cutoff[i]`: [`accept_cutoff`] of the candidate `x = 1 + i`.
+    cutoff: Box<[f64]>,
+}
+
+impl ZetaTable {
+    fn new(sampler: &ZetaSampler) -> Self {
+        let ZetaSampler { s, exponent, b, .. } = *sampler;
+        let thresholds = Thresholds::new((1..).map(|i| ((1 + i) as f64).powf(1.0 / exponent)));
+        let cutoff = (0..thresholds.len())
+            .map(|i| {
+                let x = (1 + i) as f64;
+                accept_cutoff(x, (1.0 + 1.0 / x).powf(s - 1.0), b)
+            })
+            .collect();
+        Self { thresholds, cutoff }
+    }
+}
+
+/// Samples 0-based ranks from the zeta distribution with parameter `s > 1`
 /// using Devroye's rejection-inversion method (the standard algorithm for
 /// unbounded Zipf variates; see Devroye, *Non-Uniform Random Variate
 /// Generation*, §X.6).
 ///
+/// Each try draws `u = f64_open()` then `v = f64()`, proposes
+/// `x = ⌊u^{−1/(s−1)}⌋` and accepts it when
+/// `v·x·(t−1)/(b−1) ≤ t/b`, with `t = (1 + 1/x)^{s−1}` and `b = 2^{s−1}`.
+/// Most tries are answered from a per-`s` table instead of two `powf`
+/// calls; the module docs say why the answer is always the formula's.
+///
 /// The returned value is `k - 1` where `k ≥ 1` is the classic 1-based Zipf
 /// variate, so that class indices start at 0 like every other distribution in
 /// this crate.
-pub fn sample_zeta<R: ecs_rng::EcsRng + ?Sized>(s: f64, rng: &mut R) -> usize {
-    debug_assert!(s > 1.0);
-    // Devroye's algorithm with b = 2^(s-1).
-    let b = 2f64.powf(s - 1.0);
-    loop {
-        let u = rng.f64_open();
-        let v = rng.f64();
-        let x = u.powf(-1.0 / (s - 1.0)).floor();
+#[derive(Clone, Copy)]
+pub(crate) struct ZetaSampler {
+    s: f64,
+    /// `−1/(s−1)`, the proposal's power of `u`.
+    exponent: f64,
+    /// `b = 2^(s−1)`.
+    b: f64,
+    /// `None` when the table memo is full, or `b` is not a finite number
+    /// above 1 (then the acceptance test is not monotone in `v`).
+    table: Option<&'static ZetaTable>,
+}
+
+impl ZetaSampler {
+    /// The sampler for `s > 1`, with its table from the per-process memo.
+    pub(crate) fn new(s: f64) -> Self {
+        debug_assert!(s > 1.0);
+        let mut sampler = Self::untabled(s);
+        if sampler.b.is_finite() && sampler.b > 1.0 {
+            sampler.table = ZETA_TABLES.get(s.to_bits(), || ZetaTable::new(&sampler));
+        }
+        sampler
+    }
+
+    /// The sampler for `s` that always evaluates its formula.
+    fn untabled(s: f64) -> Self {
+        Self {
+            s,
+            exponent: -1.0 / (s - 1.0),
+            b: 2f64.powf(s - 1.0),
+            table: None,
+        }
+    }
+
+    /// Draws one 0-based rank.
+    pub(crate) fn sample<R: ecs_rng::EcsRng + ?Sized>(&self, rng: &mut R) -> usize {
+        loop {
+            let u = rng.f64_open();
+            let v = rng.f64();
+            if let Some(rank) = self.attempt(u, v) {
+                return rank;
+            }
+        }
+    }
+
+    /// One try on the draws `(u, v)`: the accepted rank, or `None` to try
+    /// again. Read from the table where it answers, else [`Self::formula`].
+    #[inline]
+    fn attempt(&self, u: f64, v: f64) -> Option<usize> {
+        if let Some(table) = self.table {
+            if let Some(i) = table.thresholds.lookup(u) {
+                // The candidate is x = 1 + i, and its rank x − 1 = i.
+                return (v <= table.cutoff[i]).then_some(i);
+            }
+        }
+        self.formula(u, v)
+    }
+
+    /// The proposal `⌊u^{−1/(s−1)}⌋`.
+    fn proposal(&self, u: f64) -> f64 {
+        u.powf(self.exponent).floor()
+    }
+
+    /// One try of Devroye's method as written, with two `powf` calls.
+    fn formula(&self, u: f64, v: f64) -> Option<usize> {
+        let x = self.proposal(u);
         // Guard against overflow of the floor into absurd territory when u is
         // extremely small; resample in that case (probability ~ 2^-64).
         if !(1.0..=1e18).contains(&x) {
-            continue;
+            return None;
         }
-        let t = (1.0 + 1.0 / x).powf(s - 1.0);
-        if v * x * (t - 1.0) / (b - 1.0) <= t / b {
-            return (x as usize) - 1;
-        }
+        let t = (1.0 + 1.0 / x).powf(self.s - 1.0);
+        accepts(v, x, t, self.b).then(|| (x as usize) - 1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecs_rng::{SeedableEcsRng, Xoshiro256StarStar};
+    use crate::inversion::GUARD;
+    use ecs_rng::{EcsRng, SeedableEcsRng, Xoshiro256StarStar};
+    use proptest::prelude::*;
+
+    /// Exponents inside and past the tables' reach: a heavy tail, the
+    /// paper's values, a light tail, the largest served `s`, and `s` so near
+    /// 1 that the thresholds crowd together just below `u = 1`.
+    const SHAPES: [f64; 8] = [1.1, 1.5, 2.0, 2.5, 3.0, 8.0, 1024.0, 1.000001];
+
+    /// A sampler with a table of its own, outside the per-process memo.
+    fn tabled(s: f64) -> ZetaSampler {
+        let mut sampler = ZetaSampler::untabled(s);
+        sampler.table = Some(Box::leak(Box::new(ZetaTable::new(&sampler))));
+        sampler
+    }
+
+    /// The points `k · 2⁻⁵³` of the `f64()` grid (which `f64_open` shares,
+    /// without 0) within `steps` grid steps of `centre`.
+    fn grid_near(centre: f64, steps: i64) -> impl Iterator<Item = f64> {
+        let k = (centre / GRID).round() as i64;
+        (k - steps..=k + steps)
+            .filter(|&k| (0..1 << 53).contains(&k))
+            .map(|k| k as f64 * GRID)
+    }
+
+    #[test]
+    fn table_candidates_match_the_formula_around_every_threshold() {
+        for s in SHAPES {
+            let sampler = tabled(s);
+            let thresholds = &sampler.table.expect("a tabled sampler").thresholds;
+            assert!(thresholds.len() >= 1, "s={s}: an empty table");
+            for i in 0..=thresholds.len() {
+                let t = thresholds.threshold(i);
+                // Where 2048 grid steps lie well inside the band, nothing
+                // near the threshold is answered, and the formula's own
+                // flip sits within 2⁻⁴⁰ of it (about 2¹⁰ ULPs of u).
+                let inside = i >= 1 && t >= 1.0 / 1024.0;
+                let margin = t / (1u64 << 40) as f64;
+                let near = [
+                    (t, 2048),
+                    (t * (1.0 - GUARD), 512),
+                    (t * (1.0 + GUARD), 512),
+                ];
+                for (centre, steps) in near {
+                    for u in grid_near(centre, steps).filter(|&u| u > 0.0) {
+                        let formula = sampler.proposal(u);
+                        let answer = thresholds.lookup(u);
+                        if let Some(answer) = answer {
+                            assert_eq!(formula, (1 + answer) as f64, "s={s}, t_{i}={t}, u={u}");
+                        }
+                        if inside && centre == t {
+                            assert_eq!(answer, None, "s={s}: u={u} near t_{i}");
+                            assert!(u > t - margin || formula >= (1 + i) as f64, "s={s}: u={u}");
+                            assert!(u < t + margin || formula <= i as f64, "s={s}: u={u}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn accept_cutoffs_match_the_test_around_every_cutoff() {
+        for s in SHAPES {
+            let sampler = tabled(s);
+            let table = sampler.table.expect("a tabled sampler");
+            for (i, &cutoff) in table.cutoff.iter().enumerate() {
+                let x = (1 + i) as f64;
+                let t = (1.0 + 1.0 / x).powf(s - 1.0);
+                for v in grid_near(cutoff, 2048).chain([0.0, 1.0 - GRID]) {
+                    assert_eq!(
+                        v <= cutoff,
+                        accepts(v, x, t, sampler.b),
+                        "s={s}, x={x}, v={v}, cutoff={cutoff}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tries_match_the_formula_near_thresholds_and_cutoffs() {
+        for s in SHAPES {
+            let sampler = tabled(s);
+            let table = sampler.table.expect("a tabled sampler");
+            for i in 0..table.thresholds.len() {
+                let (upper, lower) = (
+                    table.thresholds.threshold(i),
+                    table.thresholds.threshold(i + 1),
+                );
+                let cutoff = table.cutoff[i];
+                for u in [upper * (1.0 - 2.0 * GUARD), lower * (1.0 + 2.0 * GUARD)] {
+                    let u = (u / GRID).round() * GRID;
+                    for v in grid_near(cutoff, 4).chain([0.0, 0.5, 1.0 - GRID]) {
+                        assert_eq!(
+                            sampler.attempt(u, v),
+                            sampler.formula(u, v),
+                            "s={s}, u={u}, v={v}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn tries_match_the_formula_on_random_draws(
+            s in 1.01f64..16.0,
+            seed in 0u64..1 << 32,
+        ) {
+            let sampler = tabled(s);
+            let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+            for _ in 0..2000 {
+                let u = rng.f64_open();
+                let v = rng.f64();
+                prop_assert_eq!(sampler.attempt(u, v), sampler.formula(u, v), "s={}, u={}, v={}", s, u, v);
+            }
+        }
+    }
 
     #[test]
     fn zeta_known_values() {
@@ -151,11 +412,12 @@ mod tests {
     fn sampler_matches_pmf_for_small_ranks() {
         let s = 2.0;
         let z = riemann_zeta(s);
+        let sampler = ZetaSampler::new(s);
         let mut rng = Xoshiro256StarStar::seed_from_u64(42);
         let n = 200_000;
         let mut counts = [0usize; 5];
         for _ in 0..n {
-            let x = sample_zeta(s, &mut rng);
+            let x = sampler.sample(&mut rng);
             if x < counts.len() {
                 counts[x] += 1;
             }
@@ -178,7 +440,8 @@ mod tests {
         let expected = riemann_zeta(2.0) / riemann_zeta(3.0) - 1.0;
         let mut rng = Xoshiro256StarStar::seed_from_u64(7);
         let n = 300_000;
-        let sum: f64 = (0..n).map(|_| sample_zeta(s, &mut rng) as f64).sum();
+        let sampler = ZetaSampler::new(s);
+        let sum: f64 = (0..n).map(|_| sampler.sample(&mut rng) as f64).sum();
         let mean = sum / n as f64;
         assert!(
             (mean - expected).abs() < 0.01,
@@ -189,10 +452,8 @@ mod tests {
     #[test]
     fn heavy_tail_produces_large_ranks_for_small_s() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(11);
-        let max = (0..50_000)
-            .map(|_| sample_zeta(1.1, &mut rng))
-            .max()
-            .unwrap();
+        let sampler = ZetaSampler::new(1.1);
+        let max = (0..50_000).map(|_| sampler.sample(&mut rng)).max().unwrap();
         assert!(
             max > 1_000,
             "s = 1.1 should occasionally produce very large ranks, max {max}"

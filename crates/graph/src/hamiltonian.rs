@@ -20,6 +20,46 @@ use ecs_rng::EcsRng;
 /// The natural logarithm of 2, used by the probability bound.
 const LN_2: f64 = std::f64::consts::LN_2;
 
+/// Draws a uniformly random permutation of `0..n` into `cycle`, replacing
+/// its contents: the identity, Fisher–Yates shuffled.
+fn draw_cycle<R: EcsRng + ?Sized>(n: usize, rng: &mut R, cycle: &mut Vec<u32>) {
+    cycle.clear();
+    cycle.extend(0..n as u32);
+    rng.shuffle(cycle);
+}
+
+/// Hands the exclusive-read rounds of one cycle to `round`, in the order
+/// [`HamiltonianUnion::for_each_er_round`] documents, building them in
+/// `buffer`.
+fn cycle_er_rounds(
+    cycle: &[u32],
+    buffer: &mut Vec<(usize, usize)>,
+    round: &mut impl FnMut(&[(usize, usize)]),
+) {
+    let n = cycle.len();
+    if n < 2 {
+        return;
+    }
+    let edge = |pair: &[u32]| (pair[0] as usize, pair[1] as usize);
+    if n == 2 {
+        round(&[edge(cycle)]);
+        return;
+    }
+    let closing = (cycle[n - 1] as usize, cycle[0] as usize);
+    buffer.clear();
+    buffer.extend(cycle.chunks_exact(2).map(edge));
+    round(buffer);
+    buffer.clear();
+    buffer.extend(cycle[1..].chunks_exact(2).map(edge));
+    if n.is_multiple_of(2) {
+        buffer.push(closing);
+        round(buffer);
+    } else {
+        round(buffer);
+        round(&[closing]);
+    }
+}
+
 /// A union of `d` random Hamiltonian cycles on `n` vertices.
 #[derive(Debug, Clone)]
 pub struct HamiltonianUnion {
@@ -33,12 +73,33 @@ impl HamiltonianUnion {
     pub fn random<R: EcsRng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Self {
         let cycles = (0..d)
             .map(|_| {
-                let mut perm: Vec<u32> = (0..n as u32).collect();
-                rng.shuffle(&mut perm);
+                let mut perm = Vec::with_capacity(n);
+                draw_cycle(n, rng, &mut perm);
                 perm
             })
             .collect();
         Self { n, cycles }
+    }
+
+    /// Streams the exclusive-read rounds of a freshly drawn `H_d` without
+    /// keeping it: each cycle is drawn into one reused buffer just before
+    /// its rounds are handed to `round`. The cycles, their draws from `rng`
+    /// and the rounds are exactly those of
+    /// `HamiltonianUnion::random(n, d, rng).for_each_er_round(round)`, as
+    /// long as nothing else draws from `rng` meanwhile; one permutation is
+    /// held at a time instead of `d`.
+    pub fn for_each_random_er_round<R: EcsRng + ?Sized>(
+        n: usize,
+        d: usize,
+        rng: &mut R,
+        mut round: impl FnMut(&[(usize, usize)]),
+    ) {
+        let mut cycle = Vec::with_capacity(n);
+        let mut buffer = Vec::with_capacity(n / 2 + 1);
+        for _ in 0..d {
+            draw_cycle(n, rng, &mut cycle);
+            cycle_er_rounds(&cycle, &mut buffer, &mut round);
+        }
     }
 
     /// Builds `H_d` from explicit permutations (used by tests).
@@ -122,30 +183,9 @@ impl HamiltonianUnion {
     /// for even `n` and exceeds by at most `d` rounds for odd `n` — still
     /// `O(d)`.
     pub fn for_each_er_round(&self, mut round: impl FnMut(&[(usize, usize)])) {
-        let n = self.n;
-        if n < 2 {
-            return;
-        }
-        let edge = |pair: &[u32]| (pair[0] as usize, pair[1] as usize);
-        let mut buffer = Vec::with_capacity(n / 2 + 1);
+        let mut buffer = Vec::with_capacity(self.n / 2 + 1);
         for cycle in &self.cycles {
-            let closing = (cycle[n - 1] as usize, cycle[0] as usize);
-            if n == 2 {
-                round(&[edge(cycle)]);
-                continue;
-            }
-            buffer.clear();
-            buffer.extend(cycle.chunks_exact(2).map(edge));
-            round(&buffer);
-            buffer.clear();
-            buffer.extend(cycle[1..].chunks_exact(2).map(edge));
-            if n.is_multiple_of(2) {
-                buffer.push(closing);
-                round(&buffer);
-            } else {
-                round(&buffer);
-                round(&[closing]);
-            }
+            cycle_er_rounds(cycle, &mut buffer, &mut round);
         }
     }
 
@@ -284,7 +324,7 @@ impl Fragments {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecs_rng::{SeedableEcsRng, Xoshiro256StarStar};
+    use ecs_rng::{EcsRng, SeedableEcsRng, Xoshiro256StarStar};
     use proptest::prelude::*;
 
     fn rng(seed: u64) -> Xoshiro256StarStar {
@@ -338,6 +378,20 @@ mod tests {
             er_rounds(&four),
             vec![vec![(3, 1), (0, 2)], vec![(1, 0), (2, 3)]]
         );
+    }
+
+    #[test]
+    fn lazily_drawn_cycles_stream_the_rounds_of_the_drawn_union() {
+        for n in [0usize, 1, 2, 3, 4, 7, 10, 2000, 2001] {
+            let (mut eager, mut lazy) = (rng(n as u64), rng(n as u64));
+            let h = HamiltonianUnion::random(n, 5, &mut eager);
+            let mut streamed = Vec::new();
+            HamiltonianUnion::for_each_random_er_round(n, 5, &mut lazy, |round| {
+                streamed.push(round.to_vec())
+            });
+            assert_eq!(streamed, er_rounds(&h), "n = {n}");
+            assert_eq!(lazy.next_u64(), eager.next_u64(), "n = {n}: draws consumed");
+        }
     }
 
     #[test]
