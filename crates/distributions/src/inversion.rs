@@ -23,11 +23,11 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 pub(crate) const GUARD: f64 = 1.0 / (1u64 << 30) as f64;
 
 /// Most thresholds a table holds past `t_0`.
-pub(crate) const MAX_THRESHOLDS: usize = 256;
+const MAX_THRESHOLDS: usize = 256;
 
 /// A threshold below this cannot be reached: every `f64_open` draw is at
 /// least 2⁻⁵³, and 2⁻⁶⁰ lies far below that and its band.
-pub(crate) const UNREACHABLE: f64 = 1.0 / (1u64 << 60) as f64;
+const UNREACHABLE: f64 = 1.0 / (1u64 << 60) as f64;
 
 /// Buckets of the guide table that picks where a lookup's scan starts.
 const BUCKETS: usize = 1024;
