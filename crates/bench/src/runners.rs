@@ -597,6 +597,26 @@ mod tests {
     }
 
     #[test]
+    fn theorem4_rows_at_n_1000_are_pinned() {
+        // Every λ of the paper grid runs its single Theorem 4 attempt and
+        // succeeds: `d·n` cycle edges plus one pivot sweep per class.
+        let table = theorem4_table(
+            &crate::paper::theorem4_lambdas(),
+            &[1_000],
+            4,
+            ExecutionBackend::Sequential,
+        );
+        assert_eq!(
+            table.to_csv(),
+            "lambda,n,k,cycles d,rounds,comparisons,comparisons/n\n\
+             0.4,1000,2,22,45,22500,22.50\n\
+             0.3,1000,3,38,79,38999,39.00\n\
+             0.25,1000,4,53,112,54500,54.50\n\
+             0.2,1000,5,81,172,83000,83.00\n"
+        );
+    }
+
+    #[test]
     fn lower_bound_tables_run_one_row_per_grid_point_and_algorithm() {
         let pool = ThroughputPool::from_jobs(1);
         let algorithms = AdversaryAlgorithm::all();

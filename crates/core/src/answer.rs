@@ -43,12 +43,21 @@ impl Answers {
             n <= u32::MAX as usize,
             "answers hold up to u32::MAX elements"
         );
+        Self::over_forest((0..n as u32).collect(), (0..n as u32).collect())
+    }
+
+    /// One singleton answer per representative in `reps`, in that order,
+    /// over the forest `link`: every representative links to itself, and
+    /// every other element's chain already leads to the representative of
+    /// its class.
+    pub(crate) fn over_forest(link: Vec<u32>, reps: Vec<u32>) -> Self {
+        debug_assert!(reps.iter().all(|&r| link[r as usize] == r));
         Self {
-            reps: (0..n as u32).collect(),
-            bounds: (0..=n as u32).collect(),
-            next_reps: Vec::with_capacity(n),
+            bounds: (0..=reps.len() as u32).collect(),
+            next_reps: Vec::with_capacity(reps.len()),
+            reps,
             next_bounds: vec![0],
-            link: (0..n as u32).collect(),
+            link,
             parent: Vec::new(),
         }
     }
@@ -56,6 +65,16 @@ impl Answers {
     /// Number of answers on the current level.
     pub(crate) fn len(&self) -> usize {
         self.bounds.len() - 1
+    }
+
+    /// Number of elements, `n`.
+    pub(crate) fn elements(&self) -> usize {
+        self.link.len()
+    }
+
+    /// The representative that leads `x`'s class.
+    pub(crate) fn leader(&mut self, x: u32) -> u32 {
+        find(&mut self.link, x)
     }
 
     /// The representatives of answer `i`, in class order.

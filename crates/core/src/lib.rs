@@ -13,7 +13,8 @@
 //! * [`ErConstantRound`] — the exclusive-read algorithm of **Theorem 4**,
 //!   solving ECS in `O(1)` rounds when the smallest class has size at least
 //!   `λn`, by testing the edges of a union of random Hamiltonian cycles and
-//!   then pivoting on the large components it induces.
+//!   then pivoting on the large components it induces; whatever its one
+//!   attempt leaves goes to an er-merge finish that asks no settled pair.
 //! * Sequential baselines: [`RoundRobin`] (the algorithm of Jayapaul et al.
 //!   that Sections 4–5 analyse under class-size distributions),
 //!   [`RepresentativeScan`] (compare against one representative per known

@@ -26,14 +26,34 @@ impl ErMergeSort {
         Self
     }
 
+    /// Merges the answers level by level until one is left.
+    ///
+    /// Er-merge itself passes `None` and asks every pair of its schedule.
+    /// With `Some(different)`, a pair is left out of its round if either of
+    /// its classes has already matched in the same merge (the classes within
+    /// an answer are pairwise different), or if its two classes hold the two
+    /// ends of a pair in `different`, pairs of elements known to be
+    /// different. A round this leaves empty is not charged.
+    pub(crate) fn merge_to_one<O: EquivalenceOracle>(
+        answers: &mut Answers,
+        session: &mut ComparisonSession<'_, O>,
+        different: Option<&[(u32, u32)]>,
+    ) {
+        while answers.len() > 1 {
+            Self::merge_level(answers, session, different);
+        }
+    }
+
     /// Merges consecutive pairs of answers at one tree level. The bipartite
     /// schedules of all pairs are interleaved: global round `r` executes round
     /// `r` of every pair's schedule (element-disjoint, hence a legal ER
     /// round). Each answer is written straight into the level's result
-    /// buffer, at the position [`Answers::merge_pairs`] reads it from.
+    /// buffer, at the position [`Answers::merge_pairs`] reads it from; a
+    /// skipped pair's answer stays "different".
     fn merge_level<O: EquivalenceOracle>(
         answers: &mut Answers,
         session: &mut ComparisonSession<'_, O>,
+        different: Option<&[(u32, u32)]>,
     ) {
         let merges = answers.len() / 2;
         // Merge `m`'s results are `results[offsets[m]..offsets[m + 1]]`,
@@ -47,6 +67,14 @@ impl ErMergeSort {
             max_rounds = max_rounds.max(left.max(right));
         }
         let mut results = vec![false; offsets[merges]];
+        // When skipping: the pairs known to be different before this level,
+        // by result slot, and the representatives matched in it.
+        let (mut known, mut matched) = (Vec::new(), Vec::new());
+        if let Some(different) = different {
+            known = vec![false; offsets[merges]];
+            matched = vec![false; answers.elements()];
+            Self::mark_different(answers, different, &offsets, &mut known);
+        }
 
         let mut round: Vec<(usize, usize)> = Vec::new();
         let mut slots: Vec<usize> = Vec::new();
@@ -56,16 +84,59 @@ impl ErMergeSort {
             for (m, &offset) in offsets[..merges].iter().enumerate() {
                 let (left, right) = (answers.reps(2 * m), answers.reps(2 * m + 1));
                 for (a, b) in bipartite_round(left.len(), right.len(), r) {
-                    round.push((left[a] as usize, right[b] as usize));
-                    slots.push(offset + a * right.len() + b);
+                    let (x, y) = (left[a] as usize, right[b] as usize);
+                    let slot = offset + a * right.len() + b;
+                    if different.is_some() && (known[slot] || matched[x] || matched[y]) {
+                        continue;
+                    }
+                    round.push((x, y));
+                    slots.push(slot);
                 }
             }
-            for (&slot, same) in slots.iter().zip(session.execute_round(&round)) {
+            let answered = session.execute_round(&round);
+            for ((&slot, &(x, y)), same) in slots.iter().zip(&round).zip(answered) {
                 results[slot] = same;
+                if same && different.is_some() {
+                    matched[x] = true;
+                    matched[y] = true;
+                }
             }
         }
 
         answers.merge_pairs(&results);
+    }
+
+    /// Sets `known[slot]` for every pair of the level's merges whose classes
+    /// hold the two ends of a pair in `different`, with the merges' results
+    /// laid out by `offsets` as in [`ErMergeSort::merge_level`].
+    fn mark_different(
+        answers: &mut Answers,
+        different: &[(u32, u32)],
+        offsets: &[usize],
+        known: &mut [bool],
+    ) {
+        if different.is_empty() {
+            return;
+        }
+        // The answer and class position of every representative.
+        let mut place = vec![(u32::MAX, 0); answers.elements()];
+        for i in 0..answers.len() {
+            for (c, &rep) in answers.reps(i).iter().enumerate() {
+                place[rep as usize] = (i as u32, c as u32);
+            }
+        }
+        for &(u, v) in different {
+            let (pu, pv) = (
+                place[answers.leader(u) as usize],
+                place[answers.leader(v) as usize],
+            );
+            let (left, right) = (pu.min(pv), pu.max(pv));
+            if right.0 != u32::MAX && left.0 % 2 == 0 && right.0 == left.0 + 1 {
+                let m = left.0 as usize / 2;
+                let right_len = answers.reps(right.0 as usize).len();
+                known[offsets[m] + left.1 as usize * right_len + right.1 as usize] = true;
+            }
+        }
     }
 }
 
@@ -89,9 +160,7 @@ impl EcsAlgorithm for ErMergeSort {
             return EcsRun::new(Partition::from_labels::<u32>(&[]), session.into_metrics());
         }
         let mut answers = Answers::singletons(n);
-        while answers.len() > 1 {
-            Self::merge_level(&mut answers, &mut session);
-        }
+        Self::merge_to_one(&mut answers, &mut session, None);
         EcsRun::new(answers.into_partition(), session.into_metrics())
     }
 }
@@ -219,7 +288,7 @@ mod tests {
         );
         let oracle = RecordingOracle::new(LabelOracle::new((0..12).collect()));
         let mut session = ComparisonSession::new(&oracle, ReadMode::Exclusive);
-        ErMergeSort::merge_level(&mut answers, &mut session);
+        ErMergeSort::merge_level(&mut answers, &mut session, None);
         assert_eq!(answers.len(), 3);
         assert_eq!(answers.reps(0), [0, 1, 2, 3]);
         assert_eq!(answers.reps(1), [4, 5, 6, 7]);
@@ -244,6 +313,50 @@ mod tests {
         let asked: Vec<_> = oracle.transcript().iter().collect();
         assert_eq!(asked, expected);
         assert_eq!(session.metrics().rounds(), 3);
+    }
+
+    #[test]
+    fn skipping_leaves_out_pairs_settled_by_a_match() {
+        // Answers {0, 1} and {2, 3}, where 0 ~ 2: once round 0 matches them,
+        // round 1's (0, 3) and (1, 2) are known to be different, and the
+        // emptied round is not charged.
+        use ecs_model::{LabelOracle, RecordingOracle};
+        let level = || Answers::from_classes(4, &[vec![vec![0], vec![1]], vec![vec![2], vec![3]]]);
+        let oracle = RecordingOracle::new(LabelOracle::new(vec![0, 1, 0, 2]));
+        let mut session = ComparisonSession::new(&oracle, ReadMode::Exclusive);
+        let mut answers = level();
+        ErMergeSort::merge_to_one(&mut answers, &mut session, Some(&[]));
+        let asked: Vec<_> = oracle.transcript().iter().collect();
+        assert_eq!(asked, [(0, 2, true), (1, 3, false)]);
+        assert_eq!(session.metrics().rounds(), 1);
+        assert_eq!(
+            answers.into_partition(),
+            Partition::from_labels(&[0, 1, 0, 2])
+        );
+
+        // Er-merge itself asks the whole schedule.
+        let oracle = RecordingOracle::new(LabelOracle::new(vec![0, 1, 0, 2]));
+        let mut session = ComparisonSession::new(&oracle, ReadMode::Exclusive);
+        ErMergeSort::merge_to_one(&mut level(), &mut session, None);
+        assert_eq!(oracle.transcript().len(), 4);
+        assert_eq!(session.metrics().rounds(), 2);
+    }
+
+    #[test]
+    fn skipping_leaves_out_pairs_of_classes_known_different() {
+        // 1 and 3 are known to differ. After 0 and 1 merge, the class led by
+        // 0 holds 1, so (0, 3) is not asked either.
+        use ecs_model::{LabelOracle, RecordingOracle};
+        let oracle = RecordingOracle::new(LabelOracle::new(vec![0, 0, 1, 2]));
+        let mut session = ComparisonSession::new(&oracle, ReadMode::Exclusive);
+        let mut answers = Answers::singletons(4);
+        ErMergeSort::merge_to_one(&mut answers, &mut session, Some(&[(1, 3)]));
+        let asked: Vec<_> = oracle.transcript().iter().collect();
+        assert_eq!(asked, [(0, 1, true), (2, 3, false), (0, 2, false)]);
+        assert_eq!(
+            answers.into_partition(),
+            Partition::from_labels(&[0, 0, 1, 2])
+        );
     }
 
     #[test]

@@ -63,6 +63,12 @@ pub enum DistSpec {
 /// indefinitely.
 pub const MAX_POISSON_LAMBDA: f64 = 65_536.0;
 
+/// Smallest zeta exponent a `zeta:S` job may ask for. Near `S = 1` the
+/// sampler rejects almost every try (acceptance about `41·(S−1)`), so an
+/// `n = 2000` build takes about 0.4 ms at `S = 1.01` and ten times longer
+/// for each further decade towards 1.
+pub const MIN_ZETA_S: f64 = 1.01;
+
 /// Largest zeta exponent a `zeta:S` job may ask for. The sampler's
 /// `2^(S−1)` overflows once `S − 1 ≥ 1024`, and its acceptance test never
 /// passes after that.
@@ -71,9 +77,9 @@ pub const MAX_ZETA_S: f64 = 1024.0;
 impl DistSpec {
     /// Parses `uniform:6`, `geometric:0.25`, `poisson:4`, `zeta:2.5`,
     /// `balanced:8`. A float parameter outside the family's range — `p` in
-    /// `(0, 1)`, `L` in `(0, MAX_POISSON_LAMBDA]`, `S` in `(1, MAX_ZETA_S]`,
-    /// never NaN — is an error, because the instance sampler would panic or
-    /// never finish on it.
+    /// `(0, 1)`, `L` in `(0, MAX_POISSON_LAMBDA]`, `S` in
+    /// `[MIN_ZETA_S, MAX_ZETA_S]`, never NaN — is an error, because the
+    /// instance sampler would panic or take unbounded time on it.
     pub fn parse(text: &str) -> Result<Self, String> {
         let (kind, param) = text
             .split_once(':')
@@ -104,8 +110,8 @@ impl DistSpec {
             )?)),
             "zeta" => Ok(Self::Zeta(float(
                 "s",
-                |s| s > 1.0 && s <= MAX_ZETA_S,
-                format!("(1, {MAX_ZETA_S}]"),
+                |s| (MIN_ZETA_S..=MAX_ZETA_S).contains(&s),
+                format!("[{MIN_ZETA_S}, {MAX_ZETA_S}]"),
             )?)),
             "balanced" => Ok(Self::Balanced(
                 param.parse().map_err(|_| bad("class count"))?,
@@ -944,6 +950,7 @@ mod tests {
             "submit id=a dist=geometric:0 n=20 seed=1 algo=naive",
             "submit id=a dist=geometric:1 n=20 seed=1 algo=naive",
             "submit id=a dist=zeta:1 n=20 seed=1 algo=naive",
+            "submit id=a dist=zeta:1.001 n=20 seed=1 algo=naive",
             "submit id=a dist=zeta:inf n=20 seed=1 algo=naive",
             "submit id=a dist=zeta:1e300 n=20 seed=1 algo=naive",
             "submit id=a dist=poisson:NaN n=20 seed=1 algo=naive",
@@ -971,9 +978,10 @@ mod tests {
         for text in ["geometric:0.3", "poisson:4", "zeta:2.5"] {
             DistSpec::parse(text).expect(text);
         }
-        // ... and the largest accepted values still sample in finite time.
+        // ... and the extreme accepted values still sample in finite time.
         for text in [
             format!("poisson:{MAX_POISSON_LAMBDA}"),
+            format!("zeta:{MIN_ZETA_S}"),
             format!("zeta:{MAX_ZETA_S}"),
         ] {
             let dist = DistSpec::parse(&text).expect(&text);

@@ -5,11 +5,6 @@
 //! Every algorithm is run on instances from the five `DistSpec` families plus
 //! the heavy-tailed `zeta:1.5`, on the sequential and pooled backends, and
 //! must stay within the bound.
-//!
-//! `er-constant` is the known exception: its λ-halving restarts re-ask
-//! settled pairs and overshoot the bound several times over — on the skewed
-//! families at every size, and on uniform and balanced inputs at small `n`.
-//! It has its own ignored property below, to be enabled with the fix.
 
 use parallel_ecs::prelude::*;
 use parallel_ecs::service::{AlgoSpec, DistSpec};
@@ -70,7 +65,6 @@ proptest! {
     ) {
         let dist = distribution(family, t);
         for algo in AlgoSpec::ALL {
-            // The known violator is covered by the ignored property below.
             if algo == AlgoSpec::ErConstant {
                 continue;
             }
@@ -83,7 +77,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    #[ignore = "ROADMAP item 1"]
     fn er_constant_charges_no_more_than_all_pairs(
         seed in 0u64..1_000_000,
         n in 2usize..160,

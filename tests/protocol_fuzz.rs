@@ -205,6 +205,7 @@ fn non_utf8_and_near_miss_lines_each_get_one_error() {
         b"submit id=p dist=poisson:NaN n=20 seed=1 algo=naive".to_vec(),
         // ... or never finish on.
         b"submit id=zi dist=zeta:inf n=20 seed=1 algo=naive".to_vec(),
+        b"submit id=zl dist=zeta:1.001 n=20 seed=1 algo=naive".to_vec(),
         b"submit id=zh dist=zeta:1e300 n=20 seed=1 algo=naive".to_vec(),
         b"submit id=pb dist=poisson:1e9 n=20 seed=1 algo=naive".to_vec(),
         // An empty instance, which would be answered with a one-element sort.

@@ -140,7 +140,7 @@ fn geometric_transcripts() {
             (0xe068500f474ec199, 1666, 1666, 1),
             (0x72a0a7add1d13155, 1426, 1426, 1),
             (0x3a36a2f8e887fe48, 2708, 46, 500),
-            (0x14efe6759c2d67d8, 3412536, 6846, 500),
+            (0x710c0fdbae9e167f, 22453, 60, 500),
             (0xfd68746b8be3935f, 2787, 9, 542),
         ],
     );
@@ -155,7 +155,7 @@ fn poisson_transcripts() {
             (0x4445c6bf9b694284, 4142, 4142, 1),
             (0x5d5c55f6127e79ea, 4807, 4807, 1),
             (0xbf028d962054a947, 8197, 80, 500),
-            (0xabb3e9cb3421bed9, 3425651, 6962, 500),
+            (0x269164fe24867e03, 24658, 81, 500),
             (0x94944b273021251b, 8197, 14, 1000),
         ],
     );
@@ -170,7 +170,7 @@ fn zeta_transcripts() {
             (0x52c75c03ff320e8b, 2090, 2090, 1),
             (0x51d3b1d87ffa7ad0, 1971, 1971, 1),
             (0x2dec908748a4c96d, 3894, 80, 500),
-            (0x3ca6059f98138a41, 3413441, 7013, 500),
+            (0xf66f44e3f6fb9d8f, 22888, 91, 500),
             (0x1f08ada4c90d4c5b, 3894, 10, 500),
         ],
     );
