@@ -14,9 +14,12 @@
 //! backend asks for, and is charged, the same work. The timed runs use `Sequential`, which is what the slates'
 //! `auto` evaluates on.
 //!
-//! A second group times round-robin at the paper's Figure 5 scale, n =
-//! 20 000 on zeta:1.5 and uniform:100, where groups know many others and
-//! most scans test bit rows.
+//! A second group runs at n = 20 000: round-robin at the paper's Figure 5
+//! scale on zeta:1.5 and uniform:100, where groups know many others and
+//! most scans test bit rows, and the Theorem 4 cycle-count ablation,
+//! `ErConstantRound::with_lambda(0.3, 7)` with the sharp and with the
+//! conservative (`t ≤ −λ²/8`) count of Hamiltonian cycles on three balanced
+//! classes.
 //!
 //! Set `ECS_BENCH_SMOKE=1` to shrink the instances to n = 300 and skip the
 //! paper-scale group (used by CI to exercise the harness and the gates on
@@ -24,7 +27,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecs_bench::smoke;
-use ecs_model::{ExecutionBackend, InstanceOracle};
+use ecs_core::{EcsAlgorithm, ErConstantRound};
+use ecs_model::{ExecutionBackend, Instance, InstanceOracle};
+use ecs_rng::{SeedableEcsRng, Xoshiro256StarStar};
 use ecs_service::{AlgoSpec, DistSpec};
 use std::hint::black_box;
 
@@ -77,14 +82,15 @@ fn sort_engines(c: &mut Criterion) {
     group.finish();
 }
 
-/// Round-robin at n = 20 000 on two Figure 5 panels, gated on a correct
-/// partition.
-fn round_robin_paper_scale(c: &mut Criterion) {
+/// Round-robin at n = 20 000 on two Figure 5 panels, and `er-constant` with
+/// the sharp and the conservative cycle count on balanced:3, each gated on
+/// a correct partition.
+fn paper_scale(c: &mut Criterion) {
     if smoke() {
         return;
     }
     let n = 20_000;
-    let mut group = c.benchmark_group(format!("sort_engines_round_robin_n{n}"));
+    let mut group = c.benchmark_group(format!("sort_engines_n{n}"));
     group.sample_size(3);
     for (d, dist) in [DistSpec::Zeta(1.5), DistSpec::Uniform(100)]
         .into_iter()
@@ -107,8 +113,23 @@ fn round_robin_paper_scale(c: &mut Criterion) {
             });
         });
     }
+    let instance = Instance::balanced(n, 3, &mut Xoshiro256StarStar::seed_from_u64(3));
+    let oracle = InstanceOracle::new(&instance);
+    for (name, algo) in [
+        ("er-constant-sharp", ErConstantRound::with_lambda(0.3, 7)),
+        (
+            "er-constant-conservative",
+            ErConstantRound::with_lambda(0.3, 7).conservative_cycles(),
+        ),
+    ] {
+        let run = algo.sort(&oracle);
+        assert!(instance.verify(&run.partition), "{name}: wrong partition");
+        group.bench_function(BenchmarkId::new(name, "balanced:3"), |b| {
+            b.iter(|| black_box(algo.sort(&oracle).metrics.rounds()));
+        });
+    }
     group.finish();
 }
 
-criterion_group!(benches, sort_engines, round_robin_paper_scale);
+criterion_group!(benches, sort_engines, paper_scale);
 criterion_main!(benches);

@@ -14,14 +14,17 @@
 //! * **Lazy lists.** A group's known set is a list of group ids that may have
 //!   gone stale; an entry reads as its element's current group. A scan only
 //!   returns an unknown element, so every "different" answer is a fresh
-//!   group pair and costs one append to each side's list. A merge walks the
-//!   merged-away group's list, finds the groups both sides knew (each group
-//!   keeps an exact distinct count, which drives `fully_informed` and
-//!   `complete`), and never touches a neighbour's list. Stamping a list for
-//!   a scan compacts it in place. The lists live in power-of-two blocks of
-//!   one buffer, so an append allocates nothing once blocks are reused.
-//!   Between them, the lists hold at most two entries per recorded
-//!   difference.
+//!   group pair and costs one append to each side's list, written in place
+//!   while its block has room. A merge walks the merged-away group's list,
+//!   finds the groups both sides knew (each group keeps an exact distinct
+//!   count, which drives `fully_informed` and `complete`), and never touches
+//!   a neighbour's list; its step per entry has no branch but for the rare
+//!   neighbour that holds a row. A list is compacted to distinct current
+//!   groups only when its block fills or a merge matches it against
+//!   another. The lists live in power-of-two blocks of one buffer; every
+//!   singleton starts with an 8-entry block of its own, and a full block
+//!   that compaction cannot free doubles. Between them, the lists hold at
+//!   most two entries per recorded difference.
 //! * **Rows for long sets and large groups.** A list as long as a bit row
 //!   over all group ids becomes that row (`⌈n/32⌉` words), and so does the
 //!   set of a group with at least `n/64` members. Rows are kept exact at
@@ -30,6 +33,22 @@
 //! * **Known runs.** Each group caches one cyclic run of positions it knows.
 //!   Knowledge only grows, so the run stays true, and a scan that starts in
 //!   it, or reaches it, jumps over it.
+//!
+//! **The hot path.** The sweep visits only the elements whose cursor is
+//! still active, kept in order in one list. A cursor step marks the
+//! scanner's groups (a list scanner stamps its list without rewriting it; a
+//! row scanner reads its row) and tests the first offset before any run
+//! arithmetic; about half of all scans end there. A longer scan searches
+//! one slice of the group ids, stored twice over so that a cyclic range
+//! never wraps. A group's hot state (member count, known count, known set)
+//! is one 20-byte record; its run lives apart.
+//!
+//! **Memory**, in 32-bit words, for n elements: `2n` group ids, `n`
+//! member links, `5n` for the group records, `2n` for the runs, `n` stamps,
+//! `2n` for the active cursors and the `8n` first list blocks, so `21n`
+//! in all; on top of that the lists' grown blocks (at most twice the
+//! entries they hold) and `⌈n/32⌉` words per row: at most `2n` for the rows
+//! of large groups, and no more than the list it replaced for a long list.
 //!
 //! The lemma of Jayapaul et al. used by Theorem 7 states that this schedule
 //! performs at most `2·min(Y_i, Y_j)` tests between any two classes of sizes
@@ -60,6 +79,9 @@ const ROW: u32 = u32::MAX;
 /// most, test one bit instead of stamping a list.
 const BIG: usize = 64;
 
+/// The entries of a singleton's first list block.
+const FIRST: u32 = 8;
+
 /// A group's known set: the groups it is known to differ from, in a block
 /// of [`KnownSets`].
 ///
@@ -67,7 +89,8 @@ const BIG: usize = 64;
 /// that was a group id when the difference was learnt, and reads as that
 /// element's current group (`group_of[entry]`). A merge therefore never
 /// touches a neighbour's list; entries that have come to name the same
-/// group are dropped the next time the list is stamped. Once a list holds
+/// group are dropped when the list's block fills or a merge matches the
+/// list against another (see [`KnownSets::compact`]). Once a list holds
 /// as many entries as a bit row over all `n` group ids takes words, or its
 /// group has [`BIG`]'s share of the members, it becomes that row
 /// (`len == ROW`), whose bit of every live known group is kept set, so a
@@ -89,9 +112,9 @@ impl KnownSet {
 }
 
 /// Every known set, each in a block of one buffer: a list in a
-/// power-of-two block of at least 4 entries, a row in a block of exactly
-/// its words. Blocks given up by grown, converted or merged-away sets are
-/// reused before the buffer grows.
+/// power-of-two block, a row in a block of exactly its words. Blocks given
+/// up by grown, converted or merged-away sets are reused before the buffer
+/// grows.
 #[derive(Debug)]
 struct KnownSets {
     buf: Vec<u32>,
@@ -99,6 +122,8 @@ struct KnownSets {
     free: Vec<Vec<u32>>,
     /// Words in a row: one bit per group id.
     row_words: u32,
+    /// Number of elements.
+    n: usize,
 }
 
 impl KnownSets {
@@ -107,6 +132,7 @@ impl KnownSets {
             buf: Vec::new(),
             free: Vec::new(),
             row_words: n.div_ceil(32) as u32,
+            n,
         }
     }
 
@@ -143,10 +169,11 @@ impl KnownSets {
         self.free[class].push(set.start);
     }
 
-    /// Appends `h` to a list, moving it to a block twice as large when full.
-    fn push(&mut self, list: &mut KnownSet, h: u32) {
-        if list.len == list.cap {
-            let cap = (2 * list.cap).max(4);
+    /// Moves a list to a large enough power-of-two block for `more`
+    /// entries, if its own block is too small.
+    fn reserve(&mut self, list: &mut KnownSet, more: u32) {
+        if list.len + more > list.cap {
+            let cap = (list.len + more).next_power_of_two().max(4);
             let start = self.block(cap);
             let from = list.start as usize;
             self.buf
@@ -155,13 +182,18 @@ impl KnownSets {
             list.start = start;
             list.cap = cap;
         }
+    }
+
+    /// Appends `h` to a list, moving it to a block twice as large when full.
+    fn push(&mut self, list: &mut KnownSet, h: u32) {
+        self.reserve(list, 1);
         self.buf[(list.start + list.len) as usize] = h;
         list.len += 1;
     }
 
-    /// Stamps a list's entries with `turn` and compacts it in place to the
-    /// distinct current groups it names.
-    fn stamp(&mut self, list: &mut KnownSet, group_of: &[u32], stamp: &mut [u32], turn: u32) {
+    /// Compacts a list in place to the distinct current groups it names,
+    /// stamping each with `turn`.
+    fn compact(&mut self, list: &mut KnownSet, group_of: &[u32], stamp: &mut [u32], turn: u32) {
         let entries = &mut self.buf[list.start as usize..][..list.len as usize];
         let mut kept = 0;
         for i in 0..entries.len() {
@@ -171,6 +203,14 @@ impl KnownSets {
             stamp[h as usize] = turn;
         }
         list.len = kept as u32;
+    }
+
+    /// Stamps the current group of each of a list's entries with `turn`,
+    /// leaving the list as it is.
+    fn mark(&self, list: KnownSet, group_of: &[u32], stamp: &mut [u32], turn: u32) {
+        for &e in &self.buf[list.start as usize..][..list.len as usize] {
+            stamp[group_of[e as usize] as usize] = turn;
+        }
     }
 
     /// The row naming the current group of every entry of `list`, which it
@@ -194,7 +234,7 @@ impl KnownSets {
     /// `group`'s set as a row if its list is long or the group is large.
     fn settle(&mut self, group: &mut Group, group_of: &[u32]) {
         let set = group.set;
-        let big = group.size as usize * BIG >= group_of.len();
+        let big = group.size as usize * BIG >= self.n;
         if !set.is_row() && (big || set.len >= self.row_words) {
             group.set = self.make_row(set, group_of);
         }
@@ -209,17 +249,17 @@ impl KnownSets {
     }
 }
 
-/// A cyclic run of positions, see [`Group::run`].
+/// A cyclic run of positions, see [`Knowledge::runs`].
 #[derive(Debug, Clone, Copy, Default)]
 struct Run {
     start: u32,
     len: u32,
 }
 
-/// One live group, aligned so that two share a cache line and none
-/// straddles two.
+/// One live group's hot state: what every cursor step, append and merge
+/// reads. Its known run, which only a scan that does not end at its first
+/// offset reads, is kept apart in [`Knowledge::runs`].
 #[derive(Debug, Clone, Copy, Default)]
-#[repr(align(32))]
 struct Group {
     /// Member count.
     size: u32,
@@ -227,11 +267,6 @@ struct Group {
     count: u32,
     /// Those groups, lazily.
     set: KnownSet,
-    /// A run of positions `start, start + 1, …` (`len` of them, cyclically)
-    /// whose elements the group knows: its own members or members of
-    /// groups known to differ. Knowledge only grows, so a run stays true,
-    /// and a merged group may keep either parent's.
-    run: Run,
 }
 
 /// Group-level knowledge in flat arrays, with no hashing: O(n + known pairs)
@@ -241,12 +276,18 @@ struct Group {
 /// per-group array is indexed by element. Contracting two groups relabels
 /// the smaller one, so each element is relabelled O(log n) times.
 struct Knowledge {
-    /// The group of every element.
+    /// The group of every element, twice over (`group_of[x + n] ==
+    /// group_of[x]`), so that any cyclic range of positions is one slice.
     group_of: Vec<u32>,
     /// Circular member lists: `next[x]` is the next member of `x`'s group.
     next: Vec<u32>,
     /// The state of each live group.
     groups: Vec<Group>,
+    /// A run of positions `start, start + 1, …` (`len` of them, cyclically)
+    /// whose elements each group knows: its own members or members of
+    /// groups known to differ. Knowledge only grows, so a run stays true,
+    /// and a merged group may keep either parent's.
+    runs: Vec<Run>,
     /// The blocks behind every [`Group::set`].
     sets: KnownSets,
     /// Number of live groups.
@@ -265,21 +306,38 @@ struct Knowledge {
 impl Knowledge {
     fn new(n: usize) -> Self {
         let ids: Vec<u32> = (0..n as u32).collect();
-        let single = Group {
-            size: 1,
-            ..Group::default()
-        };
+        // Every singleton starts with a list block of its own, `FIRST`
+        // entries at `FIRST · g`.
+        let mut sets = KnownSets::new(n);
+        sets.buf.resize(FIRST as usize * n, 0);
+        let groups = ids
+            .iter()
+            .map(|&g| Group {
+                size: 1,
+                count: 0,
+                set: KnownSet {
+                    start: g * FIRST,
+                    len: 0,
+                    cap: FIRST,
+                },
+            })
+            .collect();
         Self {
-            group_of: ids.clone(),
+            group_of: ids.iter().chain(&ids).copied().collect(),
             next: ids,
-            groups: vec![single; n],
-            sets: KnownSets::new(n),
+            groups,
+            runs: vec![Run::default(); n],
+            sets,
             live: n,
             known_pairs: 0,
             stamp: vec![0; n],
             turn: 0,
             scanned: usize::MAX,
         }
+    }
+
+    fn n(&self) -> usize {
+        self.next.len()
     }
 
     fn group(&self, x: usize) -> usize {
@@ -310,43 +368,71 @@ impl Knowledge {
     /// an unknown relationship to `x`, or `None` if every one is known; what
     /// the scan finds known is folded into the group's run (see [`scan`]).
     ///
-    /// The test is picked once per scan: a scanner whose set is a list
-    /// stamps its group and every group in the list, so the test is one
-    /// array read; a scanner whose set is a row tests one bit.
+    /// The test is picked once per scan: a list scanner stamps its group
+    /// and every group its list names, so the test is one array read; a row
+    /// scanner tests one bit. The first offset is tested before any run
+    /// arithmetic, and a scan that ends there leaves the run as it was.
     fn next_unknown(&mut self, x: usize, from: usize) -> Option<usize> {
+        let n = self.n();
+        if from >= n {
+            return None;
+        }
         let scanner = self.group(x);
-        let Group { run, mut set, .. } = self.groups[scanner];
+        let set = self.groups[scanner].set;
         self.scanned = usize::MAX;
+        let g = self.group_of[x + from];
+        let own = g as usize == scanner;
+        let run = self.runs[scanner];
         let (found, run) = if set.is_row() {
             let sets = &self.sets;
-            let unknown = |g: u32| g as usize != scanner && !sets.test(set, g as usize);
+            if !own && !sets.test(set, g as usize) {
+                return Some(from);
+            }
+            let row = &sets.buf[set.start as usize..][..sets.row_words as usize];
+            let unknown =
+                move |g: u32| g as usize != scanner && row[g as usize / 32] >> (g % 32) & 1 == 0;
             scan(&self.group_of, x, from, run, unknown)
         } else {
             let turn = self.fresh_turns(1);
             self.stamp[scanner] = turn;
-            self.sets
-                .stamp(&mut set, &self.group_of, &mut self.stamp, turn);
-            self.groups[scanner].set = set;
+            self.sets.mark(set, &self.group_of, &mut self.stamp, turn);
             self.scanned = scanner;
-            let stamp = &self.stamp;
-            scan(&self.group_of, x, from, run, |g: u32| {
+            if self.stamp[g as usize] != turn {
+                return Some(from);
+            }
+            let stamp = self.stamp.as_slice();
+            scan(&self.group_of, x, from, run, move |g: u32| {
                 stamp[g as usize] != turn
             })
         };
-        self.groups[scanner].run = run;
+        self.runs[scanner] = run;
         found
     }
 
-    /// Adds group `h` to `g`'s known set, turning a long list into a row.
-    fn insert(&mut self, g: usize, h: u32) {
-        let mut group = self.groups[g];
-        if group.set.is_row() {
-            self.sets.set(group.set, h as usize);
-            return;
+    /// Adds group `h`, not yet known, to `g`'s known set and count. An
+    /// append with room in its block that keeps the list shorter than a row
+    /// writes in place; a full block grows, and a list as long as a row
+    /// becomes one.
+    fn learn(&mut self, g: usize, h: u32) {
+        let group = &mut self.groups[g];
+        group.count += 1;
+        let set = &mut group.set;
+        if set.is_row() {
+            self.sets.set(*set, h as usize);
+        } else if set.len < set.cap && set.len + 1 < self.sets.row_words {
+            self.sets.buf[(set.start + set.len) as usize] = h;
+            set.len += 1;
+        } else {
+            // A full block is first compacted to the distinct groups it
+            // names, and grows only if that frees nothing.
+            let mut group = *group;
+            let turn = self.fresh_turns(1);
+            self.sets
+                .compact(&mut group.set, &self.group_of, &mut self.stamp, turn);
+            self.sets.push(&mut group.set, h);
+            self.sets.settle(&mut group, &self.group_of);
+            self.groups[g] = group;
         }
-        self.sets.push(&mut group.set, h);
-        self.sets.settle(&mut group, &self.group_of);
-        self.groups[g] = group;
     }
 
     /// Records a "different" answer between the groups of `a` and `b`,
@@ -354,11 +440,9 @@ impl Knowledge {
     fn record_different(&mut self, a: usize, b: usize) {
         let (ga, gb) = (self.group(a), self.group(b));
         debug_assert_ne!(ga, gb, "consistent oracles never separate equal elements");
-        self.insert(ga, gb as u32);
-        self.insert(gb, ga as u32);
+        self.learn(ga, gb as u32);
+        self.learn(gb, ga as u32);
         self.scanned = usize::MAX;
-        self.groups[ga].count += 1;
-        self.groups[gb].count += 1;
         self.known_pairs += 1;
     }
 
@@ -374,9 +458,11 @@ impl Knowledge {
         } else {
             (gb, ga)
         };
+        let n = self.n();
         let mut x = gone;
         loop {
             self.group_of[x] = keep as u32;
+            self.group_of[x + n] = keep as u32;
             x = self.next[x] as usize;
             if x == gone {
                 break;
@@ -388,8 +474,8 @@ impl Knowledge {
         let theirs = std::mem::take(&mut self.groups[gone]);
         let mut ours = self.groups[keep];
         ours.size += theirs.size;
-        if theirs.run.len > ours.run.len {
-            ours.run = theirs.run;
+        if self.runs[gone].len > self.runs[keep].len {
+            self.runs[keep] = self.runs[gone];
         }
 
         if theirs.set.len == 0 {
@@ -414,68 +500,106 @@ impl Knowledge {
             stamp,
             ..
         } = self;
-        if !ours.set.is_row() && !reuse {
-            sets.stamp(&mut ours.set, group_of, stamp, kept);
-        }
-        // When only `gone` has a row, that row becomes the merged set.
-        let adopt = !ours.set.is_row() && theirs.set.is_row();
         let mut collapsed = 0;
-        let mut visit = |sets: &mut KnownSets, e: u32| {
-            let h = group_of[e as usize] as usize;
-            if stamp[h] == seen {
-                return;
+        if !theirs.set.is_row() {
+            let entries = theirs.set.start as usize..(theirs.set.start + theirs.set.len) as usize;
+            // `keep`'s list gets room for every entry of `gone` at once.
+            let row = ours.set.is_row();
+            if !row {
+                if !reuse {
+                    sets.compact(&mut ours.set, group_of, stamp, kept);
+                }
+                sets.reserve(&mut ours.set, theirs.set.len);
             }
-            debug_assert_ne!(
-                h, keep,
-                "oracle inconsistency: groups known different answered equal"
-            );
-            let both = if ours.set.is_row() {
-                sets.test(ours.set, h)
-            } else {
-                stamp[h] == kept
-            };
-            stamp[h] = seen;
-            if both {
-                // h knew both groups: two known pairs collapse into one.
-                groups[h].count -= 1;
-                collapsed += 1;
-                return;
+            let start = ours.set.start as usize;
+            let mut len = if row { 0 } else { ours.set.len as usize };
+            // Branch-free but for rows: a duplicate changes nothing, a group
+            // both knew loses one count, and any other group joins `keep`'s
+            // set, as a row bit or written past the end of its list.
+            for i in entries {
+                let h = group_of[sets.buf[i] as usize] as usize;
+                debug_assert_ne!(
+                    h, keep,
+                    "oracle inconsistency: groups known different answered equal"
+                );
+                let mark = stamp[h];
+                stamp[h] = seen;
+                let fresh = mark != seen;
+                let known = if row {
+                    sets.test(ours.set, h)
+                } else {
+                    mark == kept
+                };
+                let both = fresh & known;
+                let new = fresh & !known;
+                groups[h].count -= u32::from(both);
+                collapsed += u32::from(both);
+                if row {
+                    sets.buf[start + h / 32] |= u32::from(new) << (h % 32);
+                } else {
+                    sets.buf[start + len] = h as u32;
+                    len += usize::from(new);
+                }
+                let their_set = groups[h].set;
+                if their_set.is_row() & new {
+                    // h knew `gone`; its row must now name `keep`.
+                    sets.set(their_set, keep);
+                }
             }
-            if ours.set.is_row() {
-                sets.set(ours.set, h);
-            } else if !adopt {
-                sets.push(&mut ours.set, h as u32);
+            if !row {
+                ours.set.len = len as u32;
             }
-            let their_set = groups[h].set;
-            if their_set.is_row() {
-                // h knew `gone`; its row must now name `keep`.
-                sets.set(their_set, keep);
+            sets.release(theirs.set);
+            sets.settle(&mut ours, group_of);
+        } else {
+            if !ours.set.is_row() && !reuse {
+                sets.compact(&mut ours.set, group_of, stamp, kept);
             }
-        };
-        if theirs.set.is_row() {
+            // When only `gone` has a row, that row becomes the merged set.
+            let adopt = !ours.set.is_row();
             for w in 0..sets.row_words {
                 let mut word = sets.buf[(theirs.set.start + w) as usize];
                 while word != 0 {
-                    visit(sets, w * 32 + word.trailing_zeros());
+                    let e = w * 32 + word.trailing_zeros();
                     word &= word - 1;
+                    let h = group_of[e as usize] as usize;
+                    if stamp[h] == seen {
+                        continue;
+                    }
+                    debug_assert_ne!(
+                        h, keep,
+                        "oracle inconsistency: groups known different answered equal"
+                    );
+                    let both = if adopt {
+                        stamp[h] == kept
+                    } else {
+                        sets.test(ours.set, h)
+                    };
+                    stamp[h] = seen;
+                    if both {
+                        groups[h].count -= 1;
+                        collapsed += 1;
+                        continue;
+                    }
+                    if !adopt {
+                        sets.set(ours.set, h);
+                    }
+                    let their_set = groups[h].set;
+                    if their_set.is_row() {
+                        sets.set(their_set, keep);
+                    }
                 }
             }
-        } else {
-            for i in theirs.set.start..theirs.set.start + theirs.set.len {
-                let e = sets.buf[i as usize];
-                visit(sets, e);
+            if adopt {
+                for i in ours.set.start..ours.set.start + ours.set.len {
+                    let h = group_of[sets.buf[i as usize] as usize];
+                    sets.set(theirs.set, h as usize);
+                }
+                sets.release(ours.set);
+                ours.set = theirs.set;
+            } else {
+                sets.release(theirs.set);
             }
-        }
-        if adopt {
-            for i in ours.set.start..ours.set.start + ours.set.len {
-                let h = sets.buf[i as usize];
-                sets.set(theirs.set, h as usize);
-            }
-            sets.release(ours.set);
-            ours.set = theirs.set;
-        } else {
-            sets.release(theirs.set);
-            sets.settle(&mut ours, group_of);
         }
         ours.count += theirs.count - collapsed;
         self.groups[keep] = ours;
@@ -483,13 +607,13 @@ impl Knowledge {
     }
 }
 
-/// The first offset in `from..n` whose element `(x + offset) mod n` is in
-/// a group that is `unknown`, and `run` (a run of positions known to `x`'s
-/// group) grown by the known offsets the scan passed.
+/// The first offset in `from + 1..n` whose element `(x + offset) mod n` is
+/// in a group that is `unknown`, and `run` (a run of positions known to
+/// `x`'s group) grown by the known offsets the scan passed, `from` among
+/// them (`from < n` is known; the caller tested it).
 ///
-/// The first offset is tested on its own. Past it, the scan jumps over the
-/// part of the run it starts in, stops at the run's start if the run lies
-/// ahead, and jumps over the run there.
+/// The scan jumps over the part of the run it starts in, stops at the run's
+/// start if the run lies ahead, and jumps over the run there.
 fn scan(
     group_of: &[u32],
     x: usize,
@@ -497,77 +621,49 @@ fn scan(
     run: Run,
     unknown: impl Fn(u32) -> bool,
 ) -> (Option<usize>, Run) {
-    let n = group_of.len();
-    if run.len as usize >= n || from >= n {
+    let n = group_of.len() / 2;
+    let len = run.len as usize;
+    if len >= n {
         return (None, run);
-    }
-    let first = x + from;
-    if unknown(group_of[if first >= n { first - n } else { first }]) {
-        return (Some(from), run);
     }
     let next = from + 1;
     // The run in offsets from x: `[ro, re)`, where a part past n wraps
     // onto offsets `0..re - n`.
     let start = run.start as usize;
     let ro = if start >= x { start - x } else { start + n - x };
-    let re = ro + run.len as usize;
+    let re = ro + len;
     let lo = if ro <= next && next < re {
         re.min(n)
-    } else if re > n && next < re - n {
+    } else if next + n < re {
         re - n
     } else {
         next
     };
     let stop = if lo < ro { ro } else { n };
-    let found = search(group_of, x, lo, stop, &unknown)
-        .or_else(|| search(group_of, x, re.min(n).max(stop), n, &unknown));
+    // Offsets `lo..hi` are positions `x + lo..x + hi` of the doubled array.
+    let search = |lo: usize, hi: usize| {
+        let hit = group_of[x + lo..x + hi].iter().position(|&g| unknown(g));
+        hit.map(|i| lo + i)
+    };
+    let found = search(lo, stop).or_else(|| search(re.min(n).max(stop), n));
     // Offsets `from..end` are all known now.
     let end = found.unwrap_or(n);
-    let (new_start, new_len) = if from <= re && ro <= end {
-        (ro.min(from), re.max(end) - ro.min(from))
-    } else if re > n && from <= re - n {
-        (ro, re.max(end + n) - ro)
+    let (new_start, new_end) = if from <= re && ro <= end {
+        (ro.min(from), re.max(end))
+    } else if from + n <= re {
+        (ro, re.max(end + n))
     } else {
-        (from, end - from)
+        (from, end)
     };
-    if new_len < run.len as usize {
+    if new_end - new_start < len {
         return (found, run);
     }
     let start = x + new_start;
     let run = Run {
         start: (if start >= n { start - n } else { start }) as u32,
-        len: new_len.min(n) as u32,
+        len: (new_end - new_start).min(n) as u32,
     };
     (found, run)
-}
-
-/// The first offset in `lo..hi` (`lo ≤ hi ≤ n = group_of.len()`, or
-/// `lo ≥ hi` for an empty range) whose element `(x + offset) mod n` is in a
-/// group that is `unknown`.
-fn search(
-    group_of: &[u32],
-    x: usize,
-    lo: usize,
-    hi: usize,
-    unknown: impl Fn(u32) -> bool,
-) -> Option<usize> {
-    if lo >= hi {
-        return None;
-    }
-    let n = group_of.len();
-    let (a, b) = (x + lo, x + hi);
-    if a >= n {
-        let hit = group_of[a - n..b - n].iter().position(|&g| unknown(g));
-        return hit.map(|i| lo + i);
-    }
-    if let Some(i) = group_of[a..b.min(n)].iter().position(|&g| unknown(g)) {
-        return Some(lo + i);
-    }
-    if b <= n {
-        return None;
-    }
-    let hit = group_of[..b - n].iter().position(|&g| unknown(g));
-    hit.map(|i| n - x + i)
 }
 
 impl EcsAlgorithm for RoundRobin {
@@ -590,32 +686,34 @@ impl EcsAlgorithm for RoundRobin {
             return EcsRun::new(Partition::from_labels::<u32>(&[]), session.into_metrics());
         }
         let mut knowledge = Knowledge::new(n);
-        // cursors[x] is the next *offset* (1-based, cyclic) x will examine;
-        // x is inactive once it reaches n.
-        let mut cursors: Vec<usize> = vec![1; n];
+        // Every element whose cursor is still active, in increasing order,
+        // with its cursor: the next *offset* (1-based, cyclic) it will
+        // examine. An element leaves once its cursor reaches n.
+        let mut active: Vec<(u32, u32)> = (0..n as u32).map(|x| (x, 1)).collect();
 
         while !knowledge.complete() {
             let mut progressed = false;
-            for (x, cursor) in cursors.iter_mut().enumerate() {
+            let mut kept = 0;
+            for i in 0..active.len() {
                 if knowledge.complete() {
                     break;
                 }
-                if *cursor >= n {
-                    continue;
-                }
+                let (x, cursor) = active[i];
+                let x = x as usize;
                 if knowledge.fully_informed(x) {
                     // The group of x already knows every other group; it can
                     // learn nothing more, so x stops initiating tests.
-                    *cursor = n;
                     continue;
                 }
                 // Advance the cursor to the next element with an unknown
                 // relationship and test it.
-                let Some(offset) = knowledge.next_unknown(x, *cursor) else {
-                    *cursor = n;
+                let Some(offset) = knowledge.next_unknown(x, cursor as usize) else {
                     continue;
                 };
-                *cursor = offset + 1;
+                if offset + 1 < n {
+                    active[kept] = (x as u32, offset as u32 + 1);
+                    kept += 1;
+                }
                 progressed = true;
                 let y = x + offset;
                 let y = if y >= n { y - n } else { y };
@@ -625,6 +723,7 @@ impl EcsAlgorithm for RoundRobin {
                     knowledge.record_different(x, y);
                 }
             }
+            active.truncate(kept);
             assert!(
                 progressed || knowledge.complete(),
                 "round-robin stalled before completing (inconsistent oracle?)"
@@ -632,7 +731,7 @@ impl EcsAlgorithm for RoundRobin {
         }
 
         EcsRun::new(
-            Partition::from_labels(&knowledge.group_of),
+            Partition::from_labels(&knowledge.group_of[..n]),
             session.into_metrics(),
         )
     }
@@ -663,7 +762,7 @@ mod tests {
 
     /// The live groups.
     fn live_groups(k: &Knowledge) -> Vec<usize> {
-        (0..k.group_of.len()).filter(|&x| k.group(x) == x).collect()
+        (0..k.n()).filter(|&x| k.group(x) == x).collect()
     }
 
     /// The distinct live groups `g`'s set names: its list entries read as
@@ -672,9 +771,7 @@ mod tests {
     fn named_groups(k: &Knowledge, g: usize) -> Vec<usize> {
         let set = k.groups[g].set;
         let mut named: Vec<usize> = if set.is_row() {
-            let bits: Vec<usize> = (0..k.group_of.len())
-                .filter(|&h| k.sets.test(set, h))
-                .collect();
+            let bits: Vec<usize> = (0..k.n()).filter(|&h| k.sets.test(set, h)).collect();
             let live: Vec<usize> = bits.iter().copied().filter(|&h| k.group(h) == h).collect();
             assert!(
                 bits.iter().all(|&h| live.contains(&k.group(h))),
@@ -774,7 +871,7 @@ mod tests {
         labels[2] = 0;
         labels[3] = 0;
         assert_eq!(
-            Partition::from_labels(&k.group_of),
+            Partition::from_labels(&k.group_of[..200]),
             Partition::from_labels(&labels)
         );
     }
@@ -782,7 +879,7 @@ mod tests {
     /// The per-step scan `next_unknown` replaces: one membership test per
     /// offset, straight from the known sets.
     fn reference_scan(k: &Knowledge, x: usize, from: usize) -> Option<usize> {
-        let n = k.group_of.len();
+        let n = k.n();
         let gx = k.group(x);
         (from..n).find(|&offset| {
             let g = k.group((x + offset) % n);
@@ -820,17 +917,17 @@ mod tests {
             k.record_different(0, y);
         }
         assert_eq!(k.next_unknown(0, 1), Some(40));
-        assert_eq!((k.groups[0].run.start, k.groups[0].run.len), (1, 39));
+        assert_eq!((k.runs[0].start, k.runs[0].len), (1, 39));
         assert_eq!(k.next_unknown(0, 20), Some(40), "starts in the run");
         k.record_different(0, 40);
         k.record_different(0, 41);
         assert_eq!(k.next_unknown(0, 40), Some(42), "starts right after it");
-        assert_eq!((k.groups[0].run.start, k.groups[0].run.len), (1, 41));
+        assert_eq!((k.runs[0].start, k.runs[0].len), (1, 41));
         // A merged group keeps the longer of the two runs, here the run of
         // the group whose id goes.
         k.record_equal(3000, 0);
         assert_eq!(k.group(0), 3000);
-        assert_eq!((k.groups[3000].run.start, k.groups[3000].run.len), (1, 41));
+        assert_eq!((k.runs[3000].start, k.runs[3000].len), (1, 41));
     }
 
     #[test]

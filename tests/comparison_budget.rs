@@ -4,7 +4,10 @@
 //! algorithm that charges more has asked some pair it could have skipped.
 //! Every algorithm is run on instances from the five `DistSpec` families plus
 //! the heavy-tailed `zeta:1.5`, on the sequential and pooled backends, and
-//! must stay within the bound.
+//! must stay within the bound: on many small instances (n < 160), and on a
+//! few from n = 160 up to 600, where round-robin's known sets become bit rows
+//! (`⌈n/32⌉` entries, `n/64` members) and `er-constant` runs its Theorem 4
+//! attempt (from n = 180).
 
 use parallel_ecs::prelude::*;
 use parallel_ecs::service::{AlgoSpec, DistSpec};
@@ -84,5 +87,40 @@ proptest! {
         t in 0.0f64..1.0,
     ) {
         check_budget(AlgoSpec::ErConstant, distribution(family, t), n, seed)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn no_algorithm_charges_more_than_all_pairs_at_larger_n(
+        seed in 0u64..1_000_000,
+        n in 160usize..600,
+        family in 0u8..6,
+        t in 0.0f64..1.0,
+    ) {
+        let dist = distribution(family, t);
+        for algo in AlgoSpec::ALL {
+            check_budget(algo, dist, n, seed)?;
+        }
+    }
+}
+
+/// Labels that almost never repeat: `er-constant`'s Theorem 4 attempt asks
+/// some pairs twice (two cycles of `H_d` can share an edge, and a pivot can
+/// re-ask an `H_d` edge) and no repeated label saves one, so it charges
+/// about 1.023× all-pairs at n = 200.
+#[test]
+#[ignore = "ROADMAP item 1: er-constant overshoots all-pairs on near-distinct labels"]
+fn er_constant_stays_within_all_pairs_on_near_distinct_labels() {
+    for seed in 1..=3 {
+        check_budget(
+            AlgoSpec::ErConstant,
+            DistSpec::Uniform(1_000_000_000),
+            200,
+            seed,
+        )
+        .unwrap();
     }
 }
