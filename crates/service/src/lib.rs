@@ -12,12 +12,14 @@
 //!   reference evaluate through, which is what makes daemon output
 //!   byte-identical to a serial loop by construction.
 //! * [`scheduler`] — weighted stride-scheduling fairness between tenants,
-//!   bounded in-flight dispatch, per-tenant admission quotas
+//!   bounded in-flight dispatch (small jobs on the submitting session's
+//!   reader, the rest on the pool), per-tenant admission quotas
 //!   ([`QuotaConfig`]: bounded queues, in-flight caps, pinned weights),
 //!   cooperative cancellation, and fault isolation (a panicking or
 //!   cancelled job releases its slot like any other).
 //! * [`outbox`] — per-session result queues: non-blocking pushes for pool
-//!   workers, reader-side admission gating for backpressure, and (for
+//!   workers, reader-side admission gating for backpressure, a delivery
+//!   turn that lets the reader write its own lines, and (for
 //!   `hello` sessions) sequence-numbered retention so a dropped connection
 //!   can `resume` and replay exactly its unacked suffix.
 //! * [`server`] — the [`Daemon`] itself: transports, session threads, a

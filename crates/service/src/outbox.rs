@@ -1,7 +1,8 @@
 //! The per-session result queue: backpressure, retention, and replay.
 //!
-//! Completions are produced by pool workers and consumed by the session's
-//! writer thread. The two sides have opposite blocking rules:
+//! Lines are pushed by the session's reader and by pool workers, and
+//! delivered by the reader or the session's writer thread. The two sides
+//! have opposite blocking rules:
 //!
 //! * [`Outbox::push`] **never blocks** — a pool worker finishing a job must
 //!   not stall on a slow client, or one unread session would wedge the whole
@@ -22,14 +23,25 @@
 //! delivery is the ack, nothing is retained, and no `seq=` prefix is
 //! rendered.
 //!
-//! Writer threads attach with [`Outbox::attach_writer`] and identify
+//! Connections attach with [`Outbox::attach_writer`] and identify
 //! themselves by the returned epoch; a `resume` bumps the epoch, which both
-//! rewinds the delivery cursor and evicts the dropped connection's writer
-//! (its next [`Outbox::pop_at`] returns `None`), so two writers can never
-//! split one session's stream.
+//! rewinds the delivery cursor and evicts the dropped connection (its next
+//! [`Outbox::pop_at`] returns `None`, its next [`Outbox::wait_ready`]
+//! `false`, and its reader takes nothing more), so two connections can
+//! never split one session's stream.
+//!
+//! Within one connection there are two deliverers. The reader takes a
+//! *turn* ([`Outbox::begin_turn`]) while it handles one request: pushes
+//! made during the turn wake nobody, and [`Outbox::take_ready`] ends the
+//! turn and hands the reader every deliverable line to write itself.
+//! Outside a turn the writer thread parks in [`Outbox::wait_ready`] and
+//! takes lines with the same [`Outbox::take_ready`]. Both take and write
+//! under one connection mutex, so lines leave in sequence order whoever
+//! writes them. Every wait counts its parked threads, and a push, pop or
+//! ack signals a condition variable only when a thread is parked on it.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 #[derive(Debug)]
 struct State {
@@ -46,7 +58,14 @@ struct State {
     retain: bool,
     /// The writer attachment currently allowed to deliver lines.
     epoch: u64,
+    /// Whether the current attachment's reader is delivering: pushes then
+    /// leave the writer thread parked.
+    turn: bool,
     closed: bool,
+    /// Threads parked on `pushed` (writers and direct consumers).
+    parked_writers: usize,
+    /// Threads parked on `popped` (admission gates).
+    parked_gates: usize,
 }
 
 impl Default for State {
@@ -57,7 +76,10 @@ impl Default for State {
             cursor: 1,
             retain: false,
             epoch: 0,
+            turn: false,
             closed: false,
+            parked_writers: 0,
+            parked_gates: 0,
         }
     }
 }
@@ -74,6 +96,41 @@ impl State {
             self.front_seq += 1;
         }
         self.cursor = self.cursor.max(self.front_seq);
+    }
+
+    /// Whether a line is waiting for delivery.
+    fn deliverable(&self) -> bool {
+        self.cursor < self.next_seq()
+    }
+
+    /// Delivers the next line, if any: `seq=`-prefixed and still retained
+    /// in retained mode, moved out of the queue otherwise.
+    fn deliver_next(&mut self) -> Option<String> {
+        if !self.deliverable() {
+            return None;
+        }
+        let seq = self.cursor;
+        self.cursor += 1;
+        if self.retain {
+            let at = (seq - self.front_seq) as usize;
+            return Some(format!("seq={seq} {}", self.lines[at]));
+        }
+        self.front_seq += 1;
+        self.lines.pop_front()
+    }
+
+    /// Appends every deliverable line and its `\n` to `out`.
+    fn deliver_all(&mut self, out: &mut String) {
+        while let Some(line) = self.deliver_next() {
+            out.push_str(&line);
+            out.push('\n');
+        }
+    }
+
+    /// A new attachment (or none): whoever held the turn lost it.
+    fn bump_epoch(&mut self) {
+        self.epoch += 1;
+        self.turn = false;
     }
 }
 
@@ -103,22 +160,27 @@ impl Outbox {
     }
 
     /// Queues a line for the writer. Never blocks; silently drops the line
-    /// if the outbox is already closed (the session is gone).
+    /// if the outbox is already closed (the session is gone). Wakes a
+    /// parked writer unless the reader holds its turn.
     pub fn push(&self, line: String) {
         let mut state = self.lock();
         if state.closed {
             return;
         }
         state.lines.push_back(line);
-        self.pushed.notify_all();
+        if state.parked_writers > 0 && !state.turn {
+            self.pushed.notify_all();
+        }
     }
 
     /// Registers the calling writer as the session's current (only) one and
-    /// returns its epoch for [`Outbox::pop_at`]. Any previously attached
-    /// writer is evicted: its next pop returns `None`.
+    /// returns its epoch for [`Outbox::pop_at`], or for
+    /// [`Outbox::wait_ready`], [`Outbox::take_ready`] and the reader's
+    /// [`Outbox::begin_turn`]. Any previously attached writer is evicted:
+    /// its next pop returns `None`.
     pub fn attach_writer(&self) -> u64 {
         let mut state = self.lock();
-        state.epoch += 1;
+        state.bump_epoch();
         self.pushed.notify_all();
         state.epoch
     }
@@ -129,7 +191,7 @@ impl Outbox {
     pub fn detach(&self, epoch: u64) {
         let mut state = self.lock();
         if state.epoch == epoch {
-            state.epoch += 1;
+            state.bump_epoch();
             self.pushed.notify_all();
         }
     }
@@ -137,8 +199,8 @@ impl Outbox {
     /// Takes the next line, blocking until one arrives or the outbox closes.
     /// Returns `None` only when the outbox is closed **and** delivered, so a
     /// writer loop flushes every queued line before exiting. Direct
-    /// consumers (tests, embedders) use this; connection writer threads use
-    /// [`Outbox::pop_at`] so a resumed session can evict them.
+    /// consumers (tests, embedders) use this; an attached writer uses
+    /// [`Outbox::pop_at`] so a resumed session can evict it.
     pub fn pop(&self) -> Option<String> {
         self.pop_inner(None)
     }
@@ -155,27 +217,60 @@ impl Outbox {
             if epoch.is_some_and(|epoch| epoch != state.epoch) {
                 return None;
             }
-            if state.cursor < state.next_seq() {
-                let seq = state.cursor;
-                let at = (seq - state.front_seq) as usize;
-                state.cursor += 1;
-                let line = if state.retain {
-                    format!("seq={seq} {}", state.lines[at])
-                } else {
-                    let line = state.lines.pop_front().expect("cursor < next_seq");
-                    state.front_seq += 1;
-                    self.popped.notify_all();
-                    line
-                };
+            if let Some(line) = state.deliver_next() {
+                self.release_gates(&state);
                 return Some(line);
             }
             if state.closed {
                 return None;
             }
-            state = self
-                .pushed
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            state = self.park_writer(state);
+        }
+    }
+
+    /// Starts the reader's delivery turn for attachment `epoch`: until
+    /// [`Outbox::take_ready`], pushes leave the writer thread parked. A no-op
+    /// for an evicted attachment or a closed outbox. The reader must end
+    /// its turn before it blocks on anything, or lines pushed meanwhile by
+    /// pool workers would wait on it.
+    pub fn begin_turn(&self, epoch: u64) {
+        let mut state = self.lock();
+        if state.epoch == epoch && !state.closed {
+            state.turn = true;
+        }
+    }
+
+    /// Blocks the writer thread of attachment `epoch` until there is
+    /// something for it to take outside a reader's turn. Returns `false`
+    /// when the writer should exit: `epoch` was evicted, or the outbox is
+    /// closed and fully delivered.
+    pub fn wait_ready(&self, epoch: u64) -> bool {
+        let mut state = self.lock();
+        loop {
+            if state.epoch != epoch {
+                return false;
+            }
+            if state.deliverable() && !state.turn {
+                return true;
+            }
+            if state.closed {
+                return state.deliverable();
+            }
+            state = self.park_writer(state);
+        }
+    }
+
+    /// Appends every deliverable line (each with its `\n`) to `out` without
+    /// blocking, and ends the reader's turn if one is held: the reader calls
+    /// this to end its turn, the writer thread after [`Outbox::wait_ready`].
+    /// Appends nothing once `epoch` is evicted. Call it holding the
+    /// connection's write lock.
+    pub fn take_ready(&self, epoch: u64, out: &mut String) {
+        let mut state = self.lock();
+        if state.epoch == epoch {
+            state.turn = false;
+            state.deliver_all(out);
+            self.release_gates(&state);
         }
     }
 
@@ -184,7 +279,7 @@ impl Outbox {
     pub fn ack(&self, upto: u64) {
         let mut state = self.lock();
         state.trim_through(upto);
-        self.popped.notify_all();
+        self.release_gates(&state);
     }
 
     /// Rewinds delivery to `last_seq + 1` for a reconnected session and
@@ -212,7 +307,7 @@ impl Outbox {
         }
         state.trim_through(last_seq);
         state.cursor = last_seq + 1;
-        state.epoch += 1;
+        state.bump_epoch();
         self.pushed.notify_all();
         self.popped.notify_all();
         Ok(state.epoch)
@@ -227,10 +322,12 @@ impl Outbox {
         let limit = limit.max(1);
         let mut state = self.lock();
         while !state.closed && state.lines.len() >= limit {
+            state.parked_gates += 1;
             state = self
                 .popped
                 .wait(state)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
+            state.parked_gates -= 1;
         }
     }
 
@@ -246,15 +343,36 @@ impl Outbox {
     }
 
     /// Closes the outbox: pending lines still drain through [`Outbox::pop`],
-    /// further pushes are dropped, and both waiting sides wake up.
+    /// further pushes are dropped, any reader turn ends, and both waiting
+    /// sides wake up.
     pub fn close(&self) {
         let mut state = self.lock();
         state.closed = true;
+        state.turn = false;
         self.pushed.notify_all();
         self.popped.notify_all();
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
+    /// Parks a writer or direct consumer on `pushed` until the next wake-up.
+    fn park_writer<'a>(&self, mut state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        state.parked_writers += 1;
+        let mut state = self
+            .pushed
+            .wait(state)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        state.parked_writers -= 1;
+        state
+    }
+
+    /// Wakes the admission gates, if any is parked, after lines left the
+    /// buffer.
+    fn release_gates(&self, state: &State) {
+        if state.parked_gates > 0 {
+            self.popped.notify_all();
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
         self.state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -383,6 +501,34 @@ mod tests {
             outbox.pop_at(second).as_deref(),
             Some("seq=1 still-delivered")
         );
+    }
+
+    #[test]
+    fn a_reader_turn_keeps_the_writer_parked_and_hands_over_its_lines() {
+        let outbox = Arc::new(Outbox::new());
+        outbox.enable_retention();
+        let epoch = outbox.attach_writer();
+        outbox.begin_turn(epoch);
+        outbox.push("accepted".into());
+        let writer = {
+            let outbox = Arc::clone(&outbox);
+            std::thread::spawn(move || {
+                let mut taken = String::new();
+                while outbox.wait_ready(epoch) {
+                    outbox.take_ready(epoch, &mut taken);
+                }
+                taken
+            })
+        };
+        outbox.push("result".into());
+        std::thread::sleep(Duration::from_millis(20));
+        let mut batch = String::new();
+        outbox.take_ready(epoch, &mut batch);
+        assert_eq!(batch, "seq=1 accepted\nseq=2 result\n");
+        // Outside the turn, the writer delivers; `close` lets it exit.
+        outbox.push("late".into());
+        outbox.close();
+        assert_eq!(writer.join().unwrap(), "seq=3 late\n");
     }
 
     #[test]

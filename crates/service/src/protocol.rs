@@ -881,19 +881,32 @@ pub fn run_job(spec: &JobSpec, _linger: Duration, token: Option<&CancellationTok
 /// and any serial reference must go through this function — byte-for-byte
 /// result comparison relies on it.
 pub fn render_result(spec: &JobSpec, run: &EcsRun) -> String {
-    let labels: Vec<String> = run.partition.labels().iter().map(u32::to_string).collect();
-    format!(
-        "result id={} algo={} dist={} n={} seed={} classes={} comparisons={} rounds={} labels={}",
+    use fmt::Write as _;
+    let labels = run.partition.labels();
+    let classes = run.partition.num_classes();
+    // Labels are class ids below `classes`, so none is wider than this.
+    let label_width = classes.max(1).ilog10() as usize + 1;
+    let mut line = String::with_capacity(160 + spec.id.len() + labels.len() * (label_width + 1));
+    // Writing into a `String` cannot fail.
+    let _ = write!(
+        line,
+        "result id={} algo={} dist={} n={} seed={} classes={} comparisons={} rounds={} labels=",
         spec.id,
         spec.algo,
         spec.dist,
         spec.n,
         spec.seed,
-        run.partition.num_classes(),
+        classes,
         run.metrics.comparisons(),
         run.metrics.rounds(),
-        labels.join(",")
-    )
+    );
+    for (at, label) in labels.iter().enumerate() {
+        if at > 0 {
+            line.push(',');
+        }
+        let _ = write!(line, "{label}");
+    }
+    line
 }
 
 #[cfg(test)]

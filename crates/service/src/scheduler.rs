@@ -1,9 +1,10 @@
-//! Weighted-fair multiplexing of session jobs onto the [`ThroughputPool`].
+//! Weighted-fair multiplexing of session jobs onto the [`ThroughputPool`]
+//! and the session readers.
 //!
 //! The pool's one queue is strictly FIFO — fine for one grid, unfair for a
 //! daemon where one chatty tenant could enqueue a thousand jobs ahead of
 //! everyone else. The scheduler therefore holds its *own* per-tenant queues
-//! and releases at most `max_inflight` jobs to the pool at a time, picking
+//! and releases at most `max_inflight` jobs at a time, picking
 //! the next job by **stride scheduling**: each tenant advances a pass value
 //! by `STRIDE_SCALE / weight` per dispatched job, and the lowest pass (ties
 //! broken by tenant name, so the order is deterministic) dispatches next. A
@@ -12,17 +13,25 @@
 //! share costs it nothing when it returns (its pass is re-anchored to the
 //! current minimum).
 //!
-//! Dispatched jobs run detached ([`ThroughputPool::spawn`]) under
-//! `catch_unwind`, carrying a [`CancellationToken`]; a panicking or
-//! cancelled job releases its fairness slot in the completion path exactly
-//! like a successful one, so a killed session can never leak pool capacity.
+//! A dispatched job runs in one of two places. [`Scheduler::submit`] sends
+//! every dispatched job to the pool, detached ([`ThroughputPool::spawn`]).
+//! [`Scheduler::submit_here`], which session readers call, runs a *small*
+//! job (all-pairs bound at most `INLINE_MAX_PAIRS`) on the calling thread
+//! when the stride pick dispatches it at once, and sends everything else to
+//! the pool. Both places share admission, the stride pick, quotas, the
+//! slot count and one job body: `run_job` under `catch_unwind`, carrying a
+//! [`CancellationToken`], then the completion path. A panicking or
+//! cancelled job releases its fairness slot there exactly like a
+//! successful one, so a killed session can never leak capacity, and
+//! [`Scheduler::abort_all`] and [`Scheduler::wait_idle`] see a job running
+//! on a reader like any pool job.
 //!
 //! Fairness alone does not bound memory: a chatty tenant can still queue
 //! without limit behind its stride share. A [`QuotaConfig`] therefore adds
 //! admission control per tenant — `max_queued` rejects a `submit`
 //! deterministically (a `rejected` response, never a dropped job) once the
 //! tenant's queue is full, `max_inflight` caps how many of its jobs occupy
-//! pool slots at once (an over-limit tenant is simply skipped by the stride
+//! slots at once (an over-limit tenant is simply skipped by the stride
 //! pick, not rejected), and `weight` pins the fairness weight regardless of
 //! what the submit asked for.
 
@@ -44,6 +53,23 @@ const STRIDE_SCALE: u64 = 1 << 20;
 /// steady trickle registers, narrow enough that an idle daemon reads zero
 /// instead of a lifetime average decaying forever.
 const RATE_WINDOW: Duration = Duration::from_millis(400);
+
+/// The largest all-pairs bound, n(n−1)/2, of a job that
+/// [`Scheduler::submit_here`] may run on the calling thread; no algorithm
+/// charges more comparisons than that (`tests/comparison_budget.rs`).
+/// 2048 admits n ≤ 64. Measured per `run_job` on the `auto` backend (200
+/// seeds per cell, the worst p99 over six algorithms × the five `sort-large`
+/// distributions and `uniform:1000000000`, 2-vCPU VM, three runs): 48–70 µs
+/// at n = 48, 93–102 µs at n = 64 and 159–191 µs at n = 91, the worst cell
+/// being round-robin (once er-constant) on `uniform:1000000000`. So the
+/// costliest job run here takes less than the ~0.16 ms that handing an
+/// n = 48 job to a pool worker and its result to the writer thread cost.
+const INLINE_MAX_PAIRS: usize = 2048;
+
+/// Whether `spec` is small enough to run on a session's reader.
+fn runs_inline(spec: &JobSpec) -> bool {
+    spec.n.saturating_mul(spec.n.saturating_sub(1)) / 2 <= INLINE_MAX_PAIRS
+}
 
 /// Admission limits for one tenant. `None` means unlimited (or, for
 /// `weight`, "honour whatever the submit asked for").
@@ -225,8 +251,8 @@ struct Tenant {
     pass: u64,
     stride: u64,
     queue: VecDeque<QueuedJob>,
-    /// How many of this tenant's jobs currently occupy pool slots — the
-    /// quantity `quota.max_inflight` bounds.
+    /// How many of this tenant's jobs currently occupy slots, on the pool or
+    /// on a reader — the quantity `quota.max_inflight` bounds.
     inflight: usize,
     /// The admission limits this tenant runs under, resolved from the
     /// daemon's [`QuotaConfig`] when the tenant first appeared.
@@ -248,6 +274,17 @@ struct QueuedJob {
     session: Arc<SessionHandle>,
 }
 
+/// A job the stride pick released, holding its slot until
+/// [`Scheduler::run`] completes it.
+struct Dispatched {
+    job: QueuedJob,
+    token: CancellationToken,
+    key: String,
+    /// `complete` cannot recover the fairness bucket from the job key (ids
+    /// are session-scoped), so the tenant name rides along.
+    billed_to: String,
+}
+
 #[derive(Debug, Default)]
 struct SchedState {
     tenants: BTreeMap<String, Tenant>,
@@ -258,6 +295,8 @@ struct SchedState {
     /// of the status line's windowed rate.
     recent: VecDeque<Instant>,
     draining: bool,
+    /// Threads parked in [`Scheduler::wait_idle`].
+    idle_waiters: usize,
 }
 
 /// The daemon-wide job scheduler (see the module docs).
@@ -304,13 +343,37 @@ impl Scheduler {
     /// Admits one job for `session`, responding `accepted` (and eventually
     /// a terminal line) through the session outbox; `error` when the daemon
     /// is draining, `rejected` when the tenant's queue is at its quota.
+    /// Every dispatched job runs on the pool.
     pub fn submit(self: &Arc<Self>, spec: JobSpec, session: &Arc<SessionHandle>) {
+        let inline = self.admit(spec, session, false);
+        debug_assert!(inline.is_none(), "submit never runs a job in place");
+    }
+
+    /// [`Scheduler::submit`] for a session's reader: when the job is small
+    /// and the stride pick dispatches it at once (a slot is free and its
+    /// tenant is under its in-flight quota), it runs on the calling thread
+    /// before this returns, holding its slot and token like a pool job.
+    /// Otherwise it queues or goes to the pool exactly as with `submit`.
+    pub fn submit_here(self: &Arc<Self>, spec: JobSpec, session: &Arc<SessionHandle>) {
+        if let Some(job) = self.admit(spec, session, true) {
+            self.run(job);
+        }
+    }
+
+    /// Admission shared by both entry points. With `here`, returns the
+    /// admitted job when it is small and dispatched at once.
+    fn admit(
+        self: &Arc<Self>,
+        spec: JobSpec,
+        session: &Arc<SessionHandle>,
+        here: bool,
+    ) -> Option<Dispatched> {
         let mut state = self.lock();
         if state.draining {
             session.respond(&Response::Error {
                 message: format!("daemon is draining; job {} rejected", spec.id),
             });
-            return;
+            return None;
         }
         let floor = state
             .tenants
@@ -343,7 +406,7 @@ impl Scheduler {
                     id: spec.id,
                     reason: format!("queue_full:{max_queued}"),
                 });
-                return;
+                return None;
             }
         }
         // Weight is a property of the tenant's latest submit; re-anchor an
@@ -356,12 +419,13 @@ impl Scheduler {
             id: spec.id.clone(),
         });
         session.note_submitted();
+        let here = (here && runs_inline(&spec)).then(|| spec.tenant.clone());
         tenant.queue.push_back(QueuedJob {
             spec,
             session: Arc::clone(session),
         });
         state.queued += 1;
-        self.dispatch_locked(&mut state);
+        self.dispatch_locked(&mut state, here.as_deref())
     }
 
     /// Cancels `id` for `session`: a still-queued job is removed and
@@ -384,10 +448,13 @@ impl Scheduler {
             tenant.completed += 1;
             state.queued -= 1;
             Self::note_completions(&mut state, 1);
+            let wake = state.idle_waiters > 0;
             drop(state);
             job.session
                 .finish_job(&Response::Cancelled { id: id.to_string() });
-            self.settled.notify_all();
+            if wake {
+                self.settled.notify_all();
+            }
             return;
         }
         if let Some(token) = state.inflight.get(&key) {
@@ -453,10 +520,12 @@ impl Scheduler {
     pub fn wait_idle(&self) {
         let mut state = self.lock();
         while state.queued > 0 || !state.inflight.is_empty() {
+            state.idle_waiters += 1;
             state = self
                 .settled
                 .wait(state)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
+            state.idle_waiters -= 1;
         }
     }
 
@@ -479,18 +548,29 @@ impl Scheduler {
         for token in state.inflight.values() {
             token.cancel();
         }
+        let wake = state.idle_waiters > 0;
         drop(state);
         for job in dropped {
             job.session
                 .finish_job(&Response::Cancelled { id: job.spec.id });
         }
-        self.settled.notify_all();
+        if wake {
+            self.settled.notify_all();
+        }
     }
 
-    /// Releases fairness slots to the pool while capacity and queued work
-    /// both remain. A tenant at its `max_inflight` quota is skipped (its
-    /// queue waits), so the loop also ends when only capped tenants remain.
-    fn dispatch_locked(self: &Arc<Self>, state: &mut SchedState) {
+    /// Releases fairness slots while capacity and queued work both remain.
+    /// A tenant at its `max_inflight` quota is skipped (its queue waits), so
+    /// the loop also ends when only capped tenants remain. Every released
+    /// job goes to the pool except, when `here` names a tenant, the job
+    /// that tenant's queue just received: it is returned for the caller to
+    /// run.
+    fn dispatch_locked(
+        self: &Arc<Self>,
+        state: &mut SchedState,
+        here: Option<&str>,
+    ) -> Option<Dispatched> {
+        let mut inline = None;
         while state.inflight.len() < self.max_inflight && state.queued > 0 {
             let Some(next) = state
                 .tenants
@@ -511,48 +591,70 @@ impl Scheduler {
             tenant.pass += tenant.stride;
             tenant.inflight += 1;
             let job = tenant.queue.pop_front().expect("queue was non-empty");
+            // Nothing was queued since the admission that named `here`, so
+            // popping the last job of that tenant pops the admitted job.
+            let admitted = here == Some(next.as_str()) && tenant.queue.is_empty();
             state.queued -= 1;
             let token = CancellationToken::new();
             let key = Self::job_key(&job.session, &job.spec.id);
             state.inflight.insert(key.clone(), token.clone());
-            let scheduler = Arc::clone(self);
-            // `complete` cannot recover the fairness bucket from the job key
-            // (ids are session-scoped), so the tenant name rides along.
-            let billed_to = next;
-            self.pool.spawn(move || {
-                let QueuedJob { spec, session } = job;
-                let dispatched = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    run_job(&spec, Duration::ZERO, Some(&token))
-                }));
-                let elapsed = dispatched.elapsed();
-                let response = match outcome {
-                    Ok(run) => Response::Result {
-                        id: spec.id.clone(),
-                        line: render_result(&spec, &run),
-                    },
-                    Err(payload) => {
-                        let panic = JobPanic::from_payload(payload);
-                        if panic.is_cancelled() {
-                            Response::Cancelled {
-                                id: spec.id.clone(),
-                            }
-                        } else {
-                            Response::Failed {
-                                id: spec.id.clone(),
-                                message: panic.message().to_string(),
-                            }
-                        }
-                    }
-                };
-                scheduler.complete(&key, &billed_to, &session, &response, elapsed);
-            });
+            let dispatched = Dispatched {
+                job,
+                token,
+                key,
+                billed_to: next,
+            };
+            if admitted {
+                inline = Some(dispatched);
+            } else {
+                let scheduler = Arc::clone(self);
+                self.pool.spawn(move || scheduler.run(dispatched));
+            }
         }
+        inline
+    }
+
+    /// The one job body, on a pool worker or a session's reader: run the
+    /// job under `catch_unwind`, classify a panic as cancellation or
+    /// failure, and complete it.
+    fn run(self: &Arc<Self>, dispatched: Dispatched) {
+        let Dispatched {
+            job: QueuedJob { spec, session },
+            token,
+            key,
+            billed_to,
+        } = dispatched;
+        let started = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_job(&spec, Duration::ZERO, Some(&token))
+        }));
+        let elapsed = started.elapsed();
+        let response = match outcome {
+            Ok(run) => Response::Result {
+                id: spec.id.clone(),
+                line: render_result(&spec, &run),
+            },
+            Err(payload) => {
+                let panic = JobPanic::from_payload(payload);
+                if panic.is_cancelled() {
+                    Response::Cancelled {
+                        id: spec.id.clone(),
+                    }
+                } else {
+                    Response::Failed {
+                        id: spec.id.clone(),
+                        message: panic.message().to_string(),
+                    }
+                }
+            }
+        };
+        self.complete(&key, &billed_to, &session, &response, elapsed);
     }
 
     /// The completion path every dispatched job takes — success, panic, or
     /// cancellation: deliver the terminal response, bill the tenant (count
-    /// and latency), release the fairness slot, dispatch whoever is next.
+    /// and latency), release the fairness slot, dispatch whoever is next
+    /// to the pool.
     fn complete(
         self: &Arc<Self>,
         key: &str,
@@ -572,9 +674,13 @@ impl Scheduler {
                 .latency_us
                 .record(usize::try_from(elapsed.as_micros()).unwrap_or(usize::MAX));
         }
-        self.dispatch_locked(&mut state);
+        let inline = self.dispatch_locked(&mut state, None);
+        debug_assert!(inline.is_none(), "completions dispatch to the pool");
+        let wake = state.idle_waiters > 0;
         drop(state);
-        self.settled.notify_all();
+        if wake {
+            self.settled.notify_all();
+        }
     }
 
     /// Records `count` just-finished jobs in both the lifetime counter and
@@ -1010,6 +1116,130 @@ mod tests {
         unique.sort();
         unique.dedup();
         assert_eq!(unique.len(), tokens.len(), "no token repeats");
+    }
+
+    /// `spec` with `n` elements: at most 64 runs inline, 65 does not.
+    fn sized(id: &str, tenant: &str, n: usize) -> JobSpec {
+        JobSpec {
+            n,
+            ..spec(id, tenant, 1)
+        }
+    }
+
+    /// `(queued, inflight)` from the status line.
+    fn load(scheduler: &Scheduler) -> (usize, usize) {
+        let Response::Status {
+            queued, inflight, ..
+        } = scheduler.status()
+        else {
+            panic!("status must render counters")
+        };
+        (queued, inflight)
+    }
+
+    #[test]
+    fn the_size_bound_admits_n_64_and_refuses_n_65() {
+        assert!(runs_inline(&sized("j", "t", 64)), "64·63/2 = 2016 pairs");
+        assert!(!runs_inline(&sized("j", "t", 65)), "65·64/2 = 2080 pairs");
+        assert!(!runs_inline(&sized("j", "t", 2000)));
+    }
+
+    #[test]
+    fn a_small_job_runs_on_the_submitting_thread() {
+        // The pool is parked, so a result that is already queued when
+        // `submit_here` returns was computed on this thread.
+        let scheduler = Arc::new(Scheduler::new(ThroughputPool::from_jobs(1), 1));
+        let session = Arc::new(SessionHandle::new(30));
+        let parked = park_pool(scheduler.pool());
+        let small = sized("small", "t", 64);
+        scheduler.submit_here(small.clone(), &session);
+        assert_eq!(session.outbox().len(), 2, "accepted and result are queued");
+        assert_eq!(load(&scheduler), (0, 0), "the slot is already released");
+        drop(parked);
+        assert_eq!(
+            Response::parse(&session.outbox().pop().unwrap()),
+            Ok(Response::Accepted { id: "small".into() })
+        );
+        let run = run_job(&small, Duration::ZERO, None);
+        assert_eq!(session.outbox().pop(), Some(render_result(&small, &run)));
+    }
+
+    #[test]
+    fn a_job_above_the_bound_goes_to_the_pool() {
+        let scheduler = Arc::new(Scheduler::new(ThroughputPool::from_jobs(1), 1));
+        let session = Arc::new(SessionHandle::new(31));
+        let parked = park_pool(scheduler.pool());
+        scheduler.submit_here(sized("big", "t", 65), &session);
+        assert_eq!(session.outbox().len(), 1, "only `accepted` so far");
+        assert_eq!(load(&scheduler), (0, 1), "dispatched, waiting on the pool");
+        drop(parked);
+        assert_eq!(
+            result_order(&drain_lines(&session)),
+            vec!["big".to_string()]
+        );
+    }
+
+    #[test]
+    fn a_small_job_queues_behind_a_full_slot_count() {
+        let scheduler = Arc::new(Scheduler::new(ThroughputPool::from_jobs(1), 1));
+        let session = Arc::new(SessionHandle::new(32));
+        let parked = park_pool(scheduler.pool());
+        scheduler.submit_here(sized("big", "t", 65), &session);
+        scheduler.submit_here(sized("small", "u", 16), &session);
+        assert_eq!(load(&scheduler), (1, 1), "the one slot is taken");
+        assert_eq!(session.outbox().len(), 2, "two `accepted`, no result");
+        drop(parked);
+        assert_eq!(
+            result_order(&drain_lines(&session)),
+            vec!["big".to_string(), "small".into()],
+            "the queued small job is answered after the pool job"
+        );
+    }
+
+    #[test]
+    fn a_tenant_at_its_inflight_quota_is_not_run_inline() {
+        let quotas = QuotaConfig::parse("a=-:1:-").expect("quota parses");
+        let scheduler =
+            Arc::new(Scheduler::new(ThroughputPool::from_jobs(1), 2).with_quotas(quotas));
+        let session = Arc::new(SessionHandle::new(33));
+        let parked = park_pool(scheduler.pool());
+        scheduler.submit_here(sized("a0", "a", 65), &session);
+        scheduler.submit_here(sized("a1", "a", 16), &session);
+        assert_eq!(
+            load(&scheduler),
+            (1, 1),
+            "a slot is free, but tenant a may only occupy one"
+        );
+        scheduler.submit_here(sized("b0", "b", 16), &session);
+        assert_eq!(session.outbox().len(), 4, "b0 ran inline in the free slot");
+        drop(parked);
+        assert_eq!(
+            result_order(&drain_lines(&session)),
+            vec!["b0".to_string(), "a0".into(), "a1".into()]
+        );
+    }
+
+    #[test]
+    fn the_last_completion_releases_wait_idle() {
+        let scheduler = Arc::new(Scheduler::new(ThroughputPool::from_jobs(1), 1));
+        let session = Arc::new(SessionHandle::new(34));
+        let parked = park_pool(scheduler.pool());
+        scheduler.submit(spec("j0", "t", 1), &session);
+        scheduler.submit(spec("j1", "t", 1), &session);
+        let idle = {
+            let scheduler = Arc::clone(&scheduler);
+            std::thread::spawn(move || scheduler.wait_idle())
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!idle.is_finished(), "two jobs are still outstanding");
+        drop(parked);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !idle.is_finished() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(idle.is_finished(), "wait_idle missed the last completion");
+        idle.join().unwrap();
+        let _ = drain_lines(&session);
     }
 
     #[test]

@@ -1,13 +1,22 @@
 //! The daemon: transports, per-session threads, and lifecycle.
 //!
 //! A daemon owns one [`crate::Scheduler`] and any number of sessions. Each
-//! session is a full-duplex line stream served by **two** threads:
+//! session is a full-duplex line stream served by **two** threads that
+//! share the stream's write half under one mutex:
 //!
-//! * the *reader* parses request lines and forwards them to the scheduler,
+//! * the *reader* parses request lines and hands them to the scheduler,
 //!   gating each `submit` on [`crate::Outbox::wait_below`] — a client that
-//!   stops reading results stops being read (backpressure);
-//! * the *writer* drains the session outbox to the stream. Completions are
-//!   pushed by pool workers and never block.
+//!   stops reading results stops being read (backpressure). A small job
+//!   that can start at once runs right here
+//!   ([`crate::Scheduler::submit_here`]). While it handles a request the
+//!   reader holds the outbox's delivery turn, then writes every line that
+//!   request produced, so `accepted` and an inline job's result leave in
+//!   one write and no other thread wakes. The turn ends before the reader
+//!   blocks on anything: the admission gate, a drain, the next read.
+//! * the *writer* delivers the rest: lines pushed by pool workers (results
+//!   of jobs that queued or were too big to run inline) while no turn is
+//!   held. It writes everything queued in one write. Pool workers only
+//!   push, and never block.
 //!
 //! Two transports share that code path: TCP (`Daemon::bind`, one accept
 //! thread) and an in-process loopback pipe (`DaemonHandle::connect`), which
@@ -29,10 +38,11 @@
 //!
 //! Request lines are capped at 64 KiB. A longer line is answered with
 //! `error line too long …` and ends the session, resumable or not, and its
-//! connection is closed. TCP streams run with `TCP_NODELAY` and every line
-//! goes out in one write (see `protocol::write_line`).
+//! connection is closed. TCP streams run with `TCP_NODELAY`, and every
+//! line, or batch of lines, goes out in one write.
 
 use crate::client::Client;
+use crate::outbox::Outbox;
 use crate::pipe::pipe;
 use crate::protocol::{write_line, Request, Response};
 use crate::scheduler::{QuotaConfig, Scheduler, SessionHandle};
@@ -55,7 +65,8 @@ const MAX_REQUEST_LINE: usize = 64 * 1024;
 pub struct DaemonConfig {
     /// The pool every session's jobs run on.
     pub pool: ThroughputPool,
-    /// Fairness slots: jobs released to the pool at a time.
+    /// Fairness slots: jobs running at a time, on pool workers and on
+    /// session readers alike.
     pub max_inflight: usize,
     /// Result lines a session may have queued before its reader stops
     /// admitting new submits.
@@ -322,6 +333,28 @@ fn read_request_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> LineRead 
     }
 }
 
+/// Takes every deliverable line of `outbox` for attachment `epoch` (ending
+/// the reader's turn) and writes them in one write. Taking under the
+/// connection's lock is what keeps the reader's and the writer thread's
+/// lines in sequence order.
+fn deliver<W: Write>(
+    writer: &Mutex<W>,
+    outbox: &Outbox,
+    epoch: u64,
+    batch: &mut String,
+) -> std::io::Result<()> {
+    let mut writer = writer
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    batch.clear();
+    outbox.take_ready(epoch, batch);
+    if batch.is_empty() {
+        return Ok(());
+    }
+    writer.write_all(batch.as_bytes())?;
+    writer.flush()
+}
+
 fn line_too_long() -> Response {
     Response::Error {
         message: format!("line too long (limit {MAX_REQUEST_LINE} bytes)"),
@@ -417,16 +450,22 @@ where
         }
     };
 
-    let writer_session = Arc::clone(&session);
-    let writer_thread = std::thread::spawn(move || {
-        while let Some(line) = writer_session.outbox().pop_at(epoch) {
-            if write_line(&mut writer, line).is_err() {
-                break;
+    let writer = Arc::new(Mutex::new(writer));
+    let writer_thread = {
+        let session = Arc::clone(&session);
+        let writer = Arc::clone(&writer);
+        std::thread::spawn(move || {
+            let mut batch = String::new();
+            while session.outbox().wait_ready(epoch) {
+                if deliver(&writer, session.outbox(), epoch, &mut batch).is_err() {
+                    break;
+                }
             }
-        }
-    });
+        })
+    };
 
     let scheduler = Arc::clone(&shared.scheduler);
+    let mut batch = String::new();
     // Set when the client broke the protocol badly enough to lose its
     // session: it is closed even if it could otherwise be resumed.
     let mut hung_up = false;
@@ -444,13 +483,23 @@ where
                 LineRead::Request(request) => request,
             },
         };
+        if let Ok(Request::Shutdown) = request {
+            // Graceful daemon stop: refuse new work, finish everything,
+            // then close every session (the epilogue sends this session's
+            // `bye`). No turn is held, so the writer delivers meanwhile.
+            scheduler.start_draining();
+            scheduler.wait_idle();
+            shared.close_all();
+            break;
+        }
+        if let Ok(Request::Submit(_)) = request {
+            // Backpressure: don't admit more work while this session's
+            // results sit unread (or, for resumable sessions, unacked).
+            session.outbox().wait_below(shared.outbox_limit);
+        }
+        session.outbox().begin_turn(epoch);
         match request {
-            Ok(Request::Submit(spec)) => {
-                // Backpressure: don't admit more work while this session's
-                // results sit unread (or, for resumable sessions, unacked).
-                session.outbox().wait_below(shared.outbox_limit);
-                scheduler.submit(spec, &session);
-            }
+            Ok(Request::Submit(spec)) => scheduler.submit_here(spec, &session),
             Ok(Request::Cancel { id }) => scheduler.cancel(&session, &id),
             Ok(Request::Status) => session.respond(&scheduler.status()),
             Ok(Request::Drain) => session.request_drain(),
@@ -468,17 +517,12 @@ where
                     message: "session identity is fixed by the first request".to_string(),
                 });
             }
-            Ok(Request::Shutdown) => {
-                // Graceful daemon stop: refuse new work, finish everything,
-                // then close every session (the epilogue sends this
-                // session's `bye`).
-                scheduler.start_draining();
-                scheduler.wait_idle();
-                shared.close_all();
-                break;
-            }
+            Ok(Request::Shutdown) => unreachable!("shutdown is handled above"),
             Err(message) => session.respond(&Response::Error { message }),
         }
+        // A failed write means the client is gone; the next read ends the
+        // session.
+        let _ = deliver(&writer, session.outbox(), epoch, &mut batch);
         if shared.stopping.load(Ordering::SeqCst) {
             break;
         }

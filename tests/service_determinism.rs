@@ -615,3 +615,203 @@ fn an_overlong_request_line_is_refused_and_a_sibling_session_is_untouched() {
     daemon.stop();
     daemon.join();
 }
+
+/// Sends `request_lines` on a raw TCP connection, then reads `expect`
+/// lines back.
+fn raw_exchange(addr: &str, request_lines: &[String], expect: usize) -> Vec<String> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("set a read timeout");
+    let mut wire = request_lines.join("\n");
+    wire.push('\n');
+    stream.write_all(wire.as_bytes()).expect("send requests");
+    BufReader::new(stream)
+        .lines()
+        .take(expect)
+        .map(|line| line.expect("read a response line"))
+        .collect()
+}
+
+#[test]
+fn small_jobs_answer_accepted_then_the_serial_result_on_both_session_kinds() {
+    // Each small job runs on its session's reader, which writes `accepted`
+    // and the result together, so the streams are fully ordered.
+    let daemon = Daemon::bind("127.0.0.1:0", daemon_config()).expect("bind an ephemeral port");
+    let addr = daemon.local_addr().expect("a TCP daemon").to_string();
+    let specs: Vec<JobSpec> = (0..3).map(|j| grid_spec(70 + j, 0)).collect();
+    let submits: Vec<String> = specs
+        .iter()
+        .map(|spec| Request::Submit(spec.clone()).render())
+        .collect();
+    let expected: Vec<String> = specs
+        .iter()
+        .flat_map(|spec| {
+            let run = run_job(spec, Duration::ZERO, None);
+            [
+                Response::Accepted {
+                    id: spec.id.clone(),
+                }
+                .render(),
+                render_result(spec, &run),
+            ]
+        })
+        .collect();
+
+    let anonymous = raw_exchange(&addr, &submits, expected.len());
+    assert_eq!(anonymous, expected, "anonymous lines carry no seq=");
+
+    let mut hello = vec!["hello".to_string()];
+    hello.extend(submits.iter().cloned());
+    let resumable = raw_exchange(&addr, &hello, expected.len() + 1);
+    assert!(
+        resumable[0].starts_with("seq=1 hello token=sess-"),
+        "{resumable:?}"
+    );
+    let numbered: Vec<String> = expected
+        .iter()
+        .enumerate()
+        .map(|(at, line)| format!("seq={} {line}", at + 2))
+        .collect();
+    assert_eq!(resumable[1..], numbered[..], "hello lines are numbered");
+    daemon.stop();
+    daemon.join();
+}
+
+#[test]
+fn a_job_above_the_inline_bound_runs_on_the_pool_and_cancels_in_flight() {
+    // About 0.1 s of work. Run on the reader, it would finish before the
+    // cancel is read.
+    let daemon = Daemon::loopback(daemon_config());
+    let mut client = daemon.connect();
+    let big = JobSpec {
+        id: "big".to_string(),
+        tenant: "t".to_string(),
+        weight: 1,
+        dist: DistSpec::Uniform(1_000_000_000),
+        n: 8000,
+        seed: 3,
+        algo: AlgoSpec::RepresentativeScan,
+        backend: BackendSpec::Seq,
+    };
+    client.submit(&big).expect("submit");
+    client
+        .send(&Request::Cancel { id: big.id.clone() })
+        .expect("send cancel");
+    let id = || big.id.clone();
+    assert_eq!(
+        client.drain().expect("drain"),
+        vec![
+            Response::Accepted { id: id() },
+            Response::Cancelling { id: id() },
+            Response::Cancelled { id: id() },
+        ]
+    );
+    drop(client);
+    daemon.stop();
+    daemon.join();
+}
+
+/// Runs `work` on its own thread and fails the test if it has not
+/// returned within 30 s, so a deadlock fails instead of hanging.
+fn within_30s<T: Send + 'static>(what: &str, work: impl FnOnce() -> T + Send + 'static) -> T {
+    let (finished, done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = finished.send(work());
+    });
+    done.recv_timeout(Duration::from_secs(30))
+        .unwrap_or_else(|_| panic!("{what} did not return within 30 s"))
+}
+
+#[test]
+fn a_tiny_outbox_limit_backpressures_pool_jobs_without_deadlock() {
+    // Every job is above the inline bound, so its result reaches the client
+    // through the writer thread, often while the reader waits at the
+    // admission gate. A reader that kept its delivery turn while waiting
+    // there would leave the writer parked and never be released.
+    let daemon = Daemon::loopback(DaemonConfig {
+        outbox_limit: 1,
+        ..daemon_config()
+    });
+    let mut client = daemon.connect();
+    let specs: Vec<JobSpec> = (0..200)
+        .map(|j| JobSpec {
+            id: format!("pool{j:03}"),
+            n: 65 + j % 16,
+            ..grid_spec(j % SESSIONS, 0)
+        })
+        .collect();
+    let sent = specs.clone();
+    let responses = within_30s("a backpressured drain", move || {
+        for spec in &sent {
+            client.submit(spec).expect("submit");
+        }
+        client.drain().expect("drain")
+    });
+    let results: HashMap<String, String> = responses
+        .into_iter()
+        .filter_map(|response| match response {
+            Response::Result { id, line } => Some((id, line)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(results.len(), specs.len());
+    for spec in &specs {
+        let run = run_job(spec, Duration::ZERO, None);
+        assert_eq!(results.get(&spec.id), Some(&render_result(spec, &run)));
+    }
+    daemon.stop();
+    daemon.join();
+}
+
+#[test]
+fn stop_during_a_stream_of_small_jobs_joins_every_thread() {
+    let daemon = Daemon::loopback(daemon_config());
+    let drivers: Vec<_> = [false, true, false]
+        .into_iter()
+        .enumerate()
+        .map(|(s, hello)| {
+            let mut client = daemon.connect();
+            std::thread::spawn(move || {
+                if hello {
+                    client.hello().expect("hello");
+                }
+                let mut sent = 0;
+                let mut results = 0;
+                for _ in 0..2 {
+                    client.submit(&grid_spec(s, sent)).expect("submit");
+                    sent += 1;
+                }
+                // Keeps two jobs out until the daemon goes away.
+                while let Ok(Some(response)) = client.recv() {
+                    if hello && client.ack(client.last_seq()).is_err() {
+                        break;
+                    }
+                    if let Response::Result { .. } = response {
+                        results += 1;
+                        let mut spec = grid_spec(s, sent % JOBS_PER_SESSION);
+                        spec.id = format!("s{s}-{sent}");
+                        sent += 1;
+                        if client.submit(&spec).is_err() {
+                            break;
+                        }
+                    }
+                }
+                results
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(50));
+    within_30s(
+        "stop() and join() during a stream of small jobs",
+        move || {
+            daemon.stop();
+            daemon.join();
+        },
+    );
+    let results: usize = drivers
+        .into_iter()
+        .map(|driver| driver.join().expect("driver thread"))
+        .sum();
+    assert!(results > 0, "jobs completed before the stop");
+}
